@@ -1,0 +1,43 @@
+"""Seeded random graph files for the ``gen`` command and the tests."""
+
+from __future__ import annotations
+
+
+class SplitMix64:
+    """SplitMix64 generator: 64-bit state, the usual published constants.
+
+    Identical seeds yield identical streams in any implementation of the
+    algorithm, which makes generated instances reproducible bit for bit.
+    """
+
+    _MASK = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self._state = seed & self._MASK
+
+    def next_word(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        return z ^ (z >> 31)
+
+    def below(self, bound: int) -> int:
+        return self.next_word() % bound
+
+
+def generate_graph_text(n: int, m: int, seed: int) -> str:
+    """Random instance with loops and parallels allowed, reproducible by seed.
+
+    Each endpoint is ``1 + (next SplitMix64 word) % n``, drawn in order
+    (u then v per edge), so the output is a pure function of (n, m, seed).
+    """
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    rng = SplitMix64(seed)
+    lines = [f"p {n} {m}"]
+    for _ in range(m):
+        u = 1 + rng.below(n)
+        v = 1 + rng.below(n)
+        lines.append(f"e {u} {v}")
+    return "\n".join(lines) + "\n"

@@ -12,8 +12,9 @@ strict in a partial order on a finite set, so stages terminate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, replace
+from itertools import count, islice
 
 from .kpartition import (
     INFINITE_LEVEL,
@@ -227,26 +228,12 @@ def run_stage(
     while True:
         rest_ids = t.edges_of_color(colors)
         if components(g, rest_ids).num_classes <= 1:
-            final_trees = tuple(
-                frozenset(t.edges_of_color(c)) for c in range(1, colors)
-            )
-            return StageOutcome(
-                trees=final_trees,
-                rest=frozenset(rest_ids),
-                certificate=None,
-                exchanges=exchanges,
-                traces=tuple(traces),
-            )
+            final_trees = tuple(frozenset(t.edges_of_color(c)) for c in range(1, colors))
+            return StageOutcome(final_trees, frozenset(rest_ids), None, exchanges, tuple(traces))
         seq = build_sequence(g, t)
         certificate = density_check(g, t, seq)
         if certificate is not None:
-            return StageOutcome(
-                trees=None,
-                rest=None,
-                certificate=certificate,
-                exchanges=exchanges,
-                traces=tuple(traces),
-            )
+            return StageOutcome(None, None, certificate, exchanges, tuple(traces))
         if exchanges >= cap:
             raise InternalInvariantError(f"exchange cap {cap} exceeded")
         after, trace = _exchange_from(g, t, seq)
@@ -283,6 +270,30 @@ def greedy_spanning_tree(
     return frozenset(chosen)
 
 
+def _stages(
+    g: MultiGraph, cap: int | None, seedtree_order: str, on_exchange: OnExchange | None
+) -> Iterator[StageOutcome]:
+    """Outcomes of stages 1, 2, ..., each stage run once; ends at a certificate.
+
+    A connected stage is yielded with the next tree, extracted greedily from
+    its remainder, moved from ``rest`` to ``trees``. Stage ``s`` gets the
+    exchange cap ``cap``, or ``max(1, s * n * m)`` when ``cap`` is None.
+    """
+    trees: tuple[frozenset[EdgeId], ...] = ()
+    rest = frozenset(range(g.m))
+    for stage in count(1):
+        limit = cap if cap is not None else max(1, stage * g.n * g.m)
+        outcome = run_stage(g, trees, rest, cap=limit, on_exchange=on_exchange)
+        if outcome.certificate is not None:
+            yield outcome
+            return
+        assert outcome.trees is not None and outcome.rest is not None
+        new_tree = greedy_spanning_tree(g, outcome.rest, seedtree_order)
+        trees = (*outcome.trees, new_tree)
+        rest = outcome.rest - new_tree
+        yield replace(outcome, trees=trees, rest=rest)
+
+
 def pack(
     g: MultiGraph,
     k: int,
@@ -297,57 +308,43 @@ def pack(
     a certificate for the full ``k`` since a violation of ``t * (|P| - 1)``
     at stage ``t <= k`` implies one of ``k * (|P| - 1)``. ``k = 0`` and
     single-vertex graphs succeed vacuously. Loops can never enter a tree
-    and simply stay in the remainder.
+    and simply stay in the remainder. Every stage gets the exchange cap
+    ``cap``, by default ``max(1, k * n * m)``.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
+    if seedtree_order not in ("asc", "desc"):
+        raise ValueError("seedtree_order must be 'asc' or 'desc'")
     limit = cap if cap is not None else max(1, k * g.n * g.m)
-
-    trees: list[frozenset[EdgeId]] = []
-    rest = frozenset(range(g.m))
-    exchanges = 0
-    traces: list[ExchangeTrace] = []
-    for _stage in range(1, k + 1):
-        outcome = run_stage(g, trees, rest, cap=limit, on_exchange=on_exchange)
-        exchanges += outcome.exchanges
-        traces.extend(outcome.traces)
-        if outcome.certificate is not None:
-            return PackResult(
-                k=k,
-                trees=None,
-                certificate=outcome.certificate,
-                exchanges=exchanges,
-                traces=tuple(traces),
-            )
-        assert outcome.trees is not None and outcome.rest is not None
-        new_tree = greedy_spanning_tree(g, outcome.rest, seedtree_order)
-        trees = [*outcome.trees, new_tree]
-        rest = outcome.rest - new_tree
+    outcomes = list(islice(_stages(g, limit, seedtree_order, on_exchange), k))
+    last = outcomes[-1] if outcomes else StageOutcome((), None, None, 0, ())
     return PackResult(
         k=k,
-        trees=tuple(trees),
-        certificate=None,
-        exchanges=exchanges,
-        traces=tuple(traces),
+        trees=last.trees,
+        certificate=last.certificate,
+        exchanges=sum(outcome.exchanges for outcome in outcomes),
+        traces=tuple(trace for outcome in outcomes for trace in outcome.traces),
     )
 
 
 def stp_number(g: MultiGraph, *, cap: int | None = None) -> tuple[int, Partition]:
     """Largest k packing k spanning trees, plus the certificate for k + 1.
 
-    Runs ``pack`` for increasing k; the first failure at some ``k`` yields
-    ``(k - 1, certificate)``. A failure is guaranteed by
-    ``k = m // (n - 1) + 1``, where the one-vertex classes alone violate
-    the count. Graphs with fewer than two vertices pack every k vacuously
-    and are rejected.
+    Runs stages 1, 2, ... once each and stops at the first certificate: a
+    certificate at stage ``s`` yields ``(s - 1, certificate)``. Stage ``s``
+    gets the exchange cap ``cap``, by default ``max(1, s * n * m)``, the
+    cap it has in ``pack(g, s)``. A certificate is guaranteed by stage
+    ``m // (n - 1) + 1``, where the one-vertex classes alone violate the
+    count. Graphs with fewer than two vertices pack every k vacuously and
+    are rejected.
     """
     if g.n <= 1:
         raise ValueError("packing number is unbounded for graphs with n <= 1")
     ceiling = g.m // (g.n - 1) + 1
-    for k in range(1, ceiling + 1):
-        result = pack(g, k, cap=cap)
-        if result.certificate is not None:
-            return k - 1, result.certificate
+    outcomes = islice(_stages(g, cap, "asc", None), ceiling)
+    for stage, outcome in enumerate(outcomes, start=1):
+        if outcome.certificate is not None:
+            return stage - 1, outcome.certificate
     raise InternalInvariantError("no certificate at the arithmetic ceiling")

@@ -7,7 +7,7 @@ every test run sees exactly the same corpus.
 from __future__ import annotations
 
 from treepack import KPartition, MultiGraph
-from treepack.cli import SplitMix64
+from treepack.generate import SplitMix64
 
 
 def complete_graph(n: int) -> MultiGraph:

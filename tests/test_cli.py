@@ -13,11 +13,11 @@ from treepack.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     GraphFileError,
-    SplitMix64,
     main,
     parse_graph,
     serialize_graph,
 )
+from treepack.generate import SplitMix64
 
 from graphs import complete_graph, path_graph
 

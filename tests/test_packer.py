@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import treepack.packer
 from treepack import (
     ExchangeEvent,
     InternalInvariantError,
@@ -25,11 +26,13 @@ from treepack import (
 from graphs import (
     bowtie,
     complete_graph,
+    cycle_graph,
     doubled_triangle,
     early_improvement_graph,
     parallel_pair_instance,
     path_graph,
     random_multigraph,
+    star_graph,
     two_step_exchange_instance,
 )
 
@@ -336,6 +339,17 @@ def test_pack_seedtree_order_changes_tree_choice_not_verdict():
     assert asc.trees != desc.trees
 
 
+def test_pack_rejects_unknown_seedtree_order_before_any_stage(monkeypatch):
+    stages = []
+    monkeypatch.setattr(treepack.packer, "run_stage", lambda *a, **kw: stages.append(a))
+    with pytest.raises(ValueError):
+        pack(random_multigraph(2), 0, seedtree_order="bogus")
+    events = []
+    with pytest.raises(ValueError):
+        pack(complete_graph(4), 2, seedtree_order="bogus", on_exchange=events.append)
+    assert events == [] and stages == []
+
+
 def test_pack_tree_preservation_during_stages():
     for seed in range(40):
         g = random_multigraph(seed)
@@ -378,3 +392,45 @@ def test_stp_number_of_k6_is_three():
 def test_stp_number_rejects_tiny_graphs():
     with pytest.raises(ValueError):
         stp_number(MultiGraph(1, ()))
+
+
+def _stp_by_repeated_pack(g: MultiGraph) -> tuple[int, Partition]:
+    """Reference definition: pack k = 1, 2, ... from scratch until one certifies."""
+    k = 1
+    while (result := pack(g, k)).certificate is None:
+        k += 1
+    return k - 1, result.certificate
+
+
+def test_stp_number_matches_repeated_pack():
+    graphs = [random_multigraph(seed) for seed in range(200)]
+    graphs += [complete_graph(n) for n in range(2, 9)]
+    graphs += [build(n) for build in (path_graph, star_graph, cycle_graph) for n in range(2, 8)]
+    for g in graphs:
+        assert g.n >= 2
+        assert stp_number(g) == _stp_by_repeated_pack(g)
+
+
+def test_stp_number_runs_each_stage_once_with_its_pack_cap(monkeypatch):
+    caps = []
+    real = treepack.packer.run_stage
+
+    def recording(*args, **kwargs):
+        caps.append(kwargs["cap"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(treepack.packer, "run_stage", recording)
+    g = complete_graph(6)
+    assert stp_number(g)[0] == 3
+    assert caps == [s * g.n * g.m for s in (1, 2, 3, 4)]  # k_max + 1 stages
+    caps.clear()
+    stp_number(g, cap=50)
+    assert caps == [50] * 4
+    caps.clear()
+    pack(g, 3)
+    assert caps == [3 * g.n * g.m] * 3
+
+
+def test_stp_number_respects_cap():
+    with pytest.raises(InternalInvariantError):
+        stp_number(complete_graph(4), cap=0)  # stage 2 needs one exchange
