@@ -383,10 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pack.add_argument("file", help="graph file")
     p_pack.add_argument("k", type=int, help="number of trees to pack")
     p_pack.add_argument("--trace", action="store_true", help="include exchange trace")
-    p_pack.add_argument(
-        "--json", action="store_true", default=True,
-        help="emit a JSON result document (default, the only output format)",
-    )
     p_pack.add_argument("--cap", type=int, default=None, help="override the exchange cap")
     p_pack.add_argument(
         "--seedtree-order", choices=("asc", "desc"), default="asc",
@@ -434,14 +430,11 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-    except (GraphFileError, ResultDocumentError) as exc:
+    except (OSError, ValueError) as exc:  # GraphFileError, ResultDocumentError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: input too large to hold in memory", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

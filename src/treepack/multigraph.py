@@ -193,7 +193,7 @@ def fundamental_cycle(
     Raises NoCycleError when the endpoints are not connected in the tree
     edges, and ValueError on the other precondition violations.
     """
-    tree_ids = set(_check_edge_ids(g, tree_edge_ids))
+    tree_ids = _check_edge_ids(g, tree_edge_ids)
     if e in tree_ids:
         raise ValueError("edge already belongs to the tree edge set")
     if not 0 <= e < g.m:
@@ -203,7 +203,7 @@ def fundamental_cycle(
         raise ValueError("a loop has no fundamental cycle through a tree")
 
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in sorted(tree_ids):
+    for eid in tree_ids:
         a, b = g.edges[eid]
         adjacency[a].append((b, eid))
         adjacency[b].append((a, eid))

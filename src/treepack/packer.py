@@ -123,11 +123,12 @@ def density_check(
     for color in range(1, k):
         if not _is_spanning_tree(g, t.edges_of_color(color)):
             raise InternalInvariantError(f"color {color} is not a spanning tree")
-    if components(g, t.edges_of_color(k)).num_classes <= 1:
+    rest = t.edges_of_color(k)
+    if components(g, rest).num_classes <= 1:
         raise InternalInvariantError("remainder color is already connected")
     terminal = seq.terminal
     crossing = 0
-    for e in t.edges_of_color(k):
+    for e in rest:
         u, v = g.edges[e]
         if terminal.class_of[u] != terminal.class_of[v]:
             crossing += 1

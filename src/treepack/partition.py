@@ -3,46 +3,32 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
 class Partition:
-    """A partition of ``{0, ..., n-1}`` in canonical form.
+    """A partition of ``{0, ..., n-1}`` stored as its canonical label array.
 
-    Classes are ordered by their smallest member and each class lists its
-    vertices in increasing order, so two equal partitions are the same
-    value (plain ``==`` compares partitions). ``class_of[v]`` is the index
-    of the class containing ``v``.
+    ``class_of[v]`` is the index of the class containing ``v``. Labels are
+    numbered in order of first occurrence (a restricted growth string), so
+    classes are ordered by their smallest member and two equal partitions
+    are the same value (plain ``==`` and ``hash`` compare partitions).
+    ``classes``, each listing its vertices in increasing order, is built
+    from the labels on first use.
 
     Instances are immutable and freely shareable. Use the factory
-    classmethods; the constructor validates canonical form and rejects
-    anything that is not a partition.
+    classmethods; the constructor rejects a label array that is not in
+    canonical form.
     """
 
-    classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.class_of)
-        covered = 0
-        previous_min = -1
-        for index, members in enumerate(self.classes):
-            if not members:
-                raise ValueError("partition classes must be nonempty")
-            if list(members) != sorted(set(members)):
-                raise ValueError("class members must be strictly increasing")
-            if members[0] <= previous_min:
-                raise ValueError("classes must be ordered by smallest member")
-            previous_min = members[0]
-            for v in members:
-                if not 0 <= v < n:
-                    raise ValueError(f"vertex {v} out of range [0, {n})")
-                if self.class_of[v] != index:
-                    raise ValueError("class_of disagrees with classes")
-            covered += len(members)
-        if covered != n:
-            raise ValueError("classes must cover every vertex exactly once")
+        first_seen = list(dict.fromkeys(self.class_of))
+        if first_seen != list(range(len(first_seen))):
+            raise ValueError("labels must be numbered 0, 1, ... by first occurrence")
 
     @classmethod
     def from_class_map(cls, labels: Iterable[int]) -> "Partition":
@@ -51,15 +37,8 @@ class Partition:
         Labels are renumbered by first occurrence, which yields the
         canonical class order directly.
         """
-        class_of: list[int] = []
         renumber: dict[int, int] = {}
-        for label in labels:
-            renumber.setdefault(label, len(renumber))
-            class_of.append(renumber[label])
-        members: list[list[int]] = [[] for _ in range(len(renumber))]
-        for v, index in enumerate(class_of):
-            members[index].append(v)
-        return cls(tuple(tuple(c) for c in members), tuple(class_of))
+        return cls(tuple([renumber.setdefault(label, len(renumber)) for label in labels]))
 
     @classmethod
     def from_classes(
@@ -95,7 +74,15 @@ class Partition:
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return max(self.class_of, default=-1) + 1
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes in canonical order, each with increasing members."""
+        members: list[list[int]] = [[] for _ in range(self.num_classes)]
+        for v, index in enumerate(self.class_of):
+            members[index].append(v)
+        return tuple(map(tuple, members))
 
     def class_containing(self, v: int) -> int:
         """Index of the unique class containing ``v``."""
@@ -108,11 +95,8 @@ class Partition:
         """True if every class of ``self`` is a subset of a class of ``other``."""
         if self.n != other.n:
             raise ValueError("partitions are over different ground sets")
-        for members in self.classes:
-            target = other.class_of[members[0]]
-            if any(other.class_of[v] != target for v in members):
-                return False
-        return True
+        # Each label of ``self`` must meet exactly one label of ``other``.
+        return len(set(zip(self.class_of, other.class_of))) == self.num_classes
 
     def strictly_refines(self, other: "Partition") -> bool:
         return self != other and self.refines(other)

@@ -178,6 +178,20 @@ def test_cmd_pack_cap_exceeded_is_internal_error(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_cmd_pack_out_of_memory_is_input_error(tmp_path, capsys, monkeypatch):
+    # A header such as ``p 1000000000 0`` parses, and the packer then runs out
+    # of memory; simulate that without allocating.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("treepack.cli.pack", out_of_memory)
+    path = _write(tmp_path, "k4.gr", K4_TEXT)
+    code, out, err = _run(capsys, ["pack", path, "2"])
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == "error: input too large to hold in memory\n"
+
+
 def test_cmd_pack_deterministic_output(tmp_path, capsys):
     path = _write(tmp_path, "k4.gr", K4_TEXT)
     _, out_a, _ = _run(capsys, ["pack", path, "2", "--trace"])

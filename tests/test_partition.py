@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from treepack import Partition
@@ -29,9 +31,9 @@ def test_invalid_partitions_are_rejected():
     with pytest.raises(ValueError):
         Partition.from_classes([[0], [1]], n=3)  # wrong total
     with pytest.raises(ValueError):
-        Partition(((1, 0),), (0, 0))  # members not sorted
+        Partition((1, 0))  # labels not in first-occurrence order
     with pytest.raises(ValueError):
-        Partition(((0,), ()), (0,))  # empty class
+        Partition((0, 2))  # a label skipped
 
 
 def test_trivial_and_singletons():
@@ -100,9 +102,57 @@ def test_refinement_is_a_partial_order():
 
 
 def test_representation_unique_under_permutation():
-    import itertools
-
     base = [[0, 3], [1], [2, 4]]
     reference = Partition.from_classes(base)
     for ordering in itertools.permutations(base):
         assert Partition.from_classes(ordering) == reference
+
+
+def _is_restricted_growth(labels: tuple[int, ...]) -> bool:
+    largest = -1
+    for label in labels:
+        if not 0 <= label <= largest + 1:
+            return False
+        largest = max(largest, label)
+    return True
+
+
+def test_constructor_accepts_exactly_restricted_growth_strings():
+    for n in range(6):
+        for labels in itertools.product(range(n), repeat=n):
+            if _is_restricted_growth(labels):
+                assert Partition(labels).class_of == labels
+            else:
+                with pytest.raises(ValueError):
+                    Partition(labels)
+
+
+def test_classes_are_vertex_groups_by_smallest_member():
+    for n in range(9):
+        for seed in range(30):
+            labels = random_partition_labels(seed, n)
+            groups: dict[int, list[int]] = {}
+            for v, label in enumerate(labels):
+                groups.setdefault(label, []).append(v)
+            expected = tuple(sorted(tuple(g) for g in groups.values()))
+            p = Partition.from_class_map(labels)
+            assert p.classes == expected
+            assert p.num_classes == len(expected)
+            assert list(p) == list(expected)
+
+
+def _refines_by_classes(p: Partition, q: Partition) -> bool:
+    """Reference: every class of ``p`` is a subset of a class of ``q``."""
+    return all(
+        any(set(mine) <= set(theirs) for theirs in q.classes) for mine in p.classes
+    )
+
+
+def test_refines_matches_class_subset_definition():
+    for n in range(1, 9):
+        parts = _random_partitions(30, n)
+        parts += [Partition.from_class_map([c // 2 for c in p.class_of]) for p in parts]
+        parts += [Partition.trivial(n), Partition.singletons(n)]
+        for p in parts:
+            for q in parts:
+                assert p.refines(q) == _refines_by_classes(p, q)
