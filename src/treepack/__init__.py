@@ -11,7 +11,6 @@ routes can be checked against each other.
 from .kpartition import (
     INFINITE_LEVEL,
     KPartition,
-    LevelMap,
     PartitionSequence,
     SequenceStep,
     build_sequence,
@@ -19,11 +18,8 @@ from .kpartition import (
     precedes,
 )
 from .multigraph import (
-    DisjointSets,
-    EdgeId,
     MultiGraph,
     NoCycleError,
-    VertexId,
     components,
     cycle_edges,
     fundamental_cycle,
@@ -57,14 +53,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DensityReport",
-    "DisjointSets",
-    "EdgeId",
     "ExchangeEvent",
     "ExchangeTrace",
     "INFINITE_LEVEL",
     "InternalInvariantError",
     "KPartition",
-    "LevelMap",
     "MultiGraph",
     "NoCycleError",
     "PackResult",
@@ -72,7 +65,6 @@ __all__ = [
     "PartitionSequence",
     "SequenceStep",
     "StageOutcome",
-    "VertexId",
     "build_sequence",
     "components",
     "cycle_edges",

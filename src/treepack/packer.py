@@ -12,6 +12,7 @@ strict in a partial order on a finite set, so stages terminate.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import count, islice
@@ -79,7 +80,6 @@ class StageOutcome:
     rest: frozenset[EdgeId] | None
     certificate: Partition | None
     exchanges: int
-    traces: tuple[ExchangeTrace, ...]
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,6 @@ class PackResult:
     trees: tuple[frozenset[EdgeId], ...] | None
     certificate: Partition | None
     exchanges: int
-    traces: tuple[ExchangeTrace, ...]
 
     @property
     def verdict(self) -> str:
@@ -98,13 +97,6 @@ class PackResult:
 
 
 OnExchange = Callable[[ExchangeEvent], None]
-
-
-def _is_spanning_tree(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> bool:
-    ids = list(edge_ids)
-    if len(ids) != g.n - 1 or any(g.is_loop(e) for e in ids):
-        return False
-    return components(g, ids).num_classes <= 1
 
 
 def density_check(
@@ -118,14 +110,20 @@ def density_check(
     the total crossing count is below ``k * (|P| - 1)`` and ``P`` is
     returned as a certificate; otherwise None is returned and a finite-level
     remainder edge on a cycle is guaranteed to exist.
+
+    The guards come from the sequence's first round, whose splitter is the
+    least color disconnected on the whole graph (no round: all connected),
+    and from per-color edge counts: connected with ``n - 1`` edges is a tree.
     """
     k = t.k
+    splitter = seq.steps[0].splitter if seq.steps else k + 1
+    sizes = Counter(t.color_of)
     for color in range(1, k):
-        if not _is_spanning_tree(g, t.edges_of_color(color)):
+        if color == splitter or sizes[color] != g.n - 1:
             raise InternalInvariantError(f"color {color} is not a spanning tree")
-    rest = t.edges_of_color(k)
-    if components(g, rest).num_classes <= 1:
+    if splitter != k:
         raise InternalInvariantError("remainder color is already connected")
+    rest = t.edges_of_color(k)
     terminal = seq.terminal
     crossing = 0
     for e in rest:
@@ -225,21 +223,19 @@ def run_stage(
         cap = max(1, colors * g.n * g.m)
 
     exchanges = 0
-    traces: list[ExchangeTrace] = []
     while True:
         rest_ids = t.edges_of_color(colors)
         if components(g, rest_ids).num_classes <= 1:
             final_trees = tuple(frozenset(t.edges_of_color(c)) for c in range(1, colors))
-            return StageOutcome(final_trees, frozenset(rest_ids), None, exchanges, tuple(traces))
+            return StageOutcome(final_trees, frozenset(rest_ids), None, exchanges)
         seq = build_sequence(g, t)
         certificate = density_check(g, t, seq)
         if certificate is not None:
-            return StageOutcome(None, None, certificate, exchanges, tuple(traces))
+            return StageOutcome(None, None, certificate, exchanges)
         if exchanges >= cap:
             raise InternalInvariantError(f"exchange cap {cap} exceeded")
         after, trace = _exchange_from(g, t, seq)
         exchanges += 1
-        traces.append(trace)
         if on_exchange is not None:
             on_exchange(
                 ExchangeEvent(
@@ -320,13 +316,12 @@ def pack(
         raise ValueError("seedtree_order must be 'asc' or 'desc'")
     limit = cap if cap is not None else max(1, k * g.n * g.m)
     outcomes = list(islice(_stages(g, limit, seedtree_order, on_exchange), k))
-    last = outcomes[-1] if outcomes else StageOutcome((), None, None, 0, ())
+    last = outcomes[-1] if outcomes else StageOutcome((), None, None, 0)
     return PackResult(
         k=k,
         trees=last.trees,
         certificate=last.certificate,
         exchanges=sum(outcome.exchanges for outcome in outcomes),
-        traces=tuple(trace for outcome in outcomes for trace in outcome.traces),
     )
 
 

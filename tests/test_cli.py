@@ -236,12 +236,28 @@ def test_cmd_verify_rejects_non_violating_certificate(tmp_path, capsys):
 def test_cmd_verify_rejects_tampered_trace(tmp_path, capsys):
     graph = _write(tmp_path, "k4.gr", K4_TEXT)
     code, out, _ = _run(capsys, ["pack", graph, "2", "--trace"])
-    doc = json.loads(out)
-    doc["trace"][0]["e_prime"] = 5
-    result = _write(tmp_path, "result.json", json.dumps(doc))
-    code, _, err = _run(capsys, ["verify", graph, result])
-    assert code == EXIT_VERIFY_FAILED
-    assert "e_prime" in err
+    assert code == EXIT_OK
+    forged = {
+        "e": 5,
+        "m": 2,
+        "class_p": [1, 2, 3],
+        "c_m": 2,
+        "cycle": [0, 2, 3],
+        "e_prime": 5,
+        "j": 1,
+        "class_q": [1, 2, 3],
+        "sequence": {"steps": [], "terminal": [[1], [2], [3], [4]]},
+    }
+    record = json.loads(out)["trace"][0]
+    assert list(forged) == list(record)
+    for field, value in forged.items():
+        assert record[field] != value
+        doc = json.loads(out)
+        doc["trace"][0][field] = value
+        result = _write(tmp_path, "result.json", json.dumps(doc))
+        code, _, err = _run(capsys, ["verify", graph, result])
+        assert code == EXIT_VERIFY_FAILED, field
+        assert f"field {field!r}" in err
 
 
 def test_cmd_verify_malformed_documents(tmp_path, capsys):

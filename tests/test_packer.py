@@ -22,6 +22,8 @@ from treepack import (
     verify_certificate,
     verify_packing,
 )
+from treepack.generate import SplitMix64
+from treepack.multigraph import DisjointSets
 
 from graphs import (
     bowtie,
@@ -31,6 +33,7 @@ from graphs import (
     early_improvement_graph,
     parallel_pair_instance,
     path_graph,
+    random_coloring,
     random_multigraph,
     star_graph,
     two_step_exchange_instance,
@@ -86,6 +89,70 @@ def test_density_check_rejects_connected_remainder():
     connected = t.recolor({1: 2})  # move a path edge over: remainder now spans
     with pytest.raises(InternalInvariantError):
         density_check(g, connected, build_sequence(g, connected))
+
+
+def _density_check_raises(g: MultiGraph, t: KPartition) -> bool:
+    try:
+        density_check(g, t, build_sequence(g, t))
+    except InternalInvariantError:
+        return True
+    return False
+
+
+def _guards_fail(g: MultiGraph, t: KPartition) -> bool:
+    trees_ok = all(_is_spanning_tree(g, t.edges_of_color(c)) for c in range(1, t.k))
+    return not trees_ok or components(g, t.edges_of_color(t.k)).num_classes <= 1
+
+
+def _planted_coloring(seed: int, g: MultiGraph, k: int) -> KPartition:
+    """Greedy forests of a shuffled edge order as colors 1..k-1, the rest as
+    color k, then up to two random recolorings."""
+    rng = SplitMix64(seed)
+    order = sorted(range(g.m), key=lambda e: rng.next_word())
+    colors = [k] * g.m
+    for color in range(1, k):
+        ds = DisjointSets(g.n)
+        for e in order:
+            u, v = g.edges[e]
+            if colors[e] == k and u != v and ds.union(u, v):
+                colors[e] = color
+    for _ in range(rng.below(3) if g.m else 0):
+        colors[rng.below(g.m)] = 1 + rng.below(k)
+    return KPartition(k, tuple(colors))
+
+
+def test_density_check_guards_match_their_definition():
+    # Raises exactly when a color 1..k-1 is not a spanning tree or the
+    # remainder color is connected; loops and parallel edges included.
+    outcomes = {True: 0, False: 0}
+    for seed in range(1500):
+        sparse, dense = random_multigraph(seed), random_multigraph(seed, max_m=20)
+        for k in range(1, 5):
+            for g, t in (
+                (sparse, random_coloring(4 * seed + k, sparse, k)),
+                (dense, _planted_coloring(4 * seed + k, dense, k)),
+            ):
+                expected = _guards_fail(g, t)
+                assert _density_check_raises(g, t) == expected, (seed, k, t)
+                outcomes[expected] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+@pytest.mark.parametrize(
+    "edges, colors",
+    [
+        # color 1 has n - 1 = 3 edges, but they close the triangle 0-1-2
+        (((0, 1), (1, 2), (0, 2), (2, 3), (0, 3)), (1, 1, 1, 2, 2)),
+        # color 1 is connected, the 4-cycle with n = 4 edges
+        (((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)), (1, 1, 1, 1, 2)),
+    ],
+)
+def test_density_check_rejects_tree_color_that_is_not_a_tree(edges, colors):
+    g = MultiGraph(4, edges)
+    t = KPartition(2, colors)
+    assert components(g, t.edges_of_color(2)).num_classes > 1
+    with pytest.raises(InternalInvariantError, match="color 1 is not a spanning tree"):
+        density_check(g, t, build_sequence(g, t))
 
 
 # exchange_step -----------------------------------------------------------------
