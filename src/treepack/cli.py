@@ -183,7 +183,7 @@ def _load_document(path: str) -> dict:
 
 def _document_k(doc: dict) -> int:
     k = doc.get("k")
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise ResultDocumentError("document field 'k' must be a nonnegative integer")
     return k
 
@@ -194,7 +194,7 @@ def _check_packing_document(g: MultiGraph, doc: dict) -> tuple[bool, str]:
         raise ResultDocumentError("document field 'trees' must be a list of lists")
     for tree in trees:
         for e in tree:
-            if not isinstance(e, int) or not 0 <= e < g.m:
+            if type(e) is not int or not 0 <= e < g.m:
                 raise ResultDocumentError(f"edge id {e!r} does not exist in the graph")
     return verify_packing(g, trees, _document_k(doc))
 
@@ -205,7 +205,7 @@ def _partition_from_document(g: MultiGraph, classes: object) -> Partition:
     zero_based = []
     for members in classes:
         for v in members:
-            if not isinstance(v, int) or not 1 <= v <= g.n:
+            if type(v) is not int or not 1 <= v <= g.n:
                 raise ResultDocumentError(f"vertex {v!r} does not exist in the graph")
         zero_based.append([v - 1 for v in members])
     try:
@@ -214,14 +214,19 @@ def _partition_from_document(g: MultiGraph, classes: object) -> Partition:
         raise ResultDocumentError(f"classes do not partition the vertex set: {exc}")
 
 
+def _same_json(claimed: object, derived: object) -> bool:
+    """Equal as JSON, types included: ``true`` and ``1.0`` are not ``1``."""
+    return json.dumps(claimed, sort_keys=True) == json.dumps(derived, sort_keys=True)
+
+
 def _check_certificate_document(g: MultiGraph, doc: dict) -> tuple[bool, str]:
     p = _partition_from_document(g, doc.get("classes"))
     k = _document_k(doc)
     crossing = quotient(g, p).m
     bound = k * (p.num_classes - 1)
-    if doc.get("crossing_edges") != crossing:
+    if not _same_json(doc.get("crossing_edges"), crossing):
         return False, f"document says {doc.get('crossing_edges')} crossing edges, graph has {crossing}"
-    if doc.get("bound") != bound:
+    if not _same_json(doc.get("bound"), bound):
         return False, f"document says bound {doc.get('bound')}, expected {bound}"
     return verify_certificate(g, p, k)
 
@@ -243,7 +248,7 @@ def _check_trace(g: MultiGraph, doc: dict, seedtree_order: str) -> tuple[bool, s
         if not isinstance(record, dict):
             raise ResultDocumentError(f"trace record {index} must be an object")
         for field, value in _trace_record(event).items():
-            if record.get(field) != value:
+            if not _same_json(record.get(field), value):
                 return False, (
                     f"trace record {index}: field {field!r} is "
                     f"{record.get(field)!r}, replay derives {value!r}"

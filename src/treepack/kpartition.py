@@ -9,6 +9,8 @@ until every color is connected on every class. The *level* of an edge is
 the last index at which its endpoints still share a class. The sequence,
 compared lexicographically by (partition, splitter), induces the strict
 improvement order used to prove that edge exchanges terminate.
+A tree color is a forest, so the sequence builder tests it by counting
+its edges inside classes instead of taking its components.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .multigraph import EdgeId, MultiGraph, restrict_components
+from .multigraph import EdgeId, MultiGraph, _roots_within, restrict_components
 from .partition import Partition
 
 # Level of an edge whose endpoints are never separated (loops included).
@@ -111,28 +113,54 @@ class PartitionSequence:
         return self.terminal_splitter
 
 
-def build_sequence(g: MultiGraph, t: KPartition) -> PartitionSequence:
-    """Compute the partition sequence of ``t`` exactly from its definition.
+def _color_lists(t: KPartition) -> list[list[EdgeId]]:
+    """Every color's edge ids in increasing order from one pass; index 0 is empty."""
+    colors: list[list[EdgeId]] = [[] for _ in range(t.k + 1)]
+    for e, c in enumerate(t.color_of):
+        colors[c].append(e)
+    return colors
 
-    Each round scans colors in increasing order; the first color that is
-    disconnected inside some class becomes the splitter and every class is
-    replaced by that color's components within it. Rounds strictly refine,
-    so there are at most ``n - 1`` steps.
+
+def build_sequence(g: MultiGraph, t: KPartition) -> PartitionSequence:
+    """Compute the partition sequence of ``t``.
+
+    Each round takes the least color disconnected inside some class as the
+    splitter and replaces every class by its components within it, so
+    there are at most ``n - 1`` steps. A forest color with ``intra`` edges
+    inside the classes of ``P`` splits some class iff ``intra < n - |P|``;
+    any other color, a broken tree color included, gets a union-find.
     """
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
-    color_edges = [t.edges_of_color(c) for c in range(1, t.k + 1)]
-    current = Partition.trivial(g.n)
+    n, k, edges, color_of = g.n, t.k, g.edges, t.color_of
+    colors = _color_lists(t)
+    forest = [
+        len(ids) < n and len(set(_roots_within(g, ids, [0] * n))) == n - len(ids) for ids in colors
+    ]
+    inside = [e for e in range(g.m) if forest[color_of[e]]]  # forest edges inside classes
+    intra = [len(ids) for ids in colors]
+    current, size = Partition.trivial(n), 1
     steps: list[SequenceStep] = []
     while True:
-        for color in range(1, t.k + 1):
-            refined = restrict_components(g, color_edges[color - 1], current)
-            if refined != current:
-                steps.append(SequenceStep(current, color))
-                current = refined
+        for c in range(1, k + 1):
+            if forest[c] and intra[c] >= n - size:
+                continue  # a forest that splits no class
+            refined = restrict_components(g, colors[c], current)
+            if refined.num_classes > size:
                 break
         else:
-            return PartitionSequence(t.k, tuple(steps), current)
+            return PartitionSequence(k, tuple(steps), current)
+        steps.append(SequenceStep(current, c))
+        current, size = refined, refined.num_classes
+        class_of = current.class_of
+        kept = []
+        for e in inside:
+            u, v = edges[e]
+            if class_of[u] != class_of[v]:
+                intra[color_of[e]] -= 1
+            else:
+                kept.append(e)
+        inside = kept
 
 
 def edge_levels(g: MultiGraph, t: KPartition, seq: PartitionSequence) -> LevelMap:

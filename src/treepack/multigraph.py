@@ -8,7 +8,7 @@ it is recolored downstream, so edge sets are always sets of ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .partition import Partition
 
@@ -106,11 +106,7 @@ def quotient(g: MultiGraph, p: Partition) -> MultiGraph:
 
 def components(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> Partition:
     """Connected components of the spanning subgraph ``(V, edge_ids)``."""
-    ds = DisjointSets(g.n)
-    for e in _check_edge_ids(g, edge_ids):
-        u, v = g.edges[e]
-        ds.union(u, v)
-    return Partition.from_class_map(ds.find(v) for v in range(g.n))
+    return Partition.from_class_map(_roots_within(g, _check_edge_ids(g, edge_ids), [0] * g.n))
 
 
 def restrict_components(
@@ -123,12 +119,24 @@ def restrict_components(
     """
     if p.n != g.n:
         raise ValueError("partition does not match the graph's vertex set")
-    ds = DisjointSets(g.n)
-    for e in _check_edge_ids(g, edge_ids):
-        u, v = g.edges[e]
-        if p.class_of[u] == p.class_of[v]:
-            ds.union(u, v)
-    return Partition.from_class_map(ds.find(v) for v in range(g.n))
+    return Partition.from_class_map(_roots_within(g, _check_edge_ids(g, edge_ids), p.class_of))
+
+
+def _roots_within(g: MultiGraph, ids: Iterable[EdgeId], labels: Sequence[int]) -> list[int]:
+    """Each vertex's root after a path-halving union of the edges whose ends share a label."""
+    parent = list(range(g.n))
+    for e in ids:
+        a, b = g.edges[e]
+        if labels[a] == labels[b]:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            parent[a] = b
+    for v in range(g.n):
+        while parent[parent[v]] != parent[v]:
+            parent[v] = parent[parent[v]]
+    return parent
 
 
 def cycle_edges(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> frozenset[EdgeId]:

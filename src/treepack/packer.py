@@ -21,6 +21,7 @@ from .kpartition import (
     INFINITE_LEVEL,
     KPartition,
     PartitionSequence,
+    _color_lists,
     build_sequence,
     edge_levels,
 )
@@ -136,11 +137,11 @@ def density_check(
 
 
 def _exchange_from(
-    g: MultiGraph, t: KPartition, seq: PartitionSequence
+    g: MultiGraph, t: KPartition, seq: PartitionSequence, colors: list[list[EdgeId]]
 ) -> tuple[KPartition, ExchangeTrace]:
     k = t.k
     levels = edge_levels(g, t, seq)
-    on_cycles = cycle_edges(g, t.edges_of_color(k))
+    on_cycles = cycle_edges(g, colors[k])
     finite = [e for e in sorted(on_cycles) if levels[e] != INFINITE_LEVEL]
     if not finite:
         raise InternalInvariantError("no finite-level cycle edge in the remainder")
@@ -158,7 +159,7 @@ def _exchange_from(
     if not 1 <= c_m <= k - 1:
         raise InternalInvariantError(f"splitter at the selected level is {c_m}, not a tree color")
 
-    cycle = fundamental_cycle(g, t.edges_of_color(c_m), e)
+    cycle = fundamental_cycle(g, colors[c_m], e)
     e_prime = min(cycle, key=lambda eid: (levels[eid], eid))
     if levels[e_prime] == INFINITE_LEVEL or levels[e_prime] >= m:
         raise InternalInvariantError("fundamental cycle has no edge below the selected level")
@@ -198,7 +199,7 @@ def exchange_step(g: MultiGraph, t: KPartition) -> tuple[KPartition, ExchangeTra
     the remainder. Requires that ``density_check`` returned None for the
     same coloring.
     """
-    return _exchange_from(g, t, build_sequence(g, t))
+    return _exchange_from(g, t, build_sequence(g, t), _color_lists(t))
 
 
 def run_stage(
@@ -213,28 +214,32 @@ def run_stage(
 
     ``trees`` are the spanning trees fixed so far (exchanges may rotate
     edges through them, but they stay spanning trees); ``rest`` is every
-    remaining edge. ``cap`` bounds the number of exchanges as a safety
-    guard; exceeding it raises InternalInvariantError.
+    remaining edge; the stage ends once it is connected (``components``
+    before any exchange, a sequence with no steps after one). ``cap`` is a
+    safety bound on exchanges; exceeding it raises InternalInvariantError.
     """
     tree_sets = [frozenset(tree) for tree in trees]
+    rest_set = frozenset(rest)
     colors = len(tree_sets) + 1
-    t = KPartition.from_edge_sets(colors, [*tree_sets, frozenset(rest)], g.m)
+    t = KPartition.from_edge_sets(colors, [*tree_sets, rest_set], g.m)
     if cap is None:
         cap = max(1, colors * g.n * g.m)
+    if components(g, rest_set).num_classes <= 1:
+        return StageOutcome(tuple(tree_sets), rest_set, None, 0)
 
     exchanges = 0
     while True:
-        rest_ids = t.edges_of_color(colors)
-        if components(g, rest_ids).num_classes <= 1:
-            final_trees = tuple(frozenset(t.edges_of_color(c)) for c in range(1, colors))
-            return StageOutcome(final_trees, frozenset(rest_ids), None, exchanges)
         seq = build_sequence(g, t)
+        color_edges = _color_lists(t)
+        if not seq.steps:
+            final_trees = tuple(frozenset(color_edges[c]) for c in range(1, colors))
+            return StageOutcome(final_trees, frozenset(color_edges[colors]), None, exchanges)
         certificate = density_check(g, t, seq)
         if certificate is not None:
             return StageOutcome(None, None, certificate, exchanges)
         if exchanges >= cap:
             raise InternalInvariantError(f"exchange cap {cap} exceeded")
-        after, trace = _exchange_from(g, t, seq)
+        after, trace = _exchange_from(g, t, seq, color_edges)
         exchanges += 1
         if on_exchange is not None:
             on_exchange(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from treepack import KPartition, MultiGraph
 from treepack.generate import SplitMix64
+from treepack.multigraph import DisjointSets, NoCycleError, fundamental_cycle
 
 
 def complete_graph(n: int) -> MultiGraph:
@@ -25,6 +26,36 @@ def star_graph(n: int) -> MultiGraph:
 
 def cycle_graph(n: int) -> MultiGraph:
     return MultiGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def hypercube(d: int) -> MultiGraph:
+    """Q_d: vertices are d-bit words, joined when they differ in one bit."""
+    n = 1 << d
+    edges = [(v, v | 1 << i) for v in range(n) for i in range(d) if not v >> i & 1]
+    return MultiGraph(n, tuple(edges))
+
+
+def _shuffle(rng: SplitMix64, items: list) -> None:
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def union_of_spanning_trees(seed: int, n: int, k: int) -> MultiGraph:
+    """k random spanning trees on n vertices, edge ids shuffled.
+
+    Each tree attaches the vertices of a random order one by one to a
+    random earlier vertex. Shuffling the ids keeps greedy extraction from
+    recovering the trees directly, so packing needs exchanges.
+    """
+    rng = SplitMix64(seed)
+    edges = []
+    for _ in range(k):
+        order = list(range(n))
+        _shuffle(rng, order)
+        edges.extend((order[i], order[rng.below(i)]) for i in range(1, n))
+    _shuffle(rng, edges)
+    return MultiGraph(n, tuple(edges))
 
 
 def bowtie() -> MultiGraph:
@@ -110,6 +141,51 @@ def random_tree(seed: int, n: int) -> MultiGraph:
 def random_coloring(seed: int, g: MultiGraph, k: int) -> KPartition:
     rng = SplitMix64(seed)
     return KPartition(k, tuple(1 + rng.below(k) for _ in range(g.m)))
+
+
+def planted_coloring(seed: int, g: MultiGraph, k: int) -> KPartition:
+    """Greedy forests of a shuffled edge order as colors 1..k-1, the rest as
+    color k, then up to two random recolorings."""
+    rng = SplitMix64(seed)
+    order = sorted(range(g.m), key=lambda e: rng.next_word())
+    colors = [k] * g.m
+    for color in range(1, k):
+        ds = DisjointSets(g.n)
+        for e in order:
+            u, v = g.edges[e]
+            if colors[e] == k and u != v and ds.union(u, v):
+                colors[e] = color
+    for _ in range(rng.below(3) if g.m else 0):
+        colors[rng.below(g.m)] = 1 + rng.below(k)
+    return KPartition(k, tuple(colors))
+
+
+def broken_tree_coloring(seed: int, g: MultiGraph, k: int) -> KPartition | None:
+    """A planted coloring whose color 1 has ``n - 1`` edges and a cycle.
+
+    Color 1 takes a non-loop edge of another color and hands that color a
+    tree edge off the cycle the taken edge closes. None when color 1 does
+    not have ``n - 1`` edges joining the taken edge's ends, or when every
+    one of them lies on that cycle.
+    """
+    colors = list(planted_coloring(seed, g, k).color_of)
+    tree = [e for e in range(g.m) if colors[e] == 1]
+    if len(tree) != g.n - 1:
+        return None
+    rng = SplitMix64(seed ^ 0x5EED)
+    others = [e for e in range(g.m) if colors[e] != 1 and not g.is_loop(e)]
+    if not others:
+        return None
+    e = others[rng.below(len(others))]
+    try:
+        cycle = fundamental_cycle(g, tree, e)
+    except NoCycleError:  # color 1 does not join e's ends
+        return None
+    off = [f for f in tree if f not in cycle]
+    if not off:
+        return None
+    colors[e], colors[off[rng.below(len(off))]] = 1, colors[e]
+    return KPartition(k, tuple(colors))
 
 
 def random_partition_labels(seed: int, n: int) -> list[int]:

@@ -260,6 +260,67 @@ def test_cmd_verify_rejects_tampered_trace(tmp_path, capsys):
         assert f"field {field!r}" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("m", True),
+        ("m", 1.0),
+        ("j", False),
+        ("e_prime", 0.0),
+        ("cycle", [0, True, 3]),
+        ("cycle", [0, 1.0, 3]),
+    ],
+)
+def test_cmd_verify_trace_integers_must_be_json_integers(tmp_path, capsys, field, value):
+    # Record 0 of K4's `pack 2 --trace` has m 1, j 0, e_prime 0 and cycle
+    # [0, 1, 3]; Python compares true and 1.0 equal to 1, JSON does not.
+    graph = _write(tmp_path, "k4.gr", K4_TEXT)
+    _, out, _ = _run(capsys, ["pack", graph, "2", "--trace"])
+    doc = json.loads(out)
+    assert doc["trace"][0][field] == value
+    doc["trace"][0][field] = value
+    result = _write(tmp_path, "result.json", json.dumps(doc))
+    code, _, err = _run(capsys, ["verify", graph, result])
+    assert code == EXIT_VERIFY_FAILED
+    assert f"field {field!r}" in err
+
+
+def _forge_bool(doc: dict, where: str) -> None:
+    if where == "tree edge":
+        doc["trees"][0][0] = True  # edge id 1
+    elif where == "k":
+        doc["k"] = True
+    else:
+        doc["classes"][0][0] = True  # vertex 1
+
+
+@pytest.mark.parametrize(
+    "k, where",
+    [(2, "tree edge"), (2, "k"), (3, "k"), (3, "certificate vertex")],
+)
+def test_cmd_verify_rejects_bool_for_integer(tmp_path, capsys, k, where):
+    graph = _write(tmp_path, "k4.gr", K4_TEXT)
+    _, out, _ = _run(capsys, ["pack", graph, str(k)])
+    doc = json.loads(out)
+    assert doc["verdict"] == ("packing" if k == 2 else "certificate")
+    _forge_bool(doc, where)
+    result = _write(tmp_path, "result.json", json.dumps(doc))
+    code, _, err = _run(capsys, ["verify", graph, result])
+    assert code == EXIT_INPUT_ERROR, err
+
+
+def test_cmd_verify_certificate_counts_must_be_json_integers(tmp_path, capsys):
+    graph = _write(tmp_path, "k4.gr", K4_TEXT)
+    _, out, _ = _run(capsys, ["pack", graph, "3"])
+    for field in ("crossing_edges", "bound"):
+        doc = json.loads(out)
+        doc[field] = float(doc[field])
+        result = _write(tmp_path, "result.json", json.dumps(doc))
+        code, _, err = _run(capsys, ["verify", graph, result])
+        assert code == EXIT_VERIFY_FAILED, field
+        assert field.split("_")[0] in err
+
+
 def test_cmd_verify_malformed_documents(tmp_path, capsys):
     graph = _write(tmp_path, "k4.gr", K4_TEXT)
     for text in (

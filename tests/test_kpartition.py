@@ -11,8 +11,11 @@ from treepack import (
     edge_levels,
     precedes,
 )
+from treepack.kpartition import _color_lists
 
 from graphs import (
+    broken_tree_coloring,
+    planted_coloring,
     random_coloring,
     random_multigraph,
     two_step_sequence_instance,
@@ -101,6 +104,26 @@ def naive_level(g: MultiGraph, partitions: list[Partition], e: int):
     return best
 
 
+def differential_cases(seeds: range, offset: int):
+    """Colorings to hold the builder against the definitions above.
+
+    Per seed: a uniform random coloring (k 1-3), a planted one (greedy
+    spanning forests as colors 1..k-1, k 1-4, up to two recolorings) and,
+    where one exists, a planted one whose color 1 has ``n - 1`` edges and a
+    cycle. Loops and parallel edges occur throughout.
+    """
+    for seed in seeds:
+        g = random_multigraph(seed)
+        if g.m:
+            yield "random", g, random_coloring(seed + offset, g, 1 + seed % 3)
+        dense = random_multigraph(seed, max_n=9, max_m=24)
+        k = 1 + seed % 4
+        yield "planted", dense, planted_coloring(seed + offset, dense, k)
+        broken = broken_tree_coloring(seed + offset, dense, max(2, k))
+        if broken is not None:
+            yield "broken tree", dense, broken
+
+
 # KPartition basics -----------------------------------------------------------
 
 def test_kpartition_validates_colors():
@@ -158,17 +181,15 @@ def test_two_step_sequence_shape():
 
 
 def test_sequence_matches_naive_evaluator_on_random_colorings():
-    for seed in range(80):
-        g = random_multigraph(seed)
-        if g.m == 0:
-            continue
-        k = 1 + seed % 3
-        t = random_coloring(seed + 500, g, k)
+    kinds = {"random": 0, "planted": 0, "broken tree": 0}
+    for kind, g, t in differential_cases(range(500), 500):
         seq = build_sequence(g, t)
         partitions, splitters = naive_sequence(g, t)
-        assert [s.partition for s in seq.steps] == partitions[:-1]
-        assert [s.splitter for s in seq.steps] == splitters
+        assert [s.partition for s in seq.steps] == partitions[:-1], (kind, g, t)
+        assert [s.splitter for s in seq.steps] == splitters, (kind, g, t)
         assert seq.terminal == partitions[-1]
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 150, kinds
 
 
 def test_sequence_strictly_descends_and_splitters_are_minimal():
@@ -209,16 +230,18 @@ def test_edge_separated_at_first_split_has_level_zero():
 
 
 def test_levels_match_definitional_scan():
-    for seed in range(60):
-        g = random_multigraph(seed)
-        if g.m == 0:
-            continue
-        t = random_coloring(seed + 123, g, 1 + seed % 3)
+    # The color lists the packer passes along with the levels are checked too.
+    for kind, g, t in differential_cases(range(500), 123):
         seq = build_sequence(g, t)
         levels = edge_levels(g, t, seq)
         partitions = [s.partition for s in seq.steps] + [seq.terminal]
-        for e in range(g.m):
-            assert levels[e] == naive_level(g, partitions, e)
+        expected = [naive_level(g, partitions, e) for e in range(g.m)]
+        assert list(levels) == expected, (kind, g, t)
+        colors = _color_lists(t)
+        assert colors[0] == []
+        assert [tuple(ids) for ids in colors[1:]] == [
+            t.edges_of_color(c) for c in range(1, t.k + 1)
+        ]
 
 
 def test_level_terminal_consistency():

@@ -22,8 +22,6 @@ from treepack import (
     verify_certificate,
     verify_packing,
 )
-from treepack.generate import SplitMix64
-from treepack.multigraph import DisjointSets
 
 from graphs import (
     bowtie,
@@ -33,6 +31,7 @@ from graphs import (
     early_improvement_graph,
     parallel_pair_instance,
     path_graph,
+    planted_coloring,
     random_coloring,
     random_multigraph,
     star_graph,
@@ -104,23 +103,6 @@ def _guards_fail(g: MultiGraph, t: KPartition) -> bool:
     return not trees_ok or components(g, t.edges_of_color(t.k)).num_classes <= 1
 
 
-def _planted_coloring(seed: int, g: MultiGraph, k: int) -> KPartition:
-    """Greedy forests of a shuffled edge order as colors 1..k-1, the rest as
-    color k, then up to two random recolorings."""
-    rng = SplitMix64(seed)
-    order = sorted(range(g.m), key=lambda e: rng.next_word())
-    colors = [k] * g.m
-    for color in range(1, k):
-        ds = DisjointSets(g.n)
-        for e in order:
-            u, v = g.edges[e]
-            if colors[e] == k and u != v and ds.union(u, v):
-                colors[e] = color
-    for _ in range(rng.below(3) if g.m else 0):
-        colors[rng.below(g.m)] = 1 + rng.below(k)
-    return KPartition(k, tuple(colors))
-
-
 def test_density_check_guards_match_their_definition():
     # Raises exactly when a color 1..k-1 is not a spanning tree or the
     # remainder color is connected; loops and parallel edges included.
@@ -130,7 +112,7 @@ def test_density_check_guards_match_their_definition():
         for k in range(1, 5):
             for g, t in (
                 (sparse, random_coloring(4 * seed + k, sparse, k)),
-                (dense, _planted_coloring(4 * seed + k, dense, k)),
+                (dense, planted_coloring(4 * seed + k, dense, k)),
             ):
                 expected = _guards_fail(g, t)
                 assert _density_check_raises(g, t) == expected, (seed, k, t)
