@@ -145,8 +145,8 @@ def result_document(
     return doc
 
 
-def _emit(doc: dict, path: str | None = None) -> None:
-    text = json.dumps(doc) + "\n"
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when it is None."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -154,10 +154,12 @@ def _emit(doc: dict, path: str | None = None) -> None:
             handle.write(text)
 
 
+def _emit(doc: dict) -> None:
+    _write(json.dumps(doc) + "\n", None)
+
+
 def _cmd_pack(args: argparse.Namespace) -> int:
     g = load_graph(args.file)
-    if args.k < 0:
-        raise ValueError("k must be nonnegative")
     events: list[ExchangeEvent] = []
     result = pack(
         g,
@@ -310,12 +312,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    text = generate_graph_text(args.n, args.m, args.seed)
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write(generate_graph_text(args.n, args.m, args.seed), args.output)
     return EXIT_OK
 
 
@@ -361,13 +358,7 @@ def render_dot(g: MultiGraph, doc: dict) -> str:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     g = load_graph(args.file)
-    doc = _load_document(args.result)
-    text = render_dot(g, doc)
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write(render_dot(g, _load_document(args.result)), args.output)
     return EXIT_OK
 
 

@@ -6,17 +6,20 @@ trees during packing. The associated *partition sequence* starts from the
 one-class vertex partition and repeatedly splits every class into the
 components of the least color that is disconnected inside some class,
 until every color is connected on every class. The *level* of an edge is
-the last index at which its endpoints still share a class. The sequence,
+the last index at which its endpoints still share a class; the sequence
+builder records it in the round whose split separates them. The sequence,
 compared lexicographically by (partition, splitter), induces the strict
 improvement order used to prove that edge exchanges terminate.
 A tree color is a forest, so the sequence builder tests it by counting
-its edges inside classes instead of taking its components.
+its edges inside classes instead of taking its components. A coloring
+builds its per-color edge lists once, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from .multigraph import EdgeId, MultiGraph, _roots_within, restrict_components
@@ -66,9 +69,17 @@ class KPartition:
     def m(self) -> int:
         return len(self.color_of)
 
+    @cached_property
+    def _edges_by_color(self) -> tuple[tuple[EdgeId, ...], ...]:
+        """Every color's edge ids in increasing order, from one pass; index 0 is empty."""
+        lists: list[list[EdgeId]] = [[] for _ in range(self.k + 1)]
+        for e, c in enumerate(self.color_of):
+            lists[c].append(e)
+        return tuple(map(tuple, lists))
+
     def edges_of_color(self, color: int) -> tuple[EdgeId, ...]:
-        """All edge ids of one color, in increasing id order."""
-        return tuple(e for e, c in enumerate(self.color_of) if c == color)
+        """All edge ids of one color, in increasing id order; ``()`` outside ``1..k``."""
+        return self._edges_by_color[color] if 1 <= color <= self.k else ()
 
     def recolor(self, changes: Mapping[EdgeId, int]) -> "KPartition":
         colors = list(self.color_of)
@@ -92,11 +103,14 @@ class PartitionSequence:
     partition on which every color is connected within every class. Past
     the recorded steps the sequence is constant by convention: partitions
     equal ``terminal`` and splitters equal the ``k + 1`` sentinel.
+    ``levels[e]`` is the level of edge ``e``, recorded while the sequence
+    was built (see ``edge_levels``).
     """
 
     k: int
     steps: tuple[SequenceStep, ...]
     terminal: Partition
+    levels: LevelMap
 
     @property
     def terminal_splitter(self) -> int:
@@ -113,32 +127,26 @@ class PartitionSequence:
         return self.terminal_splitter
 
 
-def _color_lists(t: KPartition) -> list[list[EdgeId]]:
-    """Every color's edge ids in increasing order from one pass; index 0 is empty."""
-    colors: list[list[EdgeId]] = [[] for _ in range(t.k + 1)]
-    for e, c in enumerate(t.color_of):
-        colors[c].append(e)
-    return colors
-
-
 def build_sequence(g: MultiGraph, t: KPartition) -> PartitionSequence:
-    """Compute the partition sequence of ``t``.
+    """Compute the partition sequence of ``t`` and the level of every edge.
 
     Each round takes the least color disconnected inside some class as the
     splitter and replaces every class by its components within it, so
     there are at most ``n - 1`` steps. A forest color with ``intra`` edges
     inside the classes of ``P`` splits some class iff ``intra < n - |P|``;
     any other color, a broken tree color included, gets a union-find.
+    After the split at index ``i``, one pass over the non-loop edges still
+    inside a class gives level ``i`` to those it separates and lowers
+    their colors' ``intra``.
     """
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
     n, k, edges, color_of = g.n, t.k, g.edges, t.color_of
-    colors = _color_lists(t)
-    forest = [
-        len(ids) < n and len(set(_roots_within(g, ids, [0] * n))) == n - len(ids) for ids in colors
-    ]
-    inside = [e for e in range(g.m) if forest[color_of[e]]]  # forest edges inside classes
-    intra = [len(ids) for ids in colors]
+    colors = [t.edges_of_color(c) for c in range(k + 1)]
+    forest = [len(_roots_within(g, ids, [0] * n)[1]) == len(ids) for ids in colors]
+    intra = [len(ids) for ids in colors]  # read for forest colors only
+    inside = [e for e, (u, v) in enumerate(edges) if u != v]
+    levels: list[Level] = [INFINITE_LEVEL] * g.m
     current, size = Partition.trivial(n), 1
     steps: list[SequenceStep] = []
     while True:
@@ -149,7 +157,8 @@ def build_sequence(g: MultiGraph, t: KPartition) -> PartitionSequence:
             if refined.num_classes > size:
                 break
         else:
-            return PartitionSequence(k, tuple(steps), current)
+            return PartitionSequence(k, tuple(steps), current, tuple(levels))
+        level = len(steps)
         steps.append(SequenceStep(current, c))
         current, size = refined, refined.num_classes
         class_of = current.class_of
@@ -157,6 +166,7 @@ def build_sequence(g: MultiGraph, t: KPartition) -> PartitionSequence:
         for e in inside:
             u, v = edges[e]
             if class_of[u] != class_of[v]:
+                levels[e] = level
                 intra[color_of[e]] -= 1
             else:
                 kept.append(e)
@@ -166,26 +176,12 @@ def build_sequence(g: MultiGraph, t: KPartition) -> PartitionSequence:
 def edge_levels(g: MultiGraph, t: KPartition, seq: PartitionSequence) -> LevelMap:
     """Level of every edge: the last index at which its ends share a class.
 
-    Computed in one pass over the sequence by recording, for each edge,
-    the first index at which its endpoints separate, minus one. Loops and
-    edges inside a terminal class get ``INFINITE_LEVEL``.
+    Returns the levels ``build_sequence`` recorded in ``seq``. Loops and
+    edges inside a terminal class have ``INFINITE_LEVEL``.
     """
-    if t.m != g.m:
-        raise ValueError("coloring does not match the graph's edge count")
-    partitions = [step.partition for step in seq.steps] + [seq.terminal]
-    levels: list[Level] = [INFINITE_LEVEL] * g.m
-    undecided = [e for e in range(g.m) if not g.is_loop(e)]
-    for i in range(1, len(partitions)):
-        class_of = partitions[i].class_of
-        remaining: list[EdgeId] = []
-        for e in undecided:
-            u, v = g.edges[e]
-            if class_of[u] != class_of[v]:
-                levels[e] = i - 1
-            else:
-                remaining.append(e)
-        undecided = remaining
-    return tuple(levels)
+    if t.m != g.m or len(seq.levels) != g.m or seq.terminal.n != g.n:
+        raise ValueError("coloring or sequence does not match the graph")
+    return seq.levels
 
 
 def precedes(a: KPartition, b: KPartition, g: MultiGraph) -> bool:

@@ -20,33 +20,6 @@ class NoCycleError(ValueError):
     """Raised when the requested fundamental cycle does not exist."""
 
 
-class DisjointSets:
-    """Union-find over ``{0, ..., n-1}`` with union by size and path compression."""
-
-    def __init__(self, n: int):
-        self._parent = list(range(n))
-        self._size = [1] * n
-
-    def find(self, v: int) -> int:
-        root = v
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[v] != root:
-            self._parent[v], v = root, self._parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return True
-
-
 @dataclass(frozen=True)
 class MultiGraph:
     """Undirected multigraph on vertices ``0..n-1``.
@@ -70,9 +43,6 @@ class MultiGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def endpoints(self, e: EdgeId) -> tuple[VertexId, VertexId]:
-        return self.edges[e]
 
     def is_loop(self, e: EdgeId) -> bool:
         u, v = self.edges[e]
@@ -106,7 +76,8 @@ def quotient(g: MultiGraph, p: Partition) -> MultiGraph:
 
 def components(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> Partition:
     """Connected components of the spanning subgraph ``(V, edge_ids)``."""
-    return Partition.from_class_map(_roots_within(g, _check_edge_ids(g, edge_ids), [0] * g.n))
+    roots, _ = _roots_within(g, _check_edge_ids(g, edge_ids), [0] * g.n)
+    return Partition.from_class_map(roots)
 
 
 def restrict_components(
@@ -119,12 +90,20 @@ def restrict_components(
     """
     if p.n != g.n:
         raise ValueError("partition does not match the graph's vertex set")
-    return Partition.from_class_map(_roots_within(g, _check_edge_ids(g, edge_ids), p.class_of))
+    roots, _ = _roots_within(g, _check_edge_ids(g, edge_ids), p.class_of)
+    return Partition.from_class_map(roots)
 
 
-def _roots_within(g: MultiGraph, ids: Iterable[EdgeId], labels: Sequence[int]) -> list[int]:
-    """Each vertex's root after a path-halving union of the edges whose ends share a label."""
+def _roots_within(
+    g: MultiGraph, ids: Iterable[EdgeId], labels: Sequence[int]
+) -> tuple[list[int], list[EdgeId]]:
+    """Path-halving union of the edges, in the given order, whose ends share a label.
+
+    Returns each vertex's root and the edges that joined two sets; a loop
+    or an edge closing a cycle joins nothing.
+    """
     parent = list(range(g.n))
+    joined = []
     for e in ids:
         a, b = g.edges[e]
         if labels[a] == labels[b]:
@@ -132,11 +111,13 @@ def _roots_within(g: MultiGraph, ids: Iterable[EdgeId], labels: Sequence[int]) -
                 parent[a] = a = parent[parent[a]]
             while parent[b] != b:
                 parent[b] = b = parent[parent[b]]
-            parent[a] = b
+            if a != b:
+                parent[a] = b
+                joined.append(e)
     for v in range(g.n):
         while parent[parent[v]] != parent[v]:
             parent[v] = parent[parent[v]]
-    return parent
+    return parent, joined
 
 
 def cycle_edges(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> frozenset[EdgeId]:

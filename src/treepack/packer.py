@@ -12,7 +12,6 @@ strict in a partial order on a finite set, so stages terminate.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import count, islice
@@ -21,14 +20,13 @@ from .kpartition import (
     INFINITE_LEVEL,
     KPartition,
     PartitionSequence,
-    _color_lists,
     build_sequence,
     edge_levels,
 )
 from .multigraph import (
-    DisjointSets,
     EdgeId,
     MultiGraph,
+    _roots_within,
     components,
     cycle_edges,
     fundamental_cycle,
@@ -114,13 +112,12 @@ def density_check(
 
     The guards come from the sequence's first round, whose splitter is the
     least color disconnected on the whole graph (no round: all connected),
-    and from per-color edge counts: connected with ``n - 1`` edges is a tree.
+    and from the coloring's edge lists: connected with ``n - 1`` edges is a tree.
     """
     k = t.k
     splitter = seq.steps[0].splitter if seq.steps else k + 1
-    sizes = Counter(t.color_of)
     for color in range(1, k):
-        if color == splitter or sizes[color] != g.n - 1:
+        if color == splitter or len(t.edges_of_color(color)) != g.n - 1:
             raise InternalInvariantError(f"color {color} is not a spanning tree")
     if splitter != k:
         raise InternalInvariantError("remainder color is already connected")
@@ -137,15 +134,14 @@ def density_check(
 
 
 def _exchange_from(
-    g: MultiGraph, t: KPartition, seq: PartitionSequence, colors: list[list[EdgeId]]
+    g: MultiGraph, t: KPartition, seq: PartitionSequence
 ) -> tuple[KPartition, ExchangeTrace]:
     k = t.k
     levels = edge_levels(g, t, seq)
-    on_cycles = cycle_edges(g, colors[k])
-    finite = [e for e in sorted(on_cycles) if levels[e] != INFINITE_LEVEL]
-    if not finite:
+    on_cycles = cycle_edges(g, t.edges_of_color(k))
+    e = min(on_cycles, key=lambda eid: (levels[eid], eid), default=None)
+    if e is None or levels[e] == INFINITE_LEVEL:
         raise InternalInvariantError("no finite-level cycle edge in the remainder")
-    e = min(finite, key=lambda eid: (levels[eid], eid))
     m = int(levels[e])
 
     part_m = seq.partition_at(m)
@@ -159,7 +155,7 @@ def _exchange_from(
     if not 1 <= c_m <= k - 1:
         raise InternalInvariantError(f"splitter at the selected level is {c_m}, not a tree color")
 
-    cycle = fundamental_cycle(g, colors[c_m], e)
+    cycle = fundamental_cycle(g, t.edges_of_color(c_m), e)
     e_prime = min(cycle, key=lambda eid: (levels[eid], eid))
     if levels[e_prime] == INFINITE_LEVEL or levels[e_prime] >= m:
         raise InternalInvariantError("fundamental cycle has no edge below the selected level")
@@ -199,7 +195,7 @@ def exchange_step(g: MultiGraph, t: KPartition) -> tuple[KPartition, ExchangeTra
     the remainder. Requires that ``density_check`` returned None for the
     same coloring.
     """
-    return _exchange_from(g, t, build_sequence(g, t), _color_lists(t))
+    return _exchange_from(g, t, build_sequence(g, t))
 
 
 def run_stage(
@@ -230,16 +226,15 @@ def run_stage(
     exchanges = 0
     while True:
         seq = build_sequence(g, t)
-        color_edges = _color_lists(t)
         if not seq.steps:
-            final_trees = tuple(frozenset(color_edges[c]) for c in range(1, colors))
-            return StageOutcome(final_trees, frozenset(color_edges[colors]), None, exchanges)
+            final_trees = tuple(frozenset(t.edges_of_color(c)) for c in range(1, colors))
+            return StageOutcome(final_trees, frozenset(t.edges_of_color(colors)), None, exchanges)
         certificate = density_check(g, t, seq)
         if certificate is not None:
             return StageOutcome(None, None, certificate, exchanges)
         if exchanges >= cap:
             raise InternalInvariantError(f"exchange cap {cap} exceeded")
-        after, trace = _exchange_from(g, t, seq, color_edges)
+        after, trace = _exchange_from(g, t, seq)
         exchanges += 1
         if on_exchange is not None:
             on_exchange(
@@ -261,12 +256,7 @@ def greedy_spanning_tree(
     if order not in ("asc", "desc"):
         raise ValueError("order must be 'asc' or 'desc'")
     ids = sorted(edge_ids, reverse=(order == "desc"))
-    ds = DisjointSets(g.n)
-    chosen = []
-    for e in ids:
-        u, v = g.edges[e]
-        if u != v and ds.union(u, v):
-            chosen.append(e)
+    _, chosen = _roots_within(g, ids, [0] * g.n)
     if len(chosen) != g.n - 1:
         raise InternalInvariantError("edge set does not span a connected graph")
     return frozenset(chosen)

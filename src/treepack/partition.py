@@ -84,10 +84,6 @@ class Partition:
             members[index].append(v)
         return tuple(map(tuple, members))
 
-    def class_containing(self, v: int) -> int:
-        """Index of the unique class containing ``v``."""
-        return self.class_of[v]
-
     def members(self, index: int) -> tuple[int, ...]:
         return self.classes[index]
 

@@ -11,7 +11,6 @@ from treepack import (
     edge_levels,
     precedes,
 )
-from treepack.kpartition import _color_lists
 
 from graphs import (
     broken_tree_coloring,
@@ -230,18 +229,28 @@ def test_edge_separated_at_first_split_has_level_zero():
 
 
 def test_levels_match_definitional_scan():
-    # The color lists the packer passes along with the levels are checked too.
+    # The coloring's cached edge lists, which the packer reads with the
+    # levels, are checked too, colors 0 and k + 1 included.
     for kind, g, t in differential_cases(range(500), 123):
         seq = build_sequence(g, t)
         levels = edge_levels(g, t, seq)
         partitions = [s.partition for s in seq.steps] + [seq.terminal]
         expected = [naive_level(g, partitions, e) for e in range(g.m)]
         assert list(levels) == expected, (kind, g, t)
-        colors = _color_lists(t)
-        assert colors[0] == []
-        assert [tuple(ids) for ids in colors[1:]] == [
-            t.edges_of_color(c) for c in range(1, t.k + 1)
-        ]
+        for c in range(t.k + 2):
+            scan = tuple(e for e in range(g.m) if t.color_of[e] == c)
+            assert t.edges_of_color(c) == scan, (kind, g, t, c)
+
+
+def test_edge_levels_rejects_a_sequence_of_another_graph():
+    g = MultiGraph(3, ((0, 1), (1, 2)))
+    t = KPartition(1, (1, 1))
+    more_edges = MultiGraph(3, ((0, 1), (1, 2), (0, 2)))
+    more_vertices = MultiGraph(4, ((0, 1), (2, 3)))
+    for other in (more_edges, more_vertices):
+        seq = build_sequence(other, KPartition(1, (1,) * other.m))
+        with pytest.raises(ValueError):
+            edge_levels(g, t, seq)
 
 
 def test_level_terminal_consistency():

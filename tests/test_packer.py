@@ -325,6 +325,44 @@ def test_run_stage_k4_second_stage():
     assert components(g, outcome.rest).num_classes == 1
 
 
+# greedy_spanning_tree -------------------------------------------------------------
+
+def _kruskal_by_id(g: MultiGraph, ordered) -> frozenset[int]:
+    """Keep each edge, in the given order, whose ends lie in different components."""
+    label = list(range(g.n))
+    kept = []
+    for e in ordered:
+        u, v = g.edges[e]
+        if label[u] != label[v]:
+            old = label[v]
+            label = [label[u] if x == old else x for x in label]
+            kept.append(e)
+    return frozenset(kept)
+
+
+def test_greedy_spanning_tree_is_kruskal_by_id():
+    checked = loops = parallels = 0
+    for seed in range(400):
+        g = random_multigraph(seed, max_n=8, max_m=24)
+        if components(g, range(g.m)).num_classes > 1:
+            continue
+        for order, ordered in (("asc", range(g.m)), ("desc", reversed(range(g.m)))):
+            assert greedy_spanning_tree(g, range(g.m), order) == _kruskal_by_id(g, ordered)
+        checked += 1
+        loops += any(u == v for u, v in g.edges)
+        parallels += len({tuple(sorted(e)) for e in g.edges}) < g.m
+    assert checked >= 100 and loops >= 20 and parallels >= 20, (checked, loops, parallels)
+
+
+def test_greedy_spanning_tree_rejects_a_disconnected_edge_set():
+    g = MultiGraph(4, ((0, 1), (2, 3), (0, 1), (2, 2)))
+    for order in ("asc", "desc"):
+        with pytest.raises(InternalInvariantError):
+            greedy_spanning_tree(g, range(g.m), order)
+    with pytest.raises(InternalInvariantError):
+        greedy_spanning_tree(path_graph(3), [0])
+
+
 # pack ---------------------------------------------------------------------------
 
 def test_pack_zero_trees_is_vacuous():

@@ -70,11 +70,12 @@ def test_strictly_refines():
 
 def test_class_containing():
     singles = Partition.singletons(5)
-    assert singles.members(singles.class_containing(3)) == (3,)
+    assert singles.members(singles.class_of[3]) == (3,)
     trivial = Partition.trivial(5)
-    assert trivial.class_containing(4) == 0
+    assert trivial.class_of[4] == 0
     p = Partition.from_classes([[0, 2], [1]])
-    assert p.members(p.class_containing(2)) == (0, 2)
+    assert p.members(p.class_of[2]) == (0, 2)
+    assert all(v in p.members(p.class_of[v]) for v in range(p.n))
 
 
 def _random_partitions(count: int, n: int) -> list[Partition]:
