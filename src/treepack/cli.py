@@ -15,6 +15,7 @@ verification, 2 input error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -190,7 +191,8 @@ def _document_k(doc: dict) -> int:
     return k
 
 
-def _check_packing_document(g: MultiGraph, doc: dict) -> tuple[bool, str]:
+def _document_trees(g: MultiGraph, doc: dict) -> list[list[int]]:
+    """The document's ``trees``: lists of edge ids that exist in ``g``."""
     trees = doc.get("trees")
     if not isinstance(trees, list) or not all(isinstance(t, list) for t in trees):
         raise ResultDocumentError("document field 'trees' must be a list of lists")
@@ -198,7 +200,7 @@ def _check_packing_document(g: MultiGraph, doc: dict) -> tuple[bool, str]:
         for e in tree:
             if type(e) is not int or not 0 <= e < g.m:
                 raise ResultDocumentError(f"edge id {e!r} does not exist in the graph")
-    return verify_packing(g, trees, _document_k(doc))
+    return trees
 
 
 def _partition_from_document(g: MultiGraph, classes: object) -> Partition:
@@ -263,7 +265,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     doc = _load_document(args.result)
     verdict = doc.get("verdict")
     if verdict == "packing":
-        ok, detail = _check_packing_document(g, doc)
+        ok, detail = verify_packing(g, _document_trees(g, doc), _document_k(doc))
     elif verdict == "certificate":
         ok, detail = _check_certificate_document(g, doc)
     else:
@@ -336,7 +338,7 @@ def render_dot(g: MultiGraph, doc: dict) -> str:
     verdict = doc.get("verdict")
     if verdict == "packing":
         color_of: dict[int, str] = {}
-        for index, tree in enumerate(doc.get("trees", [])):
+        for index, tree in enumerate(_document_trees(g, doc)):
             for e in tree:
                 color_of[e] = _PALETTE[index % len(_PALETTE)]
         for eid, (u, v) in enumerate(g.edges):
@@ -362,7 +364,13 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``treepack`` parser, built on first use and reused by every ``main``.
+
+    Reuse is safe: ``parse_args`` returns a fresh namespace, and the
+    handlers look up ``pack`` and the other library functions when called.
+    """
     parser = argparse.ArgumentParser(
         prog="treepack",
         description="Pack edge-disjoint spanning trees or emit a partition certificate.",

@@ -301,7 +301,8 @@ def pack(
     at stage ``t <= k`` implies one of ``k * (|P| - 1)``. ``k = 0`` and
     single-vertex graphs succeed vacuously. Loops can never enter a tree
     and simply stay in the remainder. Every stage gets the exchange cap
-    ``cap``, by default ``max(1, k * n * m)``.
+    ``cap``, by default ``max(1, k * n * m)``; a negative cap is a
+    ValueError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -309,6 +310,8 @@ def pack(
         raise ValueError("graph must have at least one vertex")
     if seedtree_order not in ("asc", "desc"):
         raise ValueError("seedtree_order must be 'asc' or 'desc'")
+    if cap is not None and cap < 0:
+        raise ValueError("exchange cap must be nonnegative")
     limit = cap if cap is not None else max(1, k * g.n * g.m)
     outcomes = list(islice(_stages(g, limit, seedtree_order, on_exchange), k))
     last = outcomes[-1] if outcomes else StageOutcome((), None, None, 0)
@@ -326,13 +329,15 @@ def stp_number(g: MultiGraph, *, cap: int | None = None) -> tuple[int, Partition
     Runs stages 1, 2, ... once each and stops at the first certificate: a
     certificate at stage ``s`` yields ``(s - 1, certificate)``. Stage ``s``
     gets the exchange cap ``cap``, by default ``max(1, s * n * m)``, the
-    cap it has in ``pack(g, s)``. A certificate is guaranteed by stage
-    ``m // (n - 1) + 1``, where the one-vertex classes alone violate the
-    count. Graphs with fewer than two vertices pack every k vacuously and
-    are rejected.
+    cap it has in ``pack(g, s)``; a negative cap is a ValueError. A
+    certificate is guaranteed by stage ``m // (n - 1) + 1``, where the
+    one-vertex classes alone violate the count. Graphs with fewer than two
+    vertices pack every k vacuously and are rejected.
     """
     if g.n <= 1:
         raise ValueError("packing number is unbounded for graphs with n <= 1")
+    if cap is not None and cap < 0:
+        raise ValueError("exchange cap must be nonnegative")
     ceiling = g.m // (g.n - 1) + 1
     outcomes = islice(_stages(g, cap, "asc", None), ceiling)
     for stage, outcome in enumerate(outcomes, start=1):

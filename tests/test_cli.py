@@ -178,6 +178,14 @@ def test_cmd_pack_cap_exceeded_is_internal_error(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_cmd_pack_negative_cap_is_input_error(tmp_path, capsys):
+    path = _write(tmp_path, "k8.gr", serialize_graph(complete_graph(8)))
+    code, out, err = _run(capsys, ["pack", path, "4", "--cap", "-3"])
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == "error: exchange cap must be nonnegative\n"
+
+
 def test_cmd_pack_out_of_memory_is_input_error(tmp_path, capsys, monkeypatch):
     # A header such as ``p 1000000000 0`` parses, and the packer then runs out
     # of memory; simulate that without allocating.
@@ -388,6 +396,65 @@ def test_cmd_dot_packing_and_certificate(tmp_path, capsys):
     code, dot, _ = _run(capsys, ["dot", path_file, cert])
     assert code == EXIT_OK
     assert "style=dashed" in dot
+
+
+@pytest.mark.parametrize("trees", [5, [3], [[[1]]]], ids=["int", "list-of-ints", "nested-lists"])
+def test_cmd_dot_malformed_packing_is_input_error(tmp_path, capsys, trees):
+    graph = _write(tmp_path, "k4.gr", K4_TEXT)
+    result = _write(tmp_path, "result.json", json.dumps({"verdict": "packing", "trees": trees}))
+    code, out, err = _run(capsys, ["dot", graph, result])
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+# repeated in-process calls -----------------------------------------------------------
+# ``main`` builds its parser once per process; no call may see another's options.
+
+def test_main_trace_option_does_not_carry_over(tmp_path, capsys):
+    graph = _write(tmp_path, "k4.gr", K4_TEXT)
+    code, out, _ = _run(capsys, ["pack", graph, "2", "--trace", "--seedtree-order", "desc"])
+    assert code == EXIT_OK and "trace" in json.loads(out)
+    code, out, _ = _run(capsys, ["pack", graph, "2"])
+    assert code == EXIT_OK
+    assert "trace" not in json.loads(out)
+    assert out == json.dumps(json.loads(out)) + "\n"
+    _, asc, _ = _run(capsys, ["pack", graph, "2", "--seedtree-order", "asc"])
+    assert out == asc
+
+
+def test_main_output_option_does_not_carry_over(tmp_path, capsys):
+    target = tmp_path / "g.gr"
+    code, out, _ = _run(capsys, ["gen", "5", "9", "7", "-o", str(target)])
+    assert code == EXIT_OK and out == ""
+    code, out, _ = _run(capsys, ["gen", "5", "9", "7"])
+    assert code == EXIT_OK
+    assert out == target.read_text()
+
+
+def test_main_usage_error_leaves_the_next_call_working(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["pack", "--no-such-option"])
+    assert exit_info.value.code == EXIT_INPUT_ERROR
+    capsys.readouterr()
+    graph = _write(tmp_path, "k4.gr", K4_TEXT)
+    code, out, _ = _run(capsys, ["pack", graph, "2"])
+    assert code == EXIT_OK
+    assert json.loads(out)["verdict"] == "packing"
+
+
+def test_main_sees_a_pack_patched_after_the_parser_was_built(tmp_path, capsys, monkeypatch):
+    graph = _write(tmp_path, "k4.gr", K4_TEXT)
+    assert main(["pack", graph, "2"]) == EXIT_OK  # builds the parser
+    capsys.readouterr()
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("treepack.cli.pack", out_of_memory)
+    code, out, err = _run(capsys, ["pack", graph, "2"])
+    assert code == EXIT_INPUT_ERROR
+    assert err == "error: input too large to hold in memory\n"
 
 
 # console entry point ---------------------------------------------------------------

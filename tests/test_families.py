@@ -3,16 +3,27 @@
 Every verdict is checked by the oracle's verifiers, which need no search:
 a packing by its trees, a certificate by counting crossing edges. Each
 instance makes at least one exchange, so the exchange loop is exercised
-at sizes the corpus never reaches.
+at sizes the corpus never reaches. On the larger instances every exchange
+is also checked against the properties the exchange argument relies on.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from treepack import MultiGraph, pack, stp_number, verify_certificate, verify_packing
+from treepack import (
+    ExchangeEvent,
+    MultiGraph,
+    build_sequence,
+    components,
+    pack,
+    precedes,
+    stp_number,
+    verify_certificate,
+    verify_packing,
+)
 
-from graphs import hypercube, union_of_spanning_trees
+from graphs import complete_graph, hypercube, union_of_spanning_trees
 
 # Some seeds certify the union minus an edge before any exchange (2009 and
 # 2010 do); 2008 makes exchanges in both instances.
@@ -51,3 +62,72 @@ def test_union_of_three_trees_minus_an_edge_is_certified():
     ok, detail = verify_certificate(g, result.certificate, 3)
     assert ok, detail
     assert result.exchanges >= 1
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_complete_graph_packs_half_its_order(n):
+    # In K_n the singletons are the tightest partition (Nash-Williams), so
+    # it packs n // 2 trees; n(n - 1)/2 < (n // 2 + 1)(n - 1), so the
+    # singletons certify one more.
+    g = complete_graph(n)
+    result = pack(g, n // 2)
+    assert result.verdict == "packing"
+    assert verify_packing(g, result.trees, n // 2) == (True, "ok")
+    assert result.exchanges >= 1
+    k_max, certificate = stp_number(g)
+    assert k_max == n // 2
+    ok, detail = verify_certificate(g, certificate, n // 2 + 1)
+    assert ok, detail
+
+
+def _exchange_violations(g: MultiGraph, k: int) -> tuple[int, list[str]]:
+    """Pack ``k`` trees and check three properties on every exchange.
+
+    The coloring strictly improves; every tree color is still a spanning
+    tree; and the sequences before and after agree in their partitions
+    through index ``j`` and in their splitters through ``j - 1``. The last
+    is the prefix property the exchange keeps in place of the lemma that
+    criterion 3 checks (agreement through ``m``).
+    """
+    violations: list[str] = []
+    exchanges = 0
+
+    def check(event: ExchangeEvent) -> None:
+        nonlocal exchanges
+        exchanges += 1
+        where = f"exchange {exchanges}"
+        if not precedes(event.before, event.after, g):
+            violations.append(f"{where}: no strict improvement")
+        for color in range(1, event.colors):
+            ids = event.after.edges_of_color(color)
+            if (
+                len(ids) != g.n - 1
+                or any(g.is_loop(e) for e in ids)
+                or components(g, ids).num_classes > 1
+            ):
+                violations.append(f"{where}: color {color} is not a spanning tree")
+        before, after = event.sequence, build_sequence(g, event.after)
+        j = event.trace.j
+        if any(before.partition_at(i) != after.partition_at(i) for i in range(j + 1)):
+            violations.append(f"{where}: partitions differ at or before j = {j}")
+        if any(before.splitter_at(i) != after.splitter_at(i) for i in range(j)):
+            violations.append(f"{where}: splitters differ before j = {j}")
+
+    result = pack(g, k, on_exchange=check)
+    assert result.verdict == "packing"
+    return exchanges, violations
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [
+        pytest.param(hypercube(6), 3, id="Q6"),
+        pytest.param(hypercube(8), 4, id="Q8"),
+        pytest.param(union_of_spanning_trees(UNION_SEED, 200, 3), 3, id="union-n200"),
+        pytest.param(complete_graph(16), 8, id="K16"),
+    ],
+)
+def test_every_exchange_improves_keeps_trees_and_agrees_through_j(g, k):
+    exchanges, violations = _exchange_violations(g, k)
+    assert exchanges >= 1
+    assert violations == [], violations[:5]

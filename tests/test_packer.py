@@ -415,6 +415,18 @@ def test_pack_respects_cap():
         pack(complete_graph(4), 2, cap=0)  # K4 needs one exchange
 
 
+def test_negative_cap_is_rejected_before_any_stage(monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(treepack.packer, "run_stage", no_stage)
+    g = complete_graph(4)
+    for call in (lambda: pack(g, 2, cap=-3), lambda: pack(g, 0, cap=-1),
+                 lambda: stp_number(g, cap=-1)):
+        with pytest.raises(ValueError, match="cap"):
+            call()
+
+
 def test_pack_seedtree_order_changes_tree_choice_not_verdict():
     g = complete_graph(4)
     asc = pack(g, 2, seedtree_order="asc")
