@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 
 from .generate import generate_graph_text
 from .multigraph import MultiGraph, quotient
@@ -95,7 +96,11 @@ def load_graph(path: str) -> MultiGraph:
 
 
 def _classes_1based(p: Partition) -> list[list[int]]:
-    return [[v + 1 for v in members] for members in p.classes]
+    """The classes of ``p`` with 1-based vertices, from one pass over its labels."""
+    members: list[list[int]] = [[] for _ in range(p.num_classes)]
+    for v, index in enumerate(p.class_of, start=1):
+        members[index].append(v)
+    return members
 
 
 def _certificate_body(g: MultiGraph, p: Partition, k: int) -> dict:
@@ -106,7 +111,7 @@ def _certificate_body(g: MultiGraph, p: Partition, k: int) -> dict:
     }
 
 
-def _trace_record(event: ExchangeEvent) -> dict:
+def _trace_record(event: ExchangeEvent, classes_1based: Callable) -> dict:
     trace = event.trace
     sequence = event.sequence
     return {
@@ -120,10 +125,10 @@ def _trace_record(event: ExchangeEvent) -> dict:
         "class_q": [v + 1 for v in trace.class_q],
         "sequence": {
             "steps": [
-                {"classes": _classes_1based(step.partition), "splitter": step.splitter}
+                {"classes": classes_1based(step.partition), "splitter": step.splitter}
                 for step in sequence.steps
             ],
-            "terminal": _classes_1based(sequence.terminal),
+            "terminal": classes_1based(sequence.terminal),
         },
     }
 
@@ -131,6 +136,8 @@ def _trace_record(event: ExchangeEvent) -> dict:
 def result_document(
     g: MultiGraph, result: PackResult, events: list[ExchangeEvent] | None = None
 ) -> dict:
+    """``pack``'s document; trace records share the class lists of equal
+    partitions, each serialized once, so dump the document, do not edit it."""
     if result.trees is not None:
         doc: dict = {
             "verdict": "packing",
@@ -142,7 +149,8 @@ def result_document(
         doc = {"verdict": "certificate", "k": result.k}
         doc.update(_certificate_body(g, result.certificate, result.k))
     if events is not None:
-        doc["trace"] = [_trace_record(event) for event in events]
+        classes_1based = functools.cache(_classes_1based)
+        doc["trace"] = [_trace_record(event, classes_1based) for event in events]
     return doc
 
 
@@ -248,10 +256,11 @@ def _check_trace(g: MultiGraph, doc: dict, seedtree_order: str) -> tuple[bool, s
         return False, f"replay verdict {result.verdict!r} != document {doc.get('verdict')!r}"
     if len(events) != len(claimed):
         return False, f"replay made {len(events)} exchanges, document claims {len(claimed)}"
-    for index, (event, record) in enumerate(zip(events, claimed)):
+    derived = result_document(g, result, events)["trace"]
+    for index, (replayed, record) in enumerate(zip(derived, claimed)):
         if not isinstance(record, dict):
             raise ResultDocumentError(f"trace record {index} must be an object")
-        for field, value in _trace_record(event).items():
+        for field, value in replayed.items():
             if not _same_json(record.get(field), value):
                 return False, (
                     f"trace record {index}: field {field!r} is "

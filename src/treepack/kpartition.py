@@ -10,9 +10,10 @@ the last index at which its endpoints still share a class; the sequence
 builder records it in the round whose split separates them. The sequence,
 compared lexicographically by (partition, splitter), induces the strict
 improvement order used to prove that edge exchanges terminate.
-A tree color is a forest, so the sequence builder tests it by counting
-its edges inside classes instead of taking its components. A coloring
-builds its per-color edge lists once, on first use.
+A forest color is tested by counting its edges inside classes instead of
+taking its components; a caller that knows which colors are forests (the
+packer's tree colors) can say so and spare the builder the test. A
+coloring builds its per-color edge lists once, on first use.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Container, Iterable, Mapping, NamedTuple
 
 from .multigraph import EdgeId, MultiGraph, _roots_within, restrict_components
 from .partition import Partition
@@ -84,6 +85,8 @@ class KPartition:
     def recolor(self, changes: Mapping[EdgeId, int]) -> "KPartition":
         colors = list(self.color_of)
         for e, color in changes.items():
+            if not 0 <= e < len(colors):
+                raise ValueError(f"edge id {e} out of range")
             colors[e] = color
         return KPartition(self.k, tuple(colors))
 
@@ -127,7 +130,9 @@ class PartitionSequence:
         return self.terminal_splitter
 
 
-def build_sequence(g: MultiGraph, t: KPartition) -> PartitionSequence:
+def build_sequence(
+    g: MultiGraph, t: KPartition, *, forests: Container[int] | None = None
+) -> PartitionSequence:
     """Compute the partition sequence of ``t`` and the level of every edge.
 
     Each round takes the least color disconnected inside some class as the
@@ -138,12 +143,18 @@ def build_sequence(g: MultiGraph, t: KPartition) -> PartitionSequence:
     After the split at index ``i``, one pass over the non-loop edges still
     inside a class gives level ``i`` to those it separates and lowers
     their colors' ``intra``.
+    ``forests`` names colors the caller knows to be forests, trusted as
+    such; every other color is then taken as no forest. With None, the
+    default, one union-find per color finds the forests.
     """
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
     n, k, edges, color_of = g.n, t.k, g.edges, t.color_of
     colors = [t.edges_of_color(c) for c in range(k + 1)]
-    forest = [len(_roots_within(g, ids, [0] * n)[1]) == len(ids) for ids in colors]
+    if forests is None:
+        forest = [len(_roots_within(g, ids, [0] * n)[1]) == len(ids) for ids in colors]
+    else:
+        forest = [c in forests for c in range(k + 1)]
     intra = [len(ids) for ids in colors]  # read for forest colors only
     inside = [e for e, (u, v) in enumerate(edges) if u != v]
     levels: list[Level] = [INFINITE_LEVEL] * g.m

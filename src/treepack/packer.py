@@ -113,6 +113,7 @@ def density_check(
     The guards come from the sequence's first round, whose splitter is the
     least color disconnected on the whole graph (no round: all connected),
     and from the coloring's edge lists: connected with ``n - 1`` edges is a tree.
+    ``run_stage``'s builds take tree colors as forests; it checks them per stage.
     """
     k = t.k
     splitter = seq.steps[0].splitter if seq.steps else k + 1
@@ -213,6 +214,9 @@ def run_stage(
     remaining edge; the stage ends once it is connected (``components``
     before any exchange, a sequence with no steps after one). ``cap`` is a
     safety bound on exchanges; exceeding it raises InternalInvariantError.
+    Before its first exchange a stage checks each tree once: an exchange
+    keeps them trees (``e`` enters ``c_m``, ``e'`` leaves the cycle ``e``
+    closes there), so each sequence build takes them as forests unchecked.
     """
     tree_sets = [frozenset(tree) for tree in trees]
     rest_set = frozenset(rest)
@@ -222,10 +226,14 @@ def run_stage(
         cap = max(1, colors * g.n * g.m)
     if components(g, rest_set).num_classes <= 1:
         return StageOutcome(tuple(tree_sets), rest_set, None, 0)
+    for c in range(1, colors):
+        ids = t.edges_of_color(c)
+        if len(ids) != g.n - 1 or len(_roots_within(g, ids, [0] * g.n)[1]) != g.n - 1:
+            raise InternalInvariantError(f"color {c} is not a spanning tree")
 
     exchanges = 0
     while True:
-        seq = build_sequence(g, t)
+        seq = build_sequence(g, t, forests=range(1, colors))
         if not seq.steps:
             final_trees = tuple(frozenset(t.edges_of_color(c)) for c in range(1, colors))
             return StageOutcome(final_trees, frozenset(t.edges_of_color(colors)), None, exchanges)

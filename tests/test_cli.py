@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from treepack import MultiGraph, verify_packing
+from treepack import ExchangeEvent, MultiGraph, Partition, pack, verify_packing
 from treepack.cli import (
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
@@ -15,11 +15,18 @@ from treepack.cli import (
     GraphFileError,
     main,
     parse_graph,
+    result_document,
     serialize_graph,
 )
 from treepack.generate import SplitMix64
 
-from graphs import complete_graph, path_graph
+from graphs import (
+    complete_graph,
+    hypercube,
+    path_graph,
+    random_multigraph,
+    union_of_spanning_trees,
+)
 
 
 K4_TEXT = "p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
@@ -205,6 +212,46 @@ def test_cmd_pack_deterministic_output(tmp_path, capsys):
     _, out_a, _ = _run(capsys, ["pack", path, "2", "--trace"])
     _, out_b, _ = _run(capsys, ["pack", path, "2", "--trace"])
     assert out_a == out_b
+
+
+def _reference_record(event: ExchangeEvent) -> dict:
+    """A trace record serialized on its own, each partition through ``classes``."""
+    def classes(p: Partition) -> list[list[int]]:
+        return [[v + 1 for v in members] for members in p.classes]
+
+    trace, sequence = event.trace, event.sequence
+    return {
+        "e": trace.e,
+        "m": trace.m,
+        "class_p": [v + 1 for v in trace.class_p],
+        "c_m": trace.c_m,
+        "cycle": list(trace.cycle),
+        "e_prime": trace.e_prime,
+        "j": trace.j,
+        "class_q": [v + 1 for v in trace.class_q],
+        "sequence": {
+            "steps": [
+                {"classes": classes(step.partition), "splitter": step.splitter}
+                for step in sequence.steps
+            ],
+            "terminal": classes(sequence.terminal),
+        },
+    }
+
+
+def test_result_document_matches_records_serialized_one_by_one():
+    # Equal partitions share one serialization per document; the bytes do not change.
+    cases = [(hypercube(6), 3), (complete_graph(12), 6), (complete_graph(12), 7)]
+    cases += [(union_of_spanning_trees(2008, 200, 3), k) for k in (3, 4)]
+    cases += [(random_multigraph(seed), 1 + seed % 3) for seed in range(300)]
+    exchanges = 0
+    for g, k in cases:
+        events: list[ExchangeEvent] = []
+        result = pack(g, k, on_exchange=events.append)
+        expected = {**result_document(g, result), "trace": [_reference_record(e) for e in events]}
+        assert json.dumps(result_document(g, result, events)) == json.dumps(expected)
+        exchanges += len(events)
+    assert exchanges >= 150, exchanges
 
 
 # verify ------------------------------------------------------------------------

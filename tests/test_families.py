@@ -81,13 +81,17 @@ def test_complete_graph_packs_half_its_order(n):
 
 
 def _exchange_violations(g: MultiGraph, k: int) -> tuple[int, list[str]]:
-    """Pack ``k`` trees and check three properties on every exchange.
+    """Pack ``k`` trees and check six properties on every exchange.
 
-    The coloring strictly improves; every tree color is still a spanning
-    tree; and the sequences before and after agree in their partitions
-    through index ``j`` and in their splitters through ``j - 1``. The last
-    is the prefix property the exchange keeps in place of the lemma that
-    criterion 3 checks (agreement through ``m``).
+    The trace has ``j < m``, a tree color ``c_m`` and a cycle inside
+    ``class_q``; the coloring strictly improves; every tree color is still
+    a spanning tree; and the sequences before and after agree in their
+    partitions through index ``j`` and in their splitters through
+    ``j - 1``. The last is the prefix property the exchange keeps in place
+    of the lemma that criterion 3 checks (agreement through ``m``). Strict
+    coarsening at ``m + 1``, which criterion 3 also checks, is not
+    asserted: it fails on 1 of Q6's 35 exchanges, 1 of Q8's 226, none of
+    the union's 41 and 13 of K16's 42.
     """
     violations: list[str] = []
     exchanges = 0
@@ -96,6 +100,14 @@ def _exchange_violations(g: MultiGraph, k: int) -> tuple[int, list[str]]:
         nonlocal exchanges
         exchanges += 1
         where = f"exchange {exchanges}"
+        trace = event.trace
+        if not trace.j < trace.m:
+            violations.append(f"{where}: j = {trace.j} is not below m = {trace.m}")
+        if not 1 <= trace.c_m < event.colors:
+            violations.append(f"{where}: c_m = {trace.c_m} is not a tree color")
+        inside = set(trace.class_q)
+        if any(not inside.issuperset(g.edges[e]) for e in trace.cycle):
+            violations.append(f"{where}: the cycle leaves class_q")
         if not precedes(event.before, event.after, g):
             violations.append(f"{where}: no strict improvement")
         for color in range(1, event.colors):
@@ -107,7 +119,7 @@ def _exchange_violations(g: MultiGraph, k: int) -> tuple[int, list[str]]:
             ):
                 violations.append(f"{where}: color {color} is not a spanning tree")
         before, after = event.sequence, build_sequence(g, event.after)
-        j = event.trace.j
+        j = trace.j
         if any(before.partition_at(i) != after.partition_at(i) for i in range(j + 1)):
             violations.append(f"{where}: partitions differ at or before j = {j}")
         if any(before.splitter_at(i) != after.splitter_at(i) for i in range(j)):

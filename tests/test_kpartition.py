@@ -144,6 +144,14 @@ def test_edges_of_color_and_recolor():
     assert t.edges_of_color(3) == (3,)  # original untouched
 
 
+def test_recolor_rejects_edge_ids_outside_the_coloring():
+    # -1 would index the last edge and m would be an IndexError.
+    t = KPartition(2, (1, 2, 1))
+    for e in (-1, t.m, t.m + 5):
+        with pytest.raises(ValueError, match=f"edge id {e} out of range"):
+            t.recolor({e: 2})
+
+
 # build_sequence ---------------------------------------------------------------
 
 def test_sequence_terminates_immediately_when_all_colors_connected():
@@ -189,6 +197,32 @@ def test_sequence_matches_naive_evaluator_on_random_colorings():
         assert seq.terminal == partitions[-1]
         kinds[kind] += 1
     assert min(kinds.values()) >= 150, kinds
+
+
+def _forest_colors(g: MultiGraph, t: KPartition) -> set[int]:
+    """Colors whose edges, loops counted, leave exactly ``n - |E|`` components."""
+    everything = tuple(range(g.n))
+    return {
+        c
+        for c in range(1, t.k + 1)
+        if len(_split_class(g, t.edges_of_color(c), everything)) == g.n - len(t.edges_of_color(c))
+    }
+
+
+def test_sequence_with_forest_flags_equals_the_tested_sequence():
+    # Any set of true forests, the packer's "colors 1..k-1" included when
+    # they all are, gives the same steps, terminal and levels.
+    stage_flags = 0
+    for kind, g, t in differential_cases(range(400), 77):
+        expected = build_sequence(g, t)
+        forests = _forest_colors(g, t)
+        flag_sets = [set(), forests]
+        if forests >= set(range(1, t.k)):
+            flag_sets.append(range(1, t.k))
+            stage_flags += 1
+        for flags in flag_sets:
+            assert build_sequence(g, t, forests=flags) == expected, (kind, g, t, flags)
+    assert stage_flags >= 300, stage_flags
 
 
 def test_sequence_strictly_descends_and_splitters_are_minimal():

@@ -9,6 +9,7 @@ from treepack import (
     KPartition,
     MultiGraph,
     Partition,
+    StageOutcome,
     build_sequence,
     components,
     density_check,
@@ -36,6 +37,7 @@ from graphs import (
     random_multigraph,
     star_graph,
     two_step_exchange_instance,
+    union_of_spanning_trees,
 )
 
 
@@ -313,6 +315,83 @@ def test_run_stage_single_color_connected():
     outcome = run_stage(g, [], range(g.m))
     assert outcome.rest == frozenset(range(g.m))
     assert outcome.exchanges == 0
+
+
+def _invariant_message(run) -> str | None:
+    try:
+        run()
+    except InternalInvariantError as exc:
+        return str(exc)
+    return None
+
+
+_PATH4 = ((0, 1), (1, 2), (2, 3))
+_TRIANGLE = ((0, 1), (1, 2), (0, 2))
+
+
+@pytest.mark.parametrize(
+    "edges, tree_ids, expected",
+    [
+        # n - 1 edges closing a triangle, vertex 3 left out
+        ((*_TRIANGLE, (2, 3)), [[0, 1, 2]], 1),
+        # a connected 4-cycle: n edges
+        ((*_PATH4, (3, 0), (0, 2)), [[0, 1, 2, 3]], 1),
+        # connected on {0, 1, 2} only: n - 2 edges
+        (_PATH4, [[0, 1]], 1),
+        # color 1 a spanning path, color 2 a triangle
+        ((*_PATH4, *_TRIANGLE, (2, 3)), [[0, 1, 2], [3, 4, 5]], 2),
+        # both broken: the least color is named
+        ((*_PATH4, *_TRIANGLE, (2, 3)), [[0, 1], [2, 3, 4, 5]], 1),
+    ],
+)
+def test_run_stage_rejects_a_tree_color_that_is_not_a_tree(edges, tree_ids, expected):
+    # The message is the one density_check gives on the tested sequence.
+    g = MultiGraph(4, edges)
+    rest = sorted(set(range(g.m)) - {e for ids in tree_ids for e in ids})
+    assert components(g, rest).num_classes > 1
+    message = f"color {expected} is not a spanning tree"
+    assert _invariant_message(lambda: run_stage(g, tree_ids, rest)) == message
+    t = KPartition.from_edge_sets(len(tree_ids) + 1, [*tree_ids, rest], g.m)
+    assert _invariant_message(lambda: density_check(g, t, build_sequence(g, t))) == message
+
+
+def test_run_stage_tree_check_matches_density_check_on_random_colorings():
+    raised = 0
+    for seed in range(400):
+        g = random_multigraph(seed, max_m=20)
+        for k in (2, 3):
+            t = planted_coloring(seed * 3 + k, g, k) if seed % 2 else random_coloring(seed, g, k)
+            rest = t.edges_of_color(k)
+            if components(g, rest).num_classes <= 1:
+                continue
+            trees = [t.edges_of_color(c) for c in range(1, k)]
+            expected = _invariant_message(lambda: density_check(g, t, build_sequence(g, t)))
+            assert _invariant_message(lambda: run_stage(g, trees, rest)) == expected, (g, t)
+            raised += expected is not None
+    assert raised >= 100, raised
+
+
+def test_run_stage_returns_a_connected_remainder_unchecked():
+    g = complete_graph(4)  # edges 0, 1, 3 close the triangle 0-1-2
+    outcome = run_stage(g, [[0, 1, 3]], [2, 4, 5])
+    assert outcome == StageOutcome((frozenset({0, 1, 3}),), frozenset({2, 4, 5}), None, 0)
+
+
+def test_stage_sequences_equal_the_tested_sequences():
+    # run_stage builds every sequence with colors 1..k-1 taken as forests.
+    cases = [(random_multigraph(seed, max_m=20), k) for seed in range(60) for k in (2, 3)]
+    cases += [(complete_graph(12), 6), (_doubled(_grid(3, 3)), 3)]
+    cases += [(union_of_spanning_trees(seed, 60, 3), 3) for seed in range(8)]
+    exchanges = 0
+    for g, k in cases:
+        events: list[ExchangeEvent] = []
+        pack(g, k, on_exchange=events.append)
+        for event in events:
+            tested = build_sequence(g, event.before)
+            assert event.sequence == tested
+            assert build_sequence(g, event.before, forests=range(1, event.colors)) == tested
+        exchanges += len(events)
+    assert exchanges >= 100, exchanges
 
 
 def test_run_stage_k4_second_stage():
