@@ -10,20 +10,22 @@ the last index at which its endpoints still share a class; the sequence
 builder records it in the round whose split separates them. The sequence,
 compared lexicographically by (partition, splitter), induces the strict
 improvement order used to prove that edge exchanges terminate.
-A forest color is tested by counting its edges inside classes instead of
-taking its components; a caller that knows which colors are forests (the
-packer's tree colors) can say so and spare the builder the test. A
-coloring builds its per-color edge lists once, on first use.
+The builder keeps each color's non-loop edges still inside a class; a
+forest color is tested by the length of that list, not its components,
+and a caller that knows which colors are forests (the packer's tree
+colors) can say so. A coloring builds its per-color edge lists once, on
+first use, and a recoloring carries them over.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable, Mapping, NamedTuple
 
-from .multigraph import EdgeId, MultiGraph, _roots_within, restrict_components
+from .multigraph import EdgeId, MultiGraph, _labels_within, restrict_components
 from .partition import Partition
 
 # Level of an edge whose endpoints are never separated (loops included).
@@ -83,12 +85,23 @@ class KPartition:
         return self._edges_by_color[color] if 1 <= color <= self.k else ()
 
     def recolor(self, changes: Mapping[EdgeId, int]) -> "KPartition":
+        """A copy with some edges recolored, carrying over built edge lists."""
         colors = list(self.color_of)
         for e, color in changes.items():
             if not 0 <= e < len(colors):
                 raise ValueError(f"edge id {e} out of range")
             colors[e] = color
-        return KPartition(self.k, tuple(colors))
+        after = KPartition(self.k, tuple(colors))
+        if "_edges_by_color" in vars(self):
+            lists = list(self._edges_by_color)
+            for e, color in changes.items():
+                old = self.color_of[e]
+                if old != color:  # only a color that gains or loses an edge
+                    i, j = bisect_left(lists[old], e), bisect_left(lists[color], e)
+                    lists[old] = lists[old][:i] + lists[old][i + 1 :]
+                    lists[color] = lists[color][:j] + (e,) + lists[color][j:]
+            vars(after)["_edges_by_color"] = tuple(lists)
+        return after
 
 
 class SequenceStep(NamedTuple):
@@ -137,35 +150,39 @@ def build_sequence(
 
     Each round takes the least color disconnected inside some class as the
     splitter and replaces every class by its components within it, so
-    there are at most ``n - 1`` steps. A forest color with ``intra`` edges
-    inside the classes of ``P`` splits some class iff ``intra < n - |P|``;
-    any other color, a broken tree color included, gets a union-find.
-    After the split at index ``i``, one pass over the non-loop edges still
-    inside a class gives level ``i`` to those it separates and lowers
-    their colors' ``intra``.
+    there are at most ``n - 1`` steps. Every color keeps the list of its
+    non-loop edges still inside a class of ``P``, and each round's
+    union-finds read only those lists. A forest color splits some class
+    iff its list is shorter than ``n - |P|``; any other color, a broken
+    tree color included, gets ``restrict_components``. After the split at
+    index ``i``, one pass over each other color's list gives level ``i``
+    to the edges the split separates and drops them (the splitter's edges
+    all stay inside its components).
     ``forests`` names colors the caller knows to be forests, trusted as
     such; every other color is then taken as no forest. With None, the
     default, one union-find per color finds the forests.
     """
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
-    n, k, edges, color_of = g.n, t.k, g.edges, t.color_of
+    n, k, edges = g.n, t.k, g.edges
     colors = [t.edges_of_color(c) for c in range(k + 1)]
     if forests is None:
-        forest = [len(_roots_within(g, ids, [0] * n)[1]) == len(ids) for ids in colors]
+        forest = [len(_labels_within(g, ids, [0] * n)[1]) == len(ids) for ids in colors]
     else:
         forest = [c in forests for c in range(k + 1)]
-    intra = [len(ids) for ids in colors]  # read for forest colors only
-    inside = [e for e, (u, v) in enumerate(edges) if u != v]
+    inside = [[e for e in ids if edges[e][0] != edges[e][1]] for ids in colors]
     levels: list[Level] = [INFINITE_LEVEL] * g.m
     current, size = Partition.trivial(n), 1
     steps: list[SequenceStep] = []
     while True:
         for c in range(1, k + 1):
-            if forest[c] and intra[c] >= n - size:
-                continue  # a forest that splits no class
-            refined = restrict_components(g, colors[c], current)
-            if refined.num_classes > size:
+            if not forest[c]:
+                refined = restrict_components(g, inside[c], current)
+                if refined.num_classes > size:
+                    break
+            elif len(inside[c]) < n - size:  # a forest that splits some class
+                labels, _ = _labels_within(g, inside[c], current.class_of)
+                refined = Partition(tuple(labels))
                 break
         else:
             return PartitionSequence(k, tuple(steps), current, tuple(levels))
@@ -173,15 +190,17 @@ def build_sequence(
         steps.append(SequenceStep(current, c))
         current, size = refined, refined.num_classes
         class_of = current.class_of
-        kept = []
-        for e in inside:
-            u, v = edges[e]
-            if class_of[u] != class_of[v]:
-                levels[e] = level
-                intra[color_of[e]] -= 1
-            else:
-                kept.append(e)
-        inside = kept
+        for d, ids in enumerate(inside):
+            if d == c:
+                continue
+            kept = []
+            for e in ids:
+                u, v = edges[e]
+                if class_of[u] == class_of[v]:
+                    kept.append(e)
+                else:
+                    levels[e] = level
+            inside[d] = kept
 
 
 def edge_levels(g: MultiGraph, t: KPartition, seq: PartitionSequence) -> LevelMap:

@@ -76,8 +76,8 @@ def quotient(g: MultiGraph, p: Partition) -> MultiGraph:
 
 def components(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> Partition:
     """Connected components of the spanning subgraph ``(V, edge_ids)``."""
-    roots, _ = _roots_within(g, _check_edge_ids(g, edge_ids), [0] * g.n)
-    return Partition.from_class_map(roots)
+    labels, _ = _labels_within(g, _check_edge_ids(g, edge_ids), [0] * g.n)
+    return Partition(tuple(labels))
 
 
 def restrict_components(
@@ -90,41 +90,52 @@ def restrict_components(
     """
     if p.n != g.n:
         raise ValueError("partition does not match the graph's vertex set")
-    roots, _ = _roots_within(g, _check_edge_ids(g, edge_ids), p.class_of)
-    return Partition.from_class_map(roots)
+    labels, _ = _labels_within(g, _check_edge_ids(g, edge_ids), p.class_of)
+    return Partition(tuple(labels))
 
 
-def _roots_within(
+def _labels_within(
     g: MultiGraph, ids: Iterable[EdgeId], labels: Sequence[int]
 ) -> tuple[list[int], list[EdgeId]]:
     """Path-halving union of the edges, in the given order, whose ends share a label.
 
-    Returns each vertex's root and the edges that joined two sets; a loop
-    or an edge closing a cycle joins nothing.
+    Returns each vertex's set as a canonical label (sets numbered by first
+    occurrence, ready for ``Partition``) and the edges that joined two
+    sets; a loop or an edge closing a cycle joins nothing.
     """
-    parent = list(range(g.n))
+    parent, edges = list(range(g.n)), g.edges
     joined = []
     for e in ids:
-        a, b = g.edges[e]
+        a, b = edges[e]
         if labels[a] == labels[b]:
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
             while parent[b] != b:
                 parent[b] = b = parent[parent[b]]
             if a != b:
+                if a < b:
+                    a, b = b, a
                 parent[a] = b
                 joined.append(e)
-    for v in range(g.n):
-        while parent[parent[v]] != parent[v]:
-            parent[v] = parent[parent[v]]
-    return parent, joined
+    # A parent never exceeds its child, so each root is its set's least
+    # vertex, met before the rest of the set in one increasing pass.
+    out, count = [0] * g.n, 0
+    for v, p in enumerate(parent):
+        if p == v:
+            out[v], count = count, count + 1
+        else:
+            out[v] = out[p]
+    return out, joined
 
 
 def cycle_edges(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> frozenset[EdgeId]:
     """Edges of the subgraph ``(V, edge_ids)`` that lie on some cycle.
 
     These are the non-bridges: loops and both members of a parallel pair
-    always qualify. Bridges are found with one iterative low-link pass.
+    always qualify. One stack depth-first search records the preorder and
+    each vertex's entering edge; one pass in reverse preorder then takes
+    each vertex's low point over every other edge at it. The entering edge
+    of ``v`` is a bridge iff that low point is ``v``'s own preorder index.
     """
     ids = _check_edge_ids(g, edge_ids)
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
@@ -136,37 +147,30 @@ def cycle_edges(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> frozenset[EdgeId]:
         adjacency[v].append((u, e))
 
     disc = [-1] * g.n
-    low = [0] * g.n
-    bridges: set[EdgeId] = set()
-    timer = 0
+    entering = [-1] * g.n
+    order: list[int] = []
     for root in range(g.n):
         if disc[root] != -1:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        # Frames hold [vertex, entering edge id, adjacency cursor].
-        frames: list[list[int]] = [[root, -1, 0]]
-        while frames:
-            v, entering, cursor = frames[-1]
-            if cursor < len(adjacency[v]):
-                frames[-1][2] += 1
-                w, eid = adjacency[v][cursor]
-                if eid == entering:
-                    continue  # skip only the exact entering copy (parallels stay)
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    frames.append([w, eid, 0])
-                elif disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                frames.pop()
-                if frames:
-                    parent = frames[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] > disc[parent]:
-                        bridges.add(entering)
+        stack = [(root, -1)]
+        while stack:
+            v, eid = stack.pop()
+            if disc[v] != -1:
+                continue
+            disc[v] = len(order)
+            entering[v] = eid
+            order.append(v)
+            stack.extend(adjacency[v])
+    # A neighbor's low point is final (a descendant) or still its own index
+    # (an ancestor); only the exact entering copy is skipped, so parallels stay.
+    low = disc[:]
+    for v in reversed(order):
+        skip, lowest = entering[v], low[v]
+        for w, eid in adjacency[v]:
+            if low[w] < lowest and eid != skip:
+                lowest = low[w]
+        low[v] = lowest
+    bridges = {entering[v] for v in order if low[v] == disc[v]}
     return frozenset(e for e in ids if e not in bridges)
 
 

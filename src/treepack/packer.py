@@ -26,7 +26,7 @@ from .kpartition import (
 from .multigraph import (
     EdgeId,
     MultiGraph,
-    _roots_within,
+    _labels_within,
     components,
     cycle_edges,
     fundamental_cycle,
@@ -149,7 +149,6 @@ def _exchange_from(
     u, v = g.edges[e]
     if part_m.class_of[u] != part_m.class_of[v]:
         raise InternalInvariantError("selected edge spans two classes at its level")
-    class_p = part_m.members(part_m.class_of[u])
     if m >= len(seq.steps):
         raise InternalInvariantError("finite level beyond the last refinement step")
     c_m = seq.steps[m].splitter
@@ -166,11 +165,12 @@ def _exchange_from(
     x, y = g.edges[e_prime]
     if part_j.class_of[x] != part_j.class_of[y]:
         raise InternalInvariantError("exchanged-out edge spans two classes at its level")
-    class_q = part_j.members(part_j.class_of[x])
-    inside = set(class_q)
+    label_p, label_q = part_m.class_of[u], part_j.class_of[x]
+    class_p = tuple(w for w, label in enumerate(part_m.class_of) if label == label_p)
+    class_q = tuple(w for w, label in enumerate(part_j.class_of) if label == label_q)
     for eid in cycle:
         a, b = g.edges[eid]
-        if a not in inside or b not in inside:
+        if part_j.class_of[a] != label_q or part_j.class_of[b] != label_q:
             raise InternalInvariantError("fundamental cycle leaves its low-level class")
 
     after = t.recolor({e: c_m, e_prime: k})
@@ -228,7 +228,7 @@ def run_stage(
         return StageOutcome(tuple(tree_sets), rest_set, None, 0)
     for c in range(1, colors):
         ids = t.edges_of_color(c)
-        if len(ids) != g.n - 1 or len(_roots_within(g, ids, [0] * g.n)[1]) != g.n - 1:
+        if len(ids) != g.n - 1 or len(_labels_within(g, ids, [0] * g.n)[1]) != g.n - 1:
             raise InternalInvariantError(f"color {c} is not a spanning tree")
 
     exchanges = 0
@@ -264,7 +264,7 @@ def greedy_spanning_tree(
     if order not in ("asc", "desc"):
         raise ValueError("order must be 'asc' or 'desc'")
     ids = sorted(edge_ids, reverse=(order == "desc"))
-    _, chosen = _roots_within(g, ids, [0] * g.n)
+    _, chosen = _labels_within(g, ids, [0] * g.n)
     if len(chosen) != g.n - 1:
         raise InternalInvariantError("edge set does not span a connected graph")
     return frozenset(chosen)

@@ -11,6 +11,7 @@ from treepack import (
     edge_levels,
     precedes,
 )
+from treepack.generate import SplitMix64
 
 from graphs import (
     broken_tree_coloring,
@@ -142,6 +143,34 @@ def test_edges_of_color_and_recolor():
     u = t.recolor({0: 3})
     assert u.edges_of_color(3) == (0, 3)
     assert t.edges_of_color(3) == (3,)  # original untouched
+
+
+def test_recolor_carries_the_edge_lists_of_a_fresh_coloring():
+    # Changes are random, may keep an edge's color, and may come before or
+    # after the parent's lists are built.
+    for seed in range(300):
+        rng = SplitMix64(seed)
+        m, k = 1 + rng.below(20), 1 + rng.below(4)
+        t = KPartition(k, tuple(1 + rng.below(k) for _ in range(m)))
+        if seed % 3:
+            t.edges_of_color(1)  # builds the lists
+        changes = {rng.below(m): 1 + rng.below(k) for _ in range(rng.below(4))}
+        changes[0] = t.color_of[0]
+        after = t.recolor(changes)
+        assert ("_edges_by_color" in vars(after)) == ("_edges_by_color" in vars(t))
+        fresh = KPartition(k, after.color_of)
+        assert [after.edges_of_color(c) for c in range(k + 2)] == [
+            fresh.edges_of_color(c) for c in range(k + 2)
+        ]
+
+
+def test_recolor_rejects_a_bad_color_before_touching_the_lists():
+    # Color 3 has no list slot, so touching the lists first would be an IndexError.
+    t = KPartition(2, (1, 2, 1))
+    lists = [t.edges_of_color(c) for c in (1, 2)]
+    with pytest.raises(ValueError, match="not in 1..2"):
+        t.recolor({0: 3})
+    assert [t.edges_of_color(c) for c in (1, 2)] == lists
 
 
 def test_recolor_rejects_edge_ids_outside_the_coloring():

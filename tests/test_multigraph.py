@@ -155,8 +155,8 @@ def _cycle_edges_by_removal(g: MultiGraph, edge_ids: list[int]) -> frozenset[int
 
 
 def test_cycle_edges_against_removal_oracle():
-    for seed in range(60):
-        g = random_multigraph(seed, max_n=6, max_m=12)
+    for seed in range(1200):
+        g = random_multigraph(seed, max_n=10, max_m=24)
         ids = [e for e in range(g.m) if (seed + e) % 3 != 0]
         assert cycle_edges(g, ids) == _cycle_edges_by_removal(g, ids)
 
