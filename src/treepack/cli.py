@@ -20,7 +20,7 @@ import json
 import sys
 from collections.abc import Callable
 
-from .generate import generate_graph_text
+from .generate import random_graph
 from .multigraph import MultiGraph, quotient
 from .oracle import MAX_ENUMERATION_N, density_margin, verify_certificate, verify_packing
 from .packer import ExchangeEvent, InternalInvariantError, PackResult, pack, stp_number
@@ -323,7 +323,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    _write(generate_graph_text(args.n, args.m, args.seed), args.output)
+    _write(serialize_graph(random_graph(args.n, args.m, args.seed)), args.output)
     return EXIT_OK
 
 

@@ -1,6 +1,8 @@
-"""Seeded random graph files for the ``gen`` command and the tests."""
+"""Seeded random graphs for the ``gen`` command and the tests."""
 
 from __future__ import annotations
+
+from .multigraph import MultiGraph
 
 
 class SplitMix64:
@@ -26,18 +28,13 @@ class SplitMix64:
         return self.next_word() % bound
 
 
-def generate_graph_text(n: int, m: int, seed: int) -> str:
-    """Random instance with loops and parallels allowed, reproducible by seed.
+def random_graph(n: int, m: int, seed: int) -> MultiGraph:
+    """Random multigraph with loops and parallels allowed, reproducible by seed.
 
-    Each endpoint is ``1 + (next SplitMix64 word) % n``, drawn in order
-    (u then v per edge), so the output is a pure function of (n, m, seed).
+    Each endpoint is ``(next SplitMix64 word) % n``, drawn in order (u then
+    v per edge), so the graph is a pure function of (n, m, seed).
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     rng = SplitMix64(seed)
-    lines = [f"p {n} {m}"]
-    for _ in range(m):
-        u = 1 + rng.below(n)
-        v = 1 + rng.below(n)
-        lines.append(f"e {u} {v}")
-    return "\n".join(lines) + "\n"
+    return MultiGraph(n, tuple((rng.below(n), rng.below(n)) for _ in range(m)))

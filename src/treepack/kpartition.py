@@ -10,11 +10,11 @@ the last index at which its endpoints still share a class; the sequence
 builder records it in the round whose split separates them. The sequence,
 compared lexicographically by (partition, splitter), induces the strict
 improvement order used to prove that edge exchanges terminate.
-The builder keeps each color's non-loop edges still inside a class; a
-forest color is tested by the length of that list, not its components,
-and a caller that knows which colors are forests (the packer's tree
-colors) can say so. A coloring builds its per-color edge lists once, on
-first use, and a recoloring carries them over.
+The builder keeps each color's non-loop edges still inside a class and
+splits only through ``restrict_components``, which returns the partition
+itself when nothing splits; a caller that knows which colors are forests
+(the packer's tree colors) can say so. A coloring builds its per-color
+edge lists once, on first use, and a recoloring carries them over.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable, Mapping, NamedTuple
 
-from .multigraph import EdgeId, MultiGraph, _labels_within, restrict_components
+from .multigraph import EdgeId, MultiGraph, components, restrict_components
 from .partition import Partition
 
 # Level of an edge whose endpoints are never separated (loops included).
@@ -46,9 +46,10 @@ class KPartition:
         if self.k < 1:
             raise ValueError("need at least one color")
         object.__setattr__(self, "color_of", tuple(self.color_of))
-        for eid, color in enumerate(self.color_of):
-            if not 1 <= color <= self.k:
-                raise ValueError(f"edge {eid} has color {color}, not in 1..{self.k}")
+        valid = range(1, self.k + 1)
+        if not set(self.color_of) <= set(valid):
+            eid, color = next((e, c) for e, c in enumerate(self.color_of) if c not in valid)
+            raise ValueError(f"edge {eid} has color {color}, not in 1..{self.k}")
 
     @classmethod
     def from_edge_sets(
@@ -152,37 +153,35 @@ def build_sequence(
     splitter and replaces every class by its components within it, so
     there are at most ``n - 1`` steps. Every color keeps the list of its
     non-loop edges still inside a class of ``P``, and each round's
-    union-finds read only those lists. A forest color splits some class
-    iff its list is shorter than ``n - |P|``; any other color, a broken
-    tree color included, gets ``restrict_components``. After the split at
-    index ``i``, one pass over each other color's list gives level ``i``
-    to the edges the split separates and drops them (the splitter's edges
-    all stay inside its components).
+    union-finds read only those lists. Every color goes through
+    ``restrict_components``, which returns ``P`` itself when it splits no
+    class, but a forest whose list has ``n - |P|`` edges splits none and
+    is skipped. After the split at index ``i``, one pass over each other
+    color's list gives level ``i`` to the edges the split separates and
+    drops them (the splitter's edges all stay inside its components).
     ``forests`` names colors the caller knows to be forests, trusted as
     such; every other color is then taken as no forest. With None, the
-    default, one union-find per color finds the forests.
+    default, a color is a forest when it has ``n - len(ids)`` components.
     """
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
     n, k, edges = g.n, t.k, g.edges
     colors = [t.edges_of_color(c) for c in range(k + 1)]
     if forests is None:
-        forest = [len(_labels_within(g, ids, [0] * n)[1]) == len(ids) for ids in colors]
-    else:
-        forest = [c in forests for c in range(k + 1)]
+        forests = {
+            c for c, ids in enumerate(colors) if components(g, ids).num_classes == n - len(ids)
+        }
+    forest = [c in forests for c in range(k + 1)]
     inside = [[e for e in ids if edges[e][0] != edges[e][1]] for ids in colors]
     levels: list[Level] = [INFINITE_LEVEL] * g.m
     current, size = Partition.trivial(n), 1
     steps: list[SequenceStep] = []
     while True:
         for c in range(1, k + 1):
-            if not forest[c]:
-                refined = restrict_components(g, inside[c], current)
-                if refined.num_classes > size:
-                    break
-            elif len(inside[c]) < n - size:  # a forest that splits some class
-                labels, _ = _labels_within(g, inside[c], current.class_of)
-                refined = Partition(tuple(labels))
+            if forest[c] and len(inside[c]) >= n - size:
+                continue  # a forest with n - |P| inside edges splits no class
+            refined = restrict_components(g, inside[c], current)
+            if refined is not current:
                 break
         else:
             return PartitionSequence(k, tuple(steps), current, tuple(levels))

@@ -86,11 +86,14 @@ def restrict_components(
     """Split every class of ``p`` into components of the given edge set.
 
     Only edges with both endpoints inside a single class of ``p`` count;
-    the result always refines ``p``.
+    the result always refines ``p``, and is ``p`` itself when no class
+    splits (the union-find made ``n - |P|`` joins).
     """
     if p.n != g.n:
         raise ValueError("partition does not match the graph's vertex set")
-    labels, _ = _labels_within(g, _check_edge_ids(g, edge_ids), p.class_of)
+    labels, joined = _labels_within(g, _check_edge_ids(g, edge_ids), p.class_of)
+    if len(joined) == g.n - p.num_classes:
+        return p
     return Partition(tuple(labels))
 
 

@@ -320,15 +320,13 @@ def pack(
         raise ValueError("seedtree_order must be 'asc' or 'desc'")
     if cap is not None and cap < 0:
         raise ValueError("exchange cap must be nonnegative")
+    if g.n == 1:
+        return PackResult(k=k, trees=(frozenset(),) * k, certificate=None, exchanges=0)
     limit = cap if cap is not None else max(1, k * g.n * g.m)
-    outcomes = list(islice(_stages(g, limit, seedtree_order, on_exchange), k))
-    last = outcomes[-1] if outcomes else StageOutcome((), None, None, 0)
-    return PackResult(
-        k=k,
-        trees=last.trees,
-        certificate=last.certificate,
-        exchanges=sum(outcome.exchanges for outcome in outcomes),
-    )
+    last, exchanges = StageOutcome((), None, None, 0), 0
+    for last in islice(_stages(g, limit, seedtree_order, on_exchange), k):
+        exchanges += last.exchanges
+    return PackResult(k=k, trees=last.trees, certificate=last.certificate, exchanges=exchanges)
 
 
 def stp_number(g: MultiGraph, *, cap: int | None = None) -> tuple[int, Partition]:

@@ -18,7 +18,7 @@ from treepack.cli import (
     result_document,
     serialize_graph,
 )
-from treepack.generate import SplitMix64
+from treepack.generate import SplitMix64, random_graph
 
 from graphs import (
     complete_graph,
@@ -113,6 +113,10 @@ def test_gen_is_reproducible_and_well_formed(tmp_path, capsys):
     assert out_a == out_b
     g = parse_graph(out_a)
     assert g.n == 4 and g.m == 6
+    # The bytes `gen 4 6 1` has always written: endpoints are 1 + word % n.
+    assert out_a == "p 4 6\ne 2 4\ne 3 4\ne 2 1\ne 2 2\ne 1 3\ne 2 3\n"
+    assert g == random_graph(4, 6, 1)
+    assert _run(capsys, ["gen", "3", "0", "5"])[1] == "p 3 0\n"
 
 
 def test_gen_writes_files_identically(tmp_path, capsys):

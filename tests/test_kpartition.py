@@ -131,6 +131,13 @@ def test_kpartition_validates_colors():
         KPartition(2, (1, 3))
     with pytest.raises(ValueError):
         KPartition(0, ())
+    # A color between two valid ones is still not a color.
+    with pytest.raises(ValueError, match="edge 0 has color 1.5, not in 1..2"):
+        KPartition(2, (1.5, 2))
+    with pytest.raises(ValueError, match="edge 0 has color 1.5, not in 1..2"):
+        KPartition(2, (1, 2)).recolor({0: 1.5})
+    with pytest.raises(ValueError, match="edge 2 has color 0, not in 1..2"):
+        KPartition(2, (1, 2, 0, 3))
     with pytest.raises(ValueError):
         KPartition.from_edge_sets(2, [[0], [0]], 1)
     with pytest.raises(ValueError):

@@ -113,11 +113,28 @@ def test_restrict_refines_and_matches_components_on_trivial():
     for seed in range(40):
         g = random_multigraph(seed)
         edge_ids = [e for e in range(g.m) if e % 2 == seed % 2]
-        p = Partition.from_class_map(random_partition_labels(seed + 7, g.n))
-        got = restrict_components(g, edge_ids, p)
-        assert got.refines(p)
+        own = components(g, edge_ids)
+        # Random classes usually split; the singletons, the edge set's own
+        # components and anything they refine never do.
+        for p in (
+            Partition.from_class_map(random_partition_labels(seed + 7, g.n)),
+            Partition.singletons(g.n),
+            own,
+            Partition.from_class_map([own.class_of[v] * 2 + v % 2 for v in range(g.n)]),
+            components(g, range(g.m)),
+            Partition.trivial(g.n),
+        ):
+            got = restrict_components(g, edge_ids, p)
+            assert got.refines(p)
+            assert (got is p) == (got == p)
         trivial = Partition.trivial(g.n)
         assert restrict_components(g, edge_ids, trivial) == components(g, edge_ids)
+    # A connected edge set splits nothing; a path missing one edge splits in two.
+    g = path_graph(5)
+    trivial = Partition.trivial(g.n)
+    assert restrict_components(g, range(g.m), trivial) is trivial
+    split = restrict_components(g, range(1, g.m), trivial)
+    assert split is not trivial and split.num_classes == 2
 
 
 # cycle_edges ----------------------------------------------------------------

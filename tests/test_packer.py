@@ -475,11 +475,18 @@ def test_pack_doubled_triangle_two_trees():
     assert density_margin(g, 2).margin >= 0
 
 
-def test_pack_single_vertex_any_k():
-    g = MultiGraph(1, ((0, 0),))
-    result = pack(g, 3)
-    assert result.verdict == "packing"
-    assert result.trees == (frozenset(), frozenset(), frozenset())
+def test_pack_single_vertex_any_k(monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    # k empty trees at once, however large k is: no stage runs.
+    monkeypatch.setattr(treepack.packer, "run_stage", no_stage)
+    g = MultiGraph(1, ((0, 0), (0, 0)))
+    for k in (0, 3, 100_000):
+        result = pack(g, k)
+        assert result.verdict == "packing"
+        assert result.trees == (frozenset(),) * k
+        assert result.exchanges == 0 and result.certificate is None
 
 
 def test_pack_loops_never_enter_trees():
