@@ -47,8 +47,12 @@ class KPartition:
             raise ValueError("need at least one color")
         object.__setattr__(self, "color_of", tuple(self.color_of))
         valid = range(1, self.k + 1)
-        if not set(self.color_of) <= set(valid):
-            eid, color = next((e, c) for e, c in enumerate(self.color_of) if c not in valid)
+        # A float or bool equal to a valid color passes the value check, so
+        # every color's type must be exactly int as well.
+        if not set(self.color_of) <= set(valid) or not set(map(type, self.color_of)) <= {int}:
+            eid, color = next(
+                (e, c) for e, c in enumerate(self.color_of) if type(c) is not int or c not in valid
+            )
             raise ValueError(f"edge {eid} has color {color}, not in 1..{self.k}")
 
     @classmethod

@@ -76,8 +76,8 @@ def quotient(g: MultiGraph, p: Partition) -> MultiGraph:
 
 def components(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> Partition:
     """Connected components of the spanning subgraph ``(V, edge_ids)``."""
-    labels, _ = _labels_within(g, _check_edge_ids(g, edge_ids), [0] * g.n)
-    return Partition(tuple(labels))
+    parent, _ = _union_within(g, _check_edge_ids(g, edge_ids), [0] * g.n)
+    return Partition(tuple(_canonical_labels(parent)))
 
 
 def restrict_components(
@@ -91,20 +91,20 @@ def restrict_components(
     """
     if p.n != g.n:
         raise ValueError("partition does not match the graph's vertex set")
-    labels, joined = _labels_within(g, _check_edge_ids(g, edge_ids), p.class_of)
+    parent, joined = _union_within(g, _check_edge_ids(g, edge_ids), p.class_of)
     if len(joined) == g.n - p.num_classes:
         return p
-    return Partition(tuple(labels))
+    return Partition(tuple(_canonical_labels(parent)))
 
 
-def _labels_within(
+def _union_within(
     g: MultiGraph, ids: Iterable[EdgeId], labels: Sequence[int]
 ) -> tuple[list[int], list[EdgeId]]:
     """Path-halving union of the edges, in the given order, whose ends share a label.
 
-    Returns each vertex's set as a canonical label (sets numbered by first
-    occurrence, ready for ``Partition``) and the edges that joined two
-    sets; a loop or an edge closing a cycle joins nothing.
+    Returns the union-find's parent array, in which a parent never exceeds
+    its child, and the edges that joined two sets: a spanning forest of
+    the edges taken. A loop or an edge closing a cycle joins nothing.
     """
     parent, edges = list(range(g.n)), g.edges
     joined = []
@@ -120,61 +120,75 @@ def _labels_within(
                     a, b = b, a
                 parent[a] = b
                 joined.append(e)
+    return parent, joined
+
+
+def _canonical_labels(parent: list[int]) -> list[int]:
+    """Label the sets of ``_union_within``'s parents by first occurrence, for ``Partition``."""
     # A parent never exceeds its child, so each root is its set's least
     # vertex, met before the rest of the set in one increasing pass.
-    out, count = [0] * g.n, 0
+    out, count = [0] * len(parent), 0
     for v, p in enumerate(parent):
         if p == v:
             out[v], count = count, count + 1
         else:
             out[v] = out[p]
-    return out, joined
+    return out
 
 
 def cycle_edges(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> frozenset[EdgeId]:
     """Edges of the subgraph ``(V, edge_ids)`` that lie on some cycle.
 
     These are the non-bridges: loops and both members of a parallel pair
-    always qualify. One stack depth-first search records the preorder and
-    each vertex's entering edge; one pass in reverse preorder then takes
-    each vertex's low point over every other edge at it. The entering edge
-    of ``v`` is a bridge iff that low point is ``v``'s own preorder index.
+    always qualify. The union-find of ``_union_within`` takes a spanning
+    forest, and every edge it leaves out closes a cycle; a repeated id
+    counts once, since the copy of a forest edge that joins nothing is
+    still a forest edge. A forest edge lies on a cycle exactly when the
+    tree path of some left-out edge covers it. Each tree such an edge
+    touches is rooted once, and each left-out edge's path is walked with
+    path-halving jump pointers past the edges already marked, so every
+    forest edge is marked at most once (Tarjan's path covering).
     """
     ids = _check_edge_ids(g, edge_ids)
+    _, forest = _union_within(g, ids, [0] * g.n)
+    if len(forest) == len(ids):
+        return frozenset()
+    edges = g.edges
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e in ids:
-        u, v = g.edges[e]
-        if u == v:
-            continue  # a loop is trivially a cycle edge
+    for e in forest:
+        u, v = edges[e]
         adjacency[u].append((v, e))
         adjacency[v].append((u, e))
-
-    disc = [-1] * g.n
-    entering = [-1] * g.n
-    order: list[int] = []
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1)]
-        while stack:
-            v, eid = stack.pop()
-            if disc[v] != -1:
-                continue
-            disc[v] = len(order)
-            entering[v] = eid
-            order.append(v)
-            stack.extend(adjacency[v])
-    # A neighbor's low point is final (a descendant) or still its own index
-    # (an ancestor); only the exact entering copy is skipped, so parallels stay.
-    low = disc[:]
-    for v in reversed(order):
-        skip, lowest = entering[v], low[v]
-        for w, eid in adjacency[v]:
-            if low[w] < lowest and eid != skip:
-                lowest = low[w]
-        low[v] = lowest
-    bridges = {entering[v] for v in order if low[v] == disc[v]}
-    return frozenset(e for e in ids if e not in bridges)
+    taken = set(forest)
+    closing = [e for e in ids if e not in taken]
+    depth, via = [-1] * g.n, [-1] * g.n  # in a rooted tree; via: the parent edge
+    up = list(range(g.n))  # the top of a vertex's run of marked edges
+    marked = []
+    for e in closing:
+        a, b = edges[e]
+        if depth[a] < 0:
+            depth[a] = 0
+            queue = [a]
+            for x in queue:
+                below = depth[x] + 1
+                for w, eid in adjacency[x]:
+                    if depth[w] < 0:
+                        depth[w], via[w] = below, eid
+                        queue.append(w)
+        while True:
+            while up[a] != a:
+                up[a] = a = up[up[a]]
+            while up[b] != b:
+                up[b] = b = up[up[b]]
+            if a == b:
+                break
+            if depth[a] < depth[b]:
+                a, b = b, a
+            # a lies below the path's top, so its parent edge is on the path
+            x, y = edges[via[a]]
+            marked.append(via[a])
+            up[a] = y if x == a else x
+    return frozenset(closing + marked)
 
 
 def fundamental_cycle(
@@ -185,6 +199,9 @@ def fundamental_cycle(
     ``tree_edge_ids`` must be acyclic and must connect the endpoints of
     ``e``; ``e`` itself must be a non-loop edge outside the set. The result
     lists the tree path from one endpoint of ``e`` to the other, then ``e``.
+    A breadth-first search from the first endpoint, over an adjacency of
+    the tree edges built per call, records each vertex's parent and parent
+    edge in lists and stops once it reaches the second endpoint.
 
     Raises NoCycleError when the endpoints are not connected in the tree
     edges, and ValueError on the other precondition violations.
@@ -204,24 +221,23 @@ def fundamental_cycle(
         adjacency[a].append((b, eid))
         adjacency[b].append((a, eid))
 
-    parent_edge: dict[int, tuple[int, int]] = {u: (-1, -1)}
+    above, via = [-1] * g.n, [-1] * g.n
+    above[u] = u
     queue = [u]
-    head = 0
-    while head < len(queue) and v not in parent_edge:
-        x = queue[head]
-        head += 1
+    for x in queue:
         for w, eid in adjacency[x]:
-            if w not in parent_edge:
-                parent_edge[w] = (x, eid)
+            if above[w] < 0:
+                above[w], via[w] = x, eid
                 queue.append(w)
-    if v not in parent_edge:
+        if above[v] >= 0:
+            break
+    else:
         raise NoCycleError("endpoints are not connected in the tree edges")
 
     path: list[EdgeId] = []
     x = v
     while x != u:
-        px, eid = parent_edge[x]
-        path.append(eid)
-        x = px
+        path.append(via[x])
+        x = above[x]
     path.reverse()
     return tuple(path) + (e,)

@@ -26,7 +26,7 @@ from .kpartition import (
 from .multigraph import (
     EdgeId,
     MultiGraph,
-    _labels_within,
+    _union_within,
     components,
     cycle_edges,
     fundamental_cycle,
@@ -228,7 +228,7 @@ def run_stage(
         return StageOutcome(tuple(tree_sets), rest_set, None, 0)
     for c in range(1, colors):
         ids = t.edges_of_color(c)
-        if len(ids) != g.n - 1 or len(_labels_within(g, ids, [0] * g.n)[1]) != g.n - 1:
+        if len(ids) != g.n - 1 or len(_union_within(g, ids, [0] * g.n)[1]) != g.n - 1:
             raise InternalInvariantError(f"color {c} is not a spanning tree")
 
     exchanges = 0
@@ -264,7 +264,7 @@ def greedy_spanning_tree(
     if order not in ("asc", "desc"):
         raise ValueError("order must be 'asc' or 'desc'")
     ids = sorted(edge_ids, reverse=(order == "desc"))
-    _, chosen = _labels_within(g, ids, [0] * g.n)
+    _, chosen = _union_within(g, ids, [0] * g.n)
     if len(chosen) != g.n - 1:
         raise InternalInvariantError("edge set does not span a connected graph")
     return frozenset(chosen)
@@ -312,8 +312,8 @@ def pack(
     ``cap``, by default ``max(1, k * n * m)``; a negative cap is a
     ValueError.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if type(k) is not int or k < 0:
+        raise ValueError("k must be a nonnegative integer")
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if seedtree_order not in ("asc", "desc"):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -15,8 +15,10 @@ class Partition:
     numbered in order of first occurrence (a restricted growth string), so
     classes are ordered by their smallest member and two equal partitions
     are the same value (plain ``==`` and ``hash`` compare partitions).
-    ``classes``, each listing its vertices in increasing order, is built
-    from the labels on first use.
+    ``num_classes`` is the class count the constructor's validation
+    counts, stored outside ``==``, ``hash`` and ``repr``. ``classes``, each
+    listing its vertices in increasing order, is built from the labels on
+    first use.
 
     Instances are immutable and freely shareable. Use the factory
     classmethods; the constructor rejects a label array that is not in
@@ -24,11 +26,13 @@ class Partition:
     """
 
     class_of: tuple[int, ...]
+    num_classes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         first_seen = list(dict.fromkeys(self.class_of))
         if first_seen != list(range(len(first_seen))):
             raise ValueError("labels must be numbered 0, 1, ... by first occurrence")
+        object.__setattr__(self, "num_classes", len(first_seen))
 
     @classmethod
     def from_class_map(cls, labels: Iterable[int]) -> "Partition":
@@ -71,10 +75,6 @@ class Partition:
     @property
     def n(self) -> int:
         return len(self.class_of)
-
-    @property
-    def num_classes(self) -> int:
-        return max(self.class_of, default=-1) + 1
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:

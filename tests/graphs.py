@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from treepack import KPartition, MultiGraph
 from treepack.generate import SplitMix64
-from treepack.multigraph import NoCycleError, _labels_within, fundamental_cycle
+from treepack.multigraph import NoCycleError, _union_within, fundamental_cycle
 
 
 def complete_graph(n: int) -> MultiGraph:
@@ -150,7 +150,7 @@ def planted_coloring(seed: int, g: MultiGraph, k: int) -> KPartition:
     order = sorted(range(g.m), key=lambda e: rng.next_word())
     colors = [k] * g.m
     for color in range(1, k):
-        _, forest = _labels_within(g, [e for e in order if colors[e] == k], [0] * g.n)
+        _, forest = _union_within(g, [e for e in order if colors[e] == k], [0] * g.n)
         for e in forest:
             colors[e] = color
     for _ in range(rng.below(3) if g.m else 0):

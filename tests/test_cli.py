@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import treepack
 from treepack import ExchangeEvent, MultiGraph, Partition, pack, verify_packing
 from treepack.cli import (
     EXIT_INPUT_ERROR,
@@ -513,10 +516,13 @@ def test_main_sees_a_pack_patched_after_the_parser_was_built(tmp_path, capsys, m
 def test_module_invocation_round_trip(tmp_path):
     graph = tmp_path / "k4.gr"
     graph.write_text(K4_TEXT)
+    # The child imports the package this suite imports, installed or not.
+    paths = [str(Path(treepack.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     run = subprocess.run(
         [sys.executable, "-m", "treepack.cli", "pack", str(graph), "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
     assert run.returncode == 0
     assert json.loads(run.stdout)["verdict"] == "packing"

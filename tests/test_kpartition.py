@@ -138,6 +138,15 @@ def test_kpartition_validates_colors():
         KPartition(2, (1, 2)).recolor({0: 1.5})
     with pytest.raises(ValueError, match="edge 2 has color 0, not in 1..2"):
         KPartition(2, (1, 2, 0, 3))
+    # A float or bool equal to a valid color is not a color either.
+    with pytest.raises(ValueError, match="edge 1 has color 2.0, not in 1..2"):
+        KPartition(2, (1, 2.0))
+    with pytest.raises(ValueError, match="edge 0 has color True, not in 1..2"):
+        KPartition(2, (True, 2))
+    with pytest.raises(ValueError, match="edge 0 has color 2.0, not in 1..2"):
+        KPartition(2, (1, 2)).recolor({0: 2.0})
+    with pytest.raises(ValueError, match="edge 0 has color True, not in 1..2"):
+        KPartition(2, (2, 2)).recolor({0: True})
     with pytest.raises(ValueError):
         KPartition.from_edge_sets(2, [[0], [0]], 1)
     with pytest.raises(ValueError):

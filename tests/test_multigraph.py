@@ -3,17 +3,29 @@ from __future__ import annotations
 import pytest
 
 from treepack import (
+    ExchangeEvent,
     MultiGraph,
     NoCycleError,
     Partition,
     components,
     cycle_edges,
     fundamental_cycle,
+    pack,
     quotient,
     restrict_components,
 )
+from treepack.generate import SplitMix64
 
-from graphs import path_graph, random_multigraph, random_partition_labels, star_graph
+from graphs import (
+    _shuffle,
+    complete_graph,
+    hypercube,
+    path_graph,
+    random_multigraph,
+    random_partition_labels,
+    star_graph,
+    union_of_spanning_trees,
+)
 
 
 def test_construction_allows_loops_and_parallels():
@@ -178,6 +190,95 @@ def test_cycle_edges_against_removal_oracle():
         assert cycle_edges(g, ids) == _cycle_edges_by_removal(g, ids)
 
 
+def _cycle_edges_by_low_points(g: MultiGraph, edge_ids: list[int]) -> frozenset[int]:
+    # The bridge search cycle_edges ran before its union-find: a stack DFS
+    # recording preorder and entering edges, then low points in reverse
+    # preorder; the entering edge of v is a bridge iff low[v] == disc[v].
+    ids = sorted(edge_ids)
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for e in ids:
+        u, v = g.edges[e]
+        if u != v:
+            adjacency[u].append((v, e))
+            adjacency[v].append((u, e))
+    disc, entering, order = [-1] * g.n, [-1] * g.n, []
+    for root in range(g.n):
+        if disc[root] != -1:
+            continue
+        stack = [(root, -1)]
+        while stack:
+            v, eid = stack.pop()
+            if disc[v] != -1:
+                continue
+            disc[v], entering[v] = len(order), eid
+            order.append(v)
+            stack.extend(adjacency[v])
+    low = disc[:]
+    for v in reversed(order):
+        skip, lowest = entering[v], low[v]
+        for w, eid in adjacency[v]:
+            if low[w] < lowest and eid != skip:
+                lowest = low[w]
+        low[v] = lowest
+    bridges = {entering[v] for v in order if low[v] == disc[v]}
+    return frozenset(e for e in ids if e not in bridges)
+
+
+def _tree_like(seed: int) -> tuple[MultiGraph, list[int]]:
+    """A random spanning tree on up to 150 vertices plus 0-8 extra edges
+    (loops, parallels, chords), ids shuffled, with some ids repeated."""
+    rng = SplitMix64(seed)
+    n = 1 + rng.below(150)
+    edges = [(rng.below(v), v) for v in range(1, n)]
+    for _ in range(rng.below(9)):
+        kind = rng.below(3)
+        if kind == 0:
+            v = rng.below(n)
+            edges.append((v, v))
+        elif kind == 1 and edges:
+            edges.append(edges[rng.below(len(edges))][::-1])
+        else:
+            edges.append((rng.below(n), rng.below(n)))
+    _shuffle(rng, edges)
+    ids = list(range(len(edges)))
+    ids += [ids[rng.below(len(ids))] for _ in range(rng.below(4) if ids else 0)]
+    _shuffle(rng, ids)
+    return MultiGraph(n, tuple(edges)), ids
+
+
+def test_repeated_id_counts_once():
+    g = MultiGraph(3, ((0, 1), (1, 2), (0, 1)))
+    assert cycle_edges(g, [0, 0, 1]) == frozenset()
+    assert cycle_edges(g, [2, 0, 0]) == frozenset({0, 2})
+
+
+def test_cycle_edges_against_low_points_on_tree_like_multigraphs():
+    for seed in range(400):
+        g, ids = _tree_like(seed)
+        assert cycle_edges(g, ids) == _cycle_edges_by_low_points(g, ids), seed
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [
+        pytest.param(hypercube(6), 3, id="Q6"),
+        pytest.param(hypercube(8), 4, id="Q8"),
+        pytest.param(union_of_spanning_trees(2008, 200, 3), 3, id="union-n200"),
+        pytest.param(complete_graph(16), 8, id="K16"),
+    ],
+)
+def test_cycle_edges_against_low_points_on_every_pack_remainder(g, k):
+    remainders = []
+
+    def record(event: ExchangeEvent) -> None:
+        remainders.append(event.before.edges_of_color(event.colors))
+
+    pack(g, k, on_exchange=record)
+    assert remainders
+    for ids in remainders:
+        assert cycle_edges(g, ids) == _cycle_edges_by_low_points(g, ids)
+
+
 # fundamental_cycle -----------------------------------------------------------
 
 def test_fundamental_cycle_on_path_closure():
@@ -227,3 +328,48 @@ def test_fundamental_cycle_is_a_closed_degree_two_walk():
                     degree[v] = degree.get(v, 0) + 1
             assert all(d == 2 for d in degree.values())
             assert len(set(cycle)) == len(cycle)
+
+
+def _fundamental_cycle_by_dict_bfs(g: MultiGraph, tree_ids: list[int], e: int) -> tuple[int, ...]:
+    # The BFS fundamental_cycle ran with dict parents, checking for v only
+    # between the vertices it expands.
+    u, v = g.edges[e]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid in sorted(tree_ids):
+        a, b = g.edges[eid]
+        adjacency[a].append((b, eid))
+        adjacency[b].append((a, eid))
+    parent_edge = {u: (-1, -1)}
+    queue, head = [u], 0
+    while head < len(queue) and v not in parent_edge:
+        x = queue[head]
+        head += 1
+        for w, eid in adjacency[x]:
+            if w not in parent_edge:
+                parent_edge[w] = (x, eid)
+                queue.append(w)
+    path, x = [], v
+    while x != u:
+        x, eid = parent_edge[x]
+        path.append(eid)
+    return tuple(reversed(path)) + (e,)
+
+
+def test_fundamental_cycle_against_dict_bfs_on_random_trees():
+    for seed in range(300):
+        rng = SplitMix64(seed)
+        n = 2 + rng.below(40)
+        tree = [(rng.below(v), v) for v in range(1, n)]
+        # parallels of tree edges, chords and loops, then ids in any order
+        extra = [tree[rng.below(len(tree))] for _ in range(rng.below(4))]
+        extra += [(rng.below(n), rng.below(n)) for _ in range(rng.below(6))]
+        edges = tree + extra
+        position = list(range(len(edges)))  # edges[i] gets id position[i]
+        _shuffle(rng, position)
+        g = MultiGraph(n, tuple(edges[position.index(i)] for i in range(len(edges))))
+        tree_ids = position[: n - 1]
+        _shuffle(rng, tree_ids)
+        for e in range(g.m):
+            if e not in tree_ids and not g.is_loop(e):
+                expected = _fundamental_cycle_by_dict_bfs(g, tree_ids, e)
+                assert fundamental_cycle(g, tree_ids, e) == expected, (seed, e)

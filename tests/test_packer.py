@@ -457,6 +457,17 @@ def test_pack_rejects_negative_k():
         pack(path_graph(2), -1)
 
 
+def test_pack_rejects_k_that_is_not_an_int_before_any_stage(monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    # 2.5 once failed inside islice; True packed one tree and reported k=True.
+    monkeypatch.setattr(treepack.packer, "run_stage", no_stage)
+    for k in (2.5, True, 2.0):
+        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+            pack(complete_graph(4), k)
+
+
 def test_pack_k4_two_trees():
     g = complete_graph(4)
     result = pack(g, 2)

@@ -122,7 +122,14 @@ def test_constructor_accepts_exactly_restricted_growth_strings():
     for n in range(6):
         for labels in itertools.product(range(n), repeat=n):
             if _is_restricted_growth(labels):
-                assert Partition(labels).class_of == labels
+                p = Partition(labels)
+                assert p.class_of == labels
+                assert p.num_classes == max(labels, default=-1) + 1
+                # The stored count takes no part in ==, hash or repr.
+                other = Partition(labels)
+                object.__setattr__(other, "num_classes", -1)
+                assert other == p and hash(other) == hash(p) == hash((labels,))
+                assert repr(other) == repr(p) == f"Partition(class_of={labels!r})"
             else:
                 with pytest.raises(ValueError):
                     Partition(labels)
