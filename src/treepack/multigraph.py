@@ -161,8 +161,8 @@ def cycle_edges(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> frozenset[EdgeId]:
         adjacency[v].append((u, e))
     taken = set(forest)
     closing = [e for e in ids if e not in taken]
-    depth, via = [-1] * g.n, [-1] * g.n  # in a rooted tree; via: the parent edge
-    up = list(range(g.n))  # the top of a vertex's run of marked edges
+    depth, via = [-1] * g.n, [-1] * g.n  # each vertex's depth and parent edge once rooted
+    up = list(range(g.n))  # the highest vertex a vertex reaches over marked edges
     marked = []
     for e in closing:
         a, b = edges[e]
