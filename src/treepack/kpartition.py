@@ -14,7 +14,8 @@ The builder keeps each color's non-loop edges still inside a class and
 splits only through ``restrict_components``, which returns the partition
 itself when nothing splits; a caller that knows which colors are forests
 (the packer's tree colors) can say so. A coloring builds its per-color
-edge lists once, on first use, and a recoloring carries them over.
+edge lists once, on first use, and a recoloring carries them over and
+checks only the colors it changes.
 """
 
 from __future__ import annotations
@@ -43,17 +44,15 @@ class KPartition:
     color_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.k) is not int:
+            raise ValueError(f"k must be an int, not {self.k!r}")
         if self.k < 1:
             raise ValueError("need at least one color")
-        object.__setattr__(self, "color_of", tuple(self.color_of))
-        valid = range(1, self.k + 1)
-        # A float or bool equal to a valid color passes the value check, so
-        # every color's type must be exactly int as well.
-        if not set(self.color_of) <= set(valid) or not set(map(type, self.color_of)) <= {int}:
-            eid, color = next(
-                (e, c) for e, c in enumerate(self.color_of) if type(c) is not int or c not in valid
-            )
-            raise ValueError(f"edge {eid} has color {color}, not in 1..{self.k}")
+        color_of = tuple(self.color_of)
+        object.__setattr__(self, "color_of", color_of)
+        # Set checks in one pass; the per-entry rule only names the least bad edge.
+        if not set(color_of) <= set(range(1, self.k + 1)) or not set(map(type, color_of)) <= {int}:
+            raise ValueError(_first_error(enumerate(color_of), self.m, self.k))
 
     @classmethod
     def from_edge_sets(
@@ -90,13 +89,19 @@ class KPartition:
         return self._edges_by_color[color] if 1 <= color <= self.k else ()
 
     def recolor(self, changes: Mapping[EdgeId, int]) -> "KPartition":
-        """A copy with some edges recolored, carrying over built edge lists."""
+        """A copy with some edges recolored, carrying over built edge lists.
+
+        Only the changes are checked, by the rule the constructor applies to
+        every edge: the parent's colors were checked when it was built.
+        """
+        m, k = self.m, self.k
+        if any(_entry_error(e, color, m, k) for e, color in changes.items()):
+            raise ValueError(_first_error(changes.items(), m, k))
         colors = list(self.color_of)
         for e, color in changes.items():
-            if not 0 <= e < len(colors):
-                raise ValueError(f"edge id {e} out of range")
             colors[e] = color
-        after = KPartition(self.k, tuple(colors))
+        after = object.__new__(KPartition)
+        vars(after).update(k=k, color_of=tuple(colors))
         if "_edges_by_color" in vars(self):
             lists = list(self._edges_by_color)
             for e, color in changes.items():
@@ -107,6 +112,33 @@ class KPartition:
                     lists[color] = lists[color][:j] + (e,) + lists[color][j:]
             vars(after)["_edges_by_color"] = tuple(lists)
         return after
+
+
+def _entry_error(e: object, color: object, m: int, k: int) -> str | None:
+    """Why edge ``e`` may not have ``color`` in a coloring of ``m`` edges into ``k`` colors.
+
+    An edge id must be exactly an int in ``0..m-1`` and a color exactly an
+    int in ``1..k``: a float or bool equal to one is not one. None when valid.
+    """
+    if type(e) is not int or not 0 <= e < m:
+        return f"edge id {e} out of range"
+    if type(color) is not int or not 1 <= color <= k:
+        return f"edge {e} has color {color}, not in 1..{k}"
+    return None
+
+
+def _first_error(entries: Iterable[tuple[object, object]], m: int, k: int) -> str:
+    """The error of the least bad edge among ``(edge, color)`` entries.
+
+    An id that is not an int comes before every int id, in the given order.
+    """
+
+    def rank(entry: tuple[object, object]) -> tuple[bool, object]:
+        e = entry[0]
+        return (True, e) if type(e) is int else (False, 0)
+
+    bad = [(e, color) for e, color in entries if _entry_error(e, color, m, k)]
+    return _entry_error(*min(bad, key=rank), m, k)
 
 
 class SequenceStep(NamedTuple):
@@ -157,7 +189,8 @@ def build_sequence(
     splitter and replaces every class by its components within it, so
     there are at most ``n - 1`` steps. Every color keeps the list of its
     non-loop edges still inside a class of ``P``, and each round's
-    union-finds read only those lists. Every color goes through
+    union-finds read only those lists; a forest's starts as its edge tuple,
+    since a forest holds no loop. Every color goes through
     ``restrict_components``, which returns ``P`` itself when it splits no
     class, but a forest whose list has ``n - |P|`` edges splits none and
     is skipped. After the split at index ``i``, one pass over each other
@@ -176,7 +209,10 @@ def build_sequence(
             c for c, ids in enumerate(colors) if components(g, ids).num_classes == n - len(ids)
         }
     forest = [c in forests for c in range(k + 1)]
-    inside = [[e for e in ids if edges[e][0] != edges[e][1]] for ids in colors]
+    inside = [
+        ids if forest[c] else [e for e in ids if edges[e][0] != edges[e][1]]
+        for c, ids in enumerate(colors)
+    ]
     levels: list[Level] = [INFINITE_LEVEL] * g.m
     current, size = Partition.trivial(n), 1
     steps: list[SequenceStep] = []

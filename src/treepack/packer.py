@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
-from itertools import count, islice
+from itertools import compress, count, islice
 
 from .kpartition import (
     INFINITE_LEVEL,
     KPartition,
+    LevelMap,
     PartitionSequence,
     build_sequence,
     edge_levels,
@@ -134,13 +135,21 @@ def density_check(
     return None
 
 
+def _least_by_level(ids: Iterable[EdgeId], levels: LevelMap) -> EdgeId | None:
+    """The least id among the ids of least level, or None for no ids.
+
+    ``min`` keeps the first of equal keys, so over ids in increasing order
+    it gives what ``min`` keyed by ``(level, id)`` gives, without a tuple per id.
+    """
+    return min(sorted(ids), key=levels.__getitem__, default=None)
+
+
 def _exchange_from(
     g: MultiGraph, t: KPartition, seq: PartitionSequence
 ) -> tuple[KPartition, ExchangeTrace]:
     k = t.k
     levels = edge_levels(g, t, seq)
-    on_cycles = cycle_edges(g, t.edges_of_color(k))
-    e = min(on_cycles, key=lambda eid: (levels[eid], eid), default=None)
+    e = _least_by_level(cycle_edges(g, t.edges_of_color(k)), levels)
     if e is None or levels[e] == INFINITE_LEVEL:
         raise InternalInvariantError("no finite-level cycle edge in the remainder")
     m = int(levels[e])
@@ -156,7 +165,7 @@ def _exchange_from(
         raise InternalInvariantError(f"splitter at the selected level is {c_m}, not a tree color")
 
     cycle = fundamental_cycle(g, t.edges_of_color(c_m), e)
-    e_prime = min(cycle, key=lambda eid: (levels[eid], eid))
+    e_prime = _least_by_level(cycle, levels)
     if levels[e_prime] == INFINITE_LEVEL or levels[e_prime] >= m:
         raise InternalInvariantError("fundamental cycle has no edge below the selected level")
     j = int(levels[e_prime])
@@ -166,8 +175,8 @@ def _exchange_from(
     if part_j.class_of[x] != part_j.class_of[y]:
         raise InternalInvariantError("exchanged-out edge spans two classes at its level")
     label_p, label_q = part_m.class_of[u], part_j.class_of[x]
-    class_p = tuple(w for w, label in enumerate(part_m.class_of) if label == label_p)
-    class_q = tuple(w for w, label in enumerate(part_j.class_of) if label == label_q)
+    class_p = tuple(compress(range(g.n), map(label_p.__eq__, part_m.class_of)))
+    class_q = tuple(compress(range(g.n), map(label_q.__eq__, part_j.class_of)))
     for eid in cycle:
         a, b = g.edges[eid]
         if part_j.class_of[a] != label_q or part_j.class_of[b] != label_q:

@@ -16,6 +16,7 @@ from treepack import (
     MultiGraph,
     build_sequence,
     components,
+    cycle_edges,
     pack,
     precedes,
     stp_number,
@@ -81,13 +82,14 @@ def test_complete_graph_packs_half_its_order(n):
 
 
 def _exchange_violations(g: MultiGraph, k: int) -> tuple[int, list[str]]:
-    """Pack ``k`` trees and check six properties on every exchange.
+    """Pack ``k`` trees and check eight properties on every exchange.
 
     The trace has ``j < m``, a tree color ``c_m`` and a cycle inside
-    ``class_q``; the coloring strictly improves; every tree color is still
-    a spanning tree; and the sequences before and after agree in their
-    partitions through index ``j`` and in their splitters through
-    ``j - 1``. The last is the prefix property the exchange keeps in place
+    ``class_q``; ``e`` is the least ``(level, id)`` remainder edge on a
+    cycle and ``e'`` the least on its fundamental cycle; the coloring
+    strictly improves; every tree color is still a spanning tree; and the
+    sequences before and after agree in their partitions through index
+    ``j`` and in their splitters through ``j - 1``. The last is the prefix property the exchange keeps in place
     of the lemma that criterion 3 checks (agreement through ``m``). Strict
     coarsening at ``m + 1``, which criterion 3 also checks, is not
     asserted: it fails on 1 of Q6's 35 exchanges, 1 of Q8's 226, none of
@@ -108,6 +110,12 @@ def _exchange_violations(g: MultiGraph, k: int) -> tuple[int, list[str]]:
         inside = set(trace.class_q)
         if any(not inside.issuperset(g.edges[e]) for e in trace.cycle):
             violations.append(f"{where}: the cycle leaves class_q")
+        levels = event.sequence.levels
+        rest = event.before.edges_of_color(event.colors)
+        if trace.e != min(cycle_edges(g, rest), key=lambda e: (levels[e], e)):
+            violations.append(f"{where}: e = {trace.e} is not the least cycle edge")
+        if trace.e_prime != min(trace.cycle, key=lambda e: (levels[e], e)):
+            violations.append(f"{where}: e' = {trace.e_prime} is not the least on the cycle")
         if not precedes(event.before, event.after, g):
             violations.append(f"{where}: no strict improvement")
         for color in range(1, event.colors):

@@ -131,6 +131,10 @@ def test_kpartition_validates_colors():
         KPartition(2, (1, 3))
     with pytest.raises(ValueError):
         KPartition(0, ())
+    # k must be exactly an int, checked before the colors.
+    for k in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"k must be an int, not {k!r}"):
+            KPartition(k, (1,))
     # A color between two valid ones is still not a color.
     with pytest.raises(ValueError, match="edge 0 has color 1.5, not in 1..2"):
         KPartition(2, (1.5, 2))
@@ -174,7 +178,10 @@ def test_recolor_carries_the_edge_lists_of_a_fresh_coloring():
         changes[0] = t.color_of[0]
         after = t.recolor(changes)
         assert ("_edges_by_color" in vars(after)) == ("_edges_by_color" in vars(t))
+        # recolor builds its child without the constructor's full scan.
         fresh = KPartition(k, after.color_of)
+        assert type(after.color_of) is tuple
+        assert after == fresh and hash(after) == hash(fresh) and repr(after) == repr(fresh)
         assert [after.edges_of_color(c) for c in range(k + 2)] == [
             fresh.edges_of_color(c) for c in range(k + 2)
         ]
@@ -191,10 +198,34 @@ def test_recolor_rejects_a_bad_color_before_touching_the_lists():
 
 def test_recolor_rejects_edge_ids_outside_the_coloring():
     # -1 would index the last edge and m would be an IndexError.
+    # True and 1.0 equal edge 1 but are not edge ids.
     t = KPartition(2, (1, 2, 1))
-    for e in (-1, t.m, t.m + 5):
+    for e in (-1, t.m, t.m + 5, True, 1.0):
         with pytest.raises(ValueError, match=f"edge id {e} out of range"):
             t.recolor({e: 2})
+    assert t.color_of == (1, 2, 1)
+
+
+def test_recolor_names_the_least_bad_edge():
+    # Every entry is checked, whatever the dict order; the message names
+    # the least bad edge id, and an id that is not an int comes first.
+    t = KPartition(3, (1, 2, 3, 1, 2, 3))
+    cases = [
+        ({5: 0, 4: 1, 2: 9, 3: 2}, "edge 2 has color 9, not in 1..3"),
+        ({4: 3, 1: 2.0, 0: 2, 3: True}, "edge 1 has color 2.0, not in 1..3"),
+        ({4: 0, 6: 1, -2: 1}, "edge id -2 out of range"),
+        ({0: 4, 7: 1}, "edge 0 has color 4, not in 1..3"),
+        ({3: 0, "x": 1, -1: 2}, "edge id x out of range"),
+        ({5: 1, 1.0: 1, 0: 7}, "edge id 1.0 out of range"),
+    ]
+    for changes, message in cases:
+        for order in (changes, dict(reversed(changes.items()))):
+            with pytest.raises(ValueError) as raised:
+                t.recolor(order)
+            assert str(raised.value) == message, order
+    # The constructor names its least bad edge by the same rule.
+    with pytest.raises(ValueError, match="^edge 1 has color 0, not in 1..3$"):
+        KPartition(3, (1, 0, 4, 2.0))
 
 
 # build_sequence ---------------------------------------------------------------
@@ -257,10 +288,15 @@ def _forest_colors(g: MultiGraph, t: KPartition) -> set[int]:
 def test_sequence_with_forest_flags_equals_the_tested_sequence():
     # Any set of true forests, the packer's "colors 1..k-1" included when
     # they all are, gives the same steps, terminal and levels.
-    stage_flags = 0
+    # A forest holds no loop, so the builder filters loops only from the
+    # other colors; the cases with a loop there keep that filter tested.
+    stage_flags = loops_outside_forests = 0
     for kind, g, t in differential_cases(range(400), 77):
         expected = build_sequence(g, t)
         forests = _forest_colors(g, t)
+        loops_outside_forests += any(
+            g.is_loop(e) and t.color_of[e] not in forests for e in range(g.m)
+        )
         flag_sets = [set(), forests]
         if forests >= set(range(1, t.k)):
             flag_sets.append(range(1, t.k))
@@ -268,6 +304,7 @@ def test_sequence_with_forest_flags_equals_the_tested_sequence():
         for flags in flag_sets:
             assert build_sequence(g, t, forests=flags) == expected, (kind, g, t, flags)
     assert stage_flags >= 300, stage_flags
+    assert loops_outside_forests >= 600, loops_outside_forests
 
 
 def test_sequence_strictly_descends_and_splitters_are_minimal():

@@ -4,6 +4,7 @@ import pytest
 
 import treepack.packer
 from treepack import (
+    INFINITE_LEVEL,
     ExchangeEvent,
     InternalInvariantError,
     KPartition,
@@ -39,6 +40,7 @@ from graphs import (
     two_step_exchange_instance,
     union_of_spanning_trees,
 )
+from treepack.generate import SplitMix64
 
 
 def _is_spanning_tree(g: MultiGraph, ids) -> bool:
@@ -156,6 +158,27 @@ def test_exchange_picks_lower_id_member_of_crossing_parallel_pair():
     assert _is_spanning_tree(g, after.edges_of_color(1))
 
 
+def test_least_by_level_is_the_least_id_of_least_level():
+    # Random level maps with ties and infinite levels, ids in any order.
+    least = treepack.packer._least_by_level
+    ties = infinite = 0
+    for seed in range(300):
+        rng = SplitMix64(seed)
+        m = 1 + rng.below(30)
+        levels = tuple(INFINITE_LEVEL if rng.below(4) == 0 else rng.below(4) for _ in range(m))
+        ids = [e for e in range(m) if rng.below(2)]
+        ids.sort(key=lambda e: rng.next_word())
+        if not ids:
+            assert least(ids, levels) is None
+            continue
+        expected = min(ids, key=lambda e: (levels[e], e))
+        assert least(ids, levels) == expected, (levels, ids)
+        assert least(frozenset(ids), levels) == expected, (levels, ids)
+        ties += sum(levels[e] == levels[expected] for e in ids) > 1
+        infinite += levels[expected] == INFINITE_LEVEL
+    assert ties >= 120 and infinite >= 3, (ties, infinite)
+
+
 def test_exchange_improves_two_step_instance():
     g, t = two_step_exchange_instance()
     after, trace = exchange_step(g, t)
@@ -182,6 +205,14 @@ def test_exchange_trace_invariants_on_random_runs():
                 u, v = g.edges[eid]
                 assert u in inside and v in inside
             assert trace.e in trace.cycle
+            # class_p and class_q are the classes of e at m and of e' at j
+            for cls, i, e in (
+                (trace.class_p, trace.m, trace.e),
+                (trace.class_q, trace.j, trace.e_prime),
+            ):
+                labels = event.sequence.partition_at(i).class_of
+                label = labels[g.edges[e][0]]
+                assert cls == tuple(w for w in range(g.n) if labels[w] == label)
             # the swap moved exactly those two edges
             before, after = event.before, event.after
             assert after.color_of[trace.e] == trace.c_m
