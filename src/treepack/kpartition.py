@@ -50,8 +50,9 @@ class KPartition:
             raise ValueError("need at least one color")
         color_of = tuple(self.color_of)
         object.__setattr__(self, "color_of", color_of)
-        # Set checks in one pass; the per-entry rule only names the least bad edge.
-        if not set(color_of) <= set(range(1, self.k + 1)) or not set(map(type, color_of)) <= {int}:
+        # Set checks in one pass, types first so that an unhashable color is
+        # named like any other; the per-entry rule only names the least bad edge.
+        if not set(map(type, color_of)) <= {int} or not set(color_of) <= set(range(1, self.k + 1)):
             raise ValueError(_first_error(enumerate(color_of), self.m, self.k))
 
     @classmethod

@@ -8,7 +8,7 @@ it is recolored downstream, so edge sets are always sets of ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .partition import Partition
 
@@ -18,6 +18,10 @@ EdgeId = int
 
 class NoCycleError(ValueError):
     """Raised when the requested fundamental cycle does not exist."""
+
+
+class InternalInvariantError(RuntimeError):
+    """A guarantee of the exchange argument failed; indicates a bug, not an input."""
 
 
 @dataclass(frozen=True)
@@ -136,45 +140,116 @@ def _canonical_labels(parent: list[int]) -> list[int]:
     return out
 
 
-def cycle_edges(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> frozenset[EdgeId]:
+@dataclass(eq=False)
+class RootedForest:
+    """A rooted spanning forest of an edge set, patched in place by a stage.
+
+    ``above[v]`` is ``v``'s parent (``v`` itself at a root), ``via[v]`` the
+    forest edge to it (``-1`` at a root) and ``edges`` the forest's edge
+    ids; the set's other ids are closing edges, each inside one tree. No
+    depths are kept, since re-hanging a subtree changes them all.
+    """
+
+    above: list[VertexId]
+    via: list[EdgeId]
+    edges: set[EdgeId]
+
+    def climb(self, x: VertexId, stop: Container[VertexId] = ()) -> list[VertexId]:
+        """The vertices from ``x`` up to its root or the first vertex in ``stop``."""
+        above, path = self.above, [x]
+        for _ in above:
+            if above[x] == x or x in stop:
+                return path
+            x = above[x]
+            path.append(x)
+        raise InternalInvariantError("the forest's parent links form a cycle")
+
+    def hang(self, path: list[VertexId], parent: VertexId, edge: EdgeId) -> None:
+        """Hang ``path[0]`` from ``parent`` by ``edge``, reversing the parent
+        links along ``path``: a climb to a root, or to the lower end of a cut
+        edge (Sleator & Tarjan's evert and link)."""
+        above, via = self.above, self.via
+        for x in path:
+            above[x], via[x], parent, edge = parent, edge, x, via[x]
+
+
+def root_forest(g: MultiGraph, ids: Iterable[EdgeId]) -> RootedForest:
+    """A spanning forest of ``(V, ids)``, each tree rooted at its least vertex.
+
+    One breadth-first search per tree, over an adjacency of every id,
+    takes the edges that reach a new vertex. Loops, parallel copies,
+    chords and repeated ids are left as closing edges.
+    """
+    n, edges = g.n, g.edges
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e in ids:
+        a, b = edges[e]
+        adjacency[a].append((b, e))
+        adjacency[b].append((a, e))
+    above, via = [-1] * n, [-1] * n  # above[v] < 0: v not reached yet
+    for root in range(n):
+        if above[root] < 0:
+            above[root] = root
+            queue = [root]
+            for x in queue:
+                for w, e in adjacency[x]:
+                    if above[w] < 0:
+                        above[w], via[w] = x, e
+                        queue.append(w)
+    return RootedForest(above, via, set(via) - {-1})
+
+
+def _depth(above: list[VertexId], depth: list[int], x: VertexId) -> int:
+    """Depth of ``x`` in its tree, filling ``depth`` (``-1``: unknown) on the way."""
+    climbed = []
+    for _ in above:
+        if depth[x] >= 0:
+            break
+        if above[x] == x:
+            depth[x] = 0
+            break
+        climbed.append(x)
+        x = above[x]
+    else:
+        raise InternalInvariantError("the forest's parent links form a cycle")
+    d = depth[x]
+    for y in reversed(climbed):
+        d += 1
+        depth[y] = d
+    return d
+
+
+def cycle_edges(
+    g: MultiGraph, edge_ids: Iterable[EdgeId], *, forest: RootedForest | None = None
+) -> frozenset[EdgeId]:
     """Edges of the subgraph ``(V, edge_ids)`` that lie on some cycle.
 
     These are the non-bridges: loops and both members of a parallel pair
-    always qualify. The union-find of ``_union_within`` takes a spanning
-    forest, and every edge it leaves out closes a cycle; a repeated id
-    counts once, since the copy of a forest edge that joins nothing is
-    still a forest edge. A forest edge lies on a cycle exactly when the
-    tree path of some left-out edge covers it. Each tree such an edge
-    touches is rooted once, and each left-out edge's path is walked with
-    path-halving jump pointers past the edges already marked, so every
-    forest edge is marked at most once (Tarjan's path covering).
+    always qualify. Every closing edge of a rooted spanning forest lies on
+    a cycle (a repeated id counts once, since the copy of a forest edge is
+    still a forest edge), and a forest edge does exactly when the tree
+    path of some closing edge covers it, whichever forest is taken. Each
+    closing edge's path is walked with path-halving jump pointers past the
+    edges already marked, so every forest edge is marked at most once
+    (Tarjan's path covering); depths are computed for the vertices the
+    walks compare. ``forest`` must be a rooted spanning forest of exactly
+    ``edge_ids``, which are then not range-checked; without it one is
+    rooted by ``root_forest``. A closing edge whose ends lie in two trees
+    of the forest raises InternalInvariantError.
     """
-    ids = _check_edge_ids(g, edge_ids)
-    _, forest = _union_within(g, ids, [0] * g.n)
-    if len(forest) == len(ids):
+    if forest is None:
+        edge_ids = _check_edge_ids(g, edge_ids)
+        forest = root_forest(g, edge_ids)
+    taken = forest.edges
+    closing = [e for e in edge_ids if e not in taken]
+    if not closing:
         return frozenset()
-    edges = g.edges
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e in forest:
-        u, v = edges[e]
-        adjacency[u].append((v, e))
-        adjacency[v].append((u, e))
-    taken = set(forest)
-    closing = [e for e in ids if e not in taken]
-    depth, via = [-1] * g.n, [-1] * g.n  # each vertex's depth and parent edge once rooted
+    edges, above, via = g.edges, forest.above, forest.via
+    depth = [-1] * g.n
     up = list(range(g.n))  # the highest vertex a vertex reaches over marked edges
     marked = []
     for e in closing:
         a, b = edges[e]
-        if depth[a] < 0:
-            depth[a] = 0
-            queue = [a]
-            for x in queue:
-                below = depth[x] + 1
-                for w, eid in adjacency[x]:
-                    if depth[w] < 0:
-                        depth[w], via[w] = below, eid
-                        queue.append(w)
         while True:
             while up[a] != a:
                 up[a] = a = up[up[a]]
@@ -182,32 +257,45 @@ def cycle_edges(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> frozenset[EdgeId]:
                 up[b] = b = up[up[b]]
             if a == b:
                 break
-            if depth[a] < depth[b]:
-                a, b = b, a
+            da, db = depth[a], depth[b]
+            if da < 0:
+                da = _depth(above, depth, a)
+            if db < 0:
+                db = _depth(above, depth, b)
+            if da < db:
+                a, b, da = b, a, db
+            if da == 0:
+                raise InternalInvariantError(f"closing edge {e} joins two trees of the forest")
             # a lies below the path's top, so its parent edge is on the path
-            x, y = edges[via[a]]
             marked.append(via[a])
-            up[a] = y if x == a else x
+            up[a] = above[a]
     return frozenset(closing + marked)
 
 
 def fundamental_cycle(
-    g: MultiGraph, tree_edge_ids: Iterable[EdgeId], e: EdgeId
+    g: MultiGraph,
+    tree_edge_ids: Iterable[EdgeId],
+    e: EdgeId,
+    *,
+    forest: RootedForest | None = None,
 ) -> tuple[EdgeId, ...]:
     """The unique cycle of ``tree_edge_ids + {e}``, in order along the cycle.
 
     ``tree_edge_ids`` must be acyclic and must connect the endpoints of
     ``e``; ``e`` itself must be a non-loop edge outside the set. The result
     lists the tree path from one endpoint of ``e`` to the other, then ``e``.
-    A breadth-first search from the first endpoint, over an adjacency of
-    the tree edges built per call, records each vertex's parent and parent
-    edge in lists and stops once it reaches the second endpoint.
+    The two ends climb parent links in turn until one reaches a vertex the
+    other has climbed, so the work is the length of the path. ``forest``
+    must be a rooted spanning forest of exactly ``tree_edge_ids``, which
+    are then not read; without it one is rooted by ``root_forest``.
 
     Raises NoCycleError when the endpoints are not connected in the tree
-    edges, and ValueError on the other precondition violations.
+    edges (both climbs reach a root) or the forest's parent links form a
+    cycle, and ValueError on the other precondition violations.
     """
-    tree_ids = _check_edge_ids(g, tree_edge_ids)
-    if e in tree_ids:
+    if forest is None:
+        forest = root_forest(g, _check_edge_ids(g, tree_edge_ids))
+    if e in forest.edges:
         raise ValueError("edge already belongs to the tree edge set")
     if not 0 <= e < g.m:
         raise ValueError("edge id out of range")
@@ -215,29 +303,31 @@ def fundamental_cycle(
     if u == v:
         raise ValueError("a loop has no fundamental cycle through a tree")
 
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in tree_ids:
-        a, b = g.edges[eid]
-        adjacency[a].append((b, eid))
-        adjacency[b].append((a, eid))
+    above, via = forest.above, forest.via
+    side = {u: 0, v: 1}  # each climbed vertex -> the end it was climbed from
+    tips = [u, v]
+    s = 0
+    while True:
+        x = tips[s]
+        up = above[x]
+        if up != x:
+            reached = side.get(up)
+            if reached is None:
+                side[up] = s
+                tips[s] = up
+            elif reached != s:
+                break
+            else:
+                raise NoCycleError("the forest's parent links form a cycle")
+        elif above[tips[1 - s]] == tips[1 - s]:
+            raise NoCycleError("endpoints are not connected in the tree edges")
+        s = 1 - s
 
-    above, via = [-1] * g.n, [-1] * g.n
-    above[u] = u
-    queue = [u]
-    for x in queue:
-        for w, eid in adjacency[x]:
-            if above[w] < 0:
-                above[w], via[w] = x, eid
-                queue.append(w)
-        if above[v] >= 0:
-            break
-    else:
-        raise NoCycleError("endpoints are not connected in the tree edges")
-
-    path: list[EdgeId] = []
-    x = v
-    while x != u:
-        path.append(via[x])
-        x = above[x]
-    path.reverse()
-    return tuple(path) + (e,)
+    meet = up
+    head: list[EdgeId] = []
+    tail: list[EdgeId] = []
+    for x, out in ((u, head), (v, tail)):
+        while x != meet:
+            out.append(via[x])
+            x = above[x]
+    return (*head, *reversed(tail), e)

@@ -26,17 +26,17 @@ from .kpartition import (
 )
 from .multigraph import (
     EdgeId,
+    InternalInvariantError,
     MultiGraph,
+    RootedForest,
+    VertexId,
     _union_within,
     components,
     cycle_edges,
     fundamental_cycle,
+    root_forest,
 )
 from .partition import Partition
-
-
-class InternalInvariantError(RuntimeError):
-    """A guarantee of the exchange argument failed; indicates a bug, not an input."""
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,12 @@ def _least_by_level(ids: Iterable[EdgeId], levels: LevelMap) -> EdgeId | None:
 
 
 def _exchange_from(
-    g: MultiGraph, t: KPartition, seq: PartitionSequence
+    g: MultiGraph, t: KPartition, seq: PartitionSequence, rooted: _StageForests
 ) -> tuple[KPartition, ExchangeTrace]:
     k = t.k
     levels = edge_levels(g, t, seq)
-    e = _least_by_level(cycle_edges(g, t.edges_of_color(k)), levels)
+    rest = t.edges_of_color(k)
+    e = _least_by_level(cycle_edges(g, rest, forest=rooted.of(k, rest)), levels)
     if e is None or levels[e] == INFINITE_LEVEL:
         raise InternalInvariantError("no finite-level cycle edge in the remainder")
     m = int(levels[e])
@@ -164,7 +165,8 @@ def _exchange_from(
     if not 1 <= c_m <= k - 1:
         raise InternalInvariantError(f"splitter at the selected level is {c_m}, not a tree color")
 
-    cycle = fundamental_cycle(g, t.edges_of_color(c_m), e)
+    tree = t.edges_of_color(c_m)
+    cycle = fundamental_cycle(g, tree, e, forest=rooted.of(c_m, tree))
     e_prime = _least_by_level(cycle, levels)
     if levels[e_prime] == INFINITE_LEVEL or levels[e_prime] >= m:
         raise InternalInvariantError("fundamental cycle has no edge below the selected level")
@@ -193,7 +195,112 @@ def _exchange_from(
         j=j,
         class_q=class_q,
     )
+    rooted.exchanged(trace)
     return after, trace
+
+
+class _StageForests:
+    """A stage's rooted forests by color, each rooted by ``root_forest`` on first use.
+
+    An exchange changes the remainder's forest and that of its tree color
+    ``c_m``. Each is patched for it when it is next read, so the patches
+    of a forest the stage does not read again are never made.
+    """
+
+    def __init__(self, g: MultiGraph, k: int) -> None:
+        self.g, self.k = g, k
+        self.by_color: dict[int, RootedForest] = {}
+        self.unpatched: dict[int, ExchangeTrace] = {}  # color -> the exchange that changed it
+
+    def of(self, color: int, ids: tuple[EdgeId, ...]) -> RootedForest:
+        """The forest of ``color``, whose edges are now ``ids``."""
+        forest = self.by_color.get(color)
+        if forest is None:
+            forest = self.by_color[color] = root_forest(self.g, ids)
+        elif color in self.unpatched:
+            last = self.unpatched.pop(color)
+            if color == self.k:
+                _relink_remainder(self.g, forest, ids, last.e, last.e_prime)
+            else:
+                _relink_tree(self.g, forest, last.cycle, last.e_prime)
+        return forest
+
+    def exchanged(self, trace: ExchangeTrace) -> None:
+        """Record that ``trace`` changed the remainder and its tree color."""
+        self.unpatched[self.k] = self.unpatched[trace.c_m] = trace
+
+
+def _relink_tree(
+    g: MultiGraph, tree: RootedForest, cycle: tuple[EdgeId, ...], e_prime: EdgeId
+) -> None:
+    """Cut ``e_prime`` from a rooted tree and link ``e = cycle[-1]`` in its place.
+
+    ``cycle`` runs from ``u`` to ``v`` along the tree, then ``e = (u, v)``.
+    ``e_prime`` is the parent edge of one of its ends; if that end is on
+    ``u``'s part of the path, the cut detaches ``u``'s side, which is
+    re-hung from ``v`` by reversing the path from ``u`` up to the cut, and
+    otherwise ``v``'s side is re-hung from ``u``.
+    """
+    edges = g.edges
+    e = cycle[-1]
+    u, v = edges[e]
+    walk = [u]  # the path's vertices, from u to v
+    for f in cycle[:-1]:
+        a, b = edges[f]
+        walk.append(b if walk[-1] == a else a)
+    i = cycle.index(e_prime)
+    if tree.via[walk[i]] == e_prime:
+        tree.hang(walk[: i + 1], v, e)
+    else:
+        tree.hang(walk[:i:-1], u, e)
+    tree.edges.remove(e_prime)
+    tree.edges.add(e)
+
+
+def _relink_remainder(
+    g: MultiGraph, forest: RootedForest, rest: tuple[EdgeId, ...], e: EdgeId, e_prime: EdgeId
+) -> None:
+    """Patch the remainder's forest after ``e`` left it and ``e_prime = (x, y)`` joined.
+
+    ``rest`` is the remainder after the exchange. ``e_prime`` links two
+    trees, re-rooting ``x``'s at ``x`` and hanging it from ``y``, or is a
+    closing edge. Cutting a forest edge ``e`` detaches a side; ``e`` lay on
+    a cycle, so some closing edge of ``rest`` joins that side back to its
+    tree, and the first such edge is hung in ``e``'s place.
+    """
+    edges, taken = g.edges, forest.edges
+    x, y = edges[e_prime]
+    path = forest.climb(x)
+    if path[-1] != forest.climb(y)[-1]:
+        forest.hang(path, y, e_prime)
+        taken.add(e_prime)
+    if e not in taken:
+        return
+    a, b = edges[e]
+    cut = a if forest.via[a] == e else b
+    forest.above[cut], forest.via[cut] = cut, -1
+    taken.remove(e)
+    detached = {cut: True}  # whether a climbed vertex lies below the cut
+    for f in rest:
+        if f not in taken:
+            p, q = edges[f]
+            if _detached(forest, detached, p) != _detached(forest, detached, q):
+                if detached[q]:
+                    p, q = q, p
+                forest.hang(forest.climb(p), q, f)
+                taken.add(f)
+                return
+    raise InternalInvariantError(f"remainder forest edge {e} has no replacement")
+
+
+def _detached(forest: RootedForest, known: dict[VertexId, bool], x: VertexId) -> bool:
+    """Whether ``x`` lies below the cut, the one root ``known`` holds as True;
+    every vertex climbed joins ``known``, so a search climbs each vertex once."""
+    path = forest.climb(x, known)
+    below = known.get(path[-1], False)
+    for y in path:
+        known[y] = below
+    return below
 
 
 def exchange_step(g: MultiGraph, t: KPartition) -> tuple[KPartition, ExchangeTrace]:
@@ -205,7 +312,7 @@ def exchange_step(g: MultiGraph, t: KPartition) -> tuple[KPartition, ExchangeTra
     the remainder. Requires that ``density_check`` returned None for the
     same coloring.
     """
-    return _exchange_from(g, t, build_sequence(g, t))
+    return _exchange_from(g, t, build_sequence(g, t), _StageForests(g, t.k))
 
 
 def run_stage(
@@ -226,6 +333,8 @@ def run_stage(
     Before its first exchange a stage checks each tree once: an exchange
     keeps them trees (``e`` enters ``c_m``, ``e'`` leaves the cycle ``e``
     closes there), so each sequence build takes them as forests unchecked.
+    The remainder, and each tree color an exchange uses, is rooted once
+    per stage and patched for each exchange when next read (``_StageForests``).
     """
     tree_sets = [frozenset(tree) for tree in trees]
     rest_set = frozenset(rest)
@@ -241,6 +350,7 @@ def run_stage(
             raise InternalInvariantError(f"color {c} is not a spanning tree")
 
     exchanges = 0
+    rooted = _StageForests(g, colors)
     while True:
         seq = build_sequence(g, t, forests=range(1, colors))
         if not seq.steps:
@@ -251,7 +361,7 @@ def run_stage(
             return StageOutcome(None, None, certificate, exchanges)
         if exchanges >= cap:
             raise InternalInvariantError(f"exchange cap {cap} exceeded")
-        after, trace = _exchange_from(g, t, seq)
+        after, trace = _exchange_from(g, t, seq, rooted)
         exchanges += 1
         if on_exchange is not None:
             on_exchange(

@@ -151,6 +151,11 @@ def test_kpartition_validates_colors():
         KPartition(2, (1, 2)).recolor({0: 2.0})
     with pytest.raises(ValueError, match="edge 0 has color True, not in 1..2"):
         KPartition(2, (2, 2)).recolor({0: True})
+    # An unhashable color is named the same way on both paths.
+    with pytest.raises(ValueError, match=r"edge 0 has color \[1\], not in 1..2"):
+        KPartition(2, ([1], 2))
+    with pytest.raises(ValueError, match=r"edge 0 has color \[1\], not in 1..2"):
+        KPartition(2, (1, 2)).recolor({0: [1]})
     with pytest.raises(ValueError):
         KPartition.from_edge_sets(2, [[0], [0]], 1)
     with pytest.raises(ValueError):
