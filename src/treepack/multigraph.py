@@ -7,8 +7,8 @@ it is recolored downstream, so edge sets are always sets of ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Container, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from .partition import Partition
 
@@ -140,25 +140,55 @@ def _canonical_labels(parent: list[int]) -> list[int]:
     return out
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RootedForest:
-    """A rooted spanning forest of an edge set, patched in place by a stage.
+    """A rooted spanning forest of an edge set, grown on demand and patched in place.
 
-    ``above[v]`` is ``v``'s parent (``v`` itself at a root), ``via[v]`` the
-    forest edge to it (``-1`` at a root) and ``edges`` the forest's edge
-    ids; the set's other ids are closing edges, each inside one tree. No
-    depths are kept, since re-hanging a subtree changes them all.
+    ``above[v]`` is ``v``'s parent (``v`` at a root, ``-1`` until reached)
+    and ``via[v]`` the forest edge to it (``-1`` at a root); the set's other
+    ids are closing edges. A breadth-first search over ``adjacency`` grows
+    it: ``reached`` lists the vertices in the order reached, the first
+    ``expanded`` of them with every neighbour reached. ``cover`` maps each
+    forest edge the last ``cycle_edges`` call found on a cycle to the
+    closing edge whose path covered it. No depths are kept, since
+    re-hanging a subtree changes them all.
     """
 
     above: list[VertexId]
     via: list[EdgeId]
-    edges: set[EdgeId]
+    adjacency: list[list[tuple[VertexId, EdgeId]]] = field(default_factory=list)
+    reached: list[VertexId] = field(default_factory=list)
+    expanded: int = 0
+    cover: dict[EdgeId, EdgeId] = field(default_factory=dict)
 
-    def climb(self, x: VertexId, stop: Container[VertexId] = ()) -> list[VertexId]:
-        """The vertices from ``x`` up to its root or the first vertex in ``stop``."""
+    def grow(self, x: VertexId = -1, y: VertexId | None = None) -> None:
+        """Grow the search until it reaches ``x`` and ``y`` (default ``x``),
+        or every vertex when ``x`` is -1. Each time it runs out first, the
+        first of them not reached, or the least vertex not reached, roots a
+        new tree."""
+        above, via, adjacency, queue = self.above, self.via, self.adjacency, self.reached
+        y, i, n = x if y is None else y, self.expanded, len(above)
+        while (above[x] < 0 or above[y] < 0) if x >= 0 else len(queue) < n:
+            if i == len(queue):
+                root = (x if above[x] < 0 else y) if x >= 0 else above.index(-1)
+                above[root] = root
+                queue.append(root)
+                continue
+            z = queue[i]
+            i += 1
+            for w, e in adjacency[z]:
+                if above[w] < 0:
+                    above[w], via[w] = z, e
+                    queue.append(w)
+        self.expanded = i
+        if len(queue) == n:
+            self.adjacency = []  # every vertex is reached: no search needs it again
+
+    def climb(self, x: VertexId) -> list[VertexId]:
+        """The vertices from ``x`` up to its root."""
         above, path = self.above, [x]
         for _ in above:
-            if above[x] == x or x in stop:
+            if above[x] == x:
                 return path
             x = above[x]
             path.append(x)
@@ -174,11 +204,11 @@ class RootedForest:
 
 
 def root_forest(g: MultiGraph, ids: Iterable[EdgeId]) -> RootedForest:
-    """A spanning forest of ``(V, ids)``, each tree rooted at its least vertex.
+    """A forest of ``(V, ids)`` that no search has grown yet.
 
-    One breadth-first search per tree, over an adjacency of every id,
-    takes the edges that reach a new vertex. Loops, parallel copies,
-    chords and repeated ids are left as closing edges.
+    Its adjacency lists every id, so the searches of ``grow`` take the
+    edges that reach a new vertex and leave loops, parallel copies, chords
+    and repeated ids as closing edges.
     """
     n, edges = g.n, g.edges
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -186,37 +216,7 @@ def root_forest(g: MultiGraph, ids: Iterable[EdgeId]) -> RootedForest:
         a, b = edges[e]
         adjacency[a].append((b, e))
         adjacency[b].append((a, e))
-    above, via = [-1] * n, [-1] * n  # above[v] < 0: v not reached yet
-    for root in range(n):
-        if above[root] < 0:
-            above[root] = root
-            queue = [root]
-            for x in queue:
-                for w, e in adjacency[x]:
-                    if above[w] < 0:
-                        above[w], via[w] = x, e
-                        queue.append(w)
-    return RootedForest(above, via, set(via) - {-1})
-
-
-def _depth(above: list[VertexId], depth: list[int], x: VertexId) -> int:
-    """Depth of ``x`` in its tree, filling ``depth`` (``-1``: unknown) on the way."""
-    climbed = []
-    for _ in above:
-        if depth[x] >= 0:
-            break
-        if above[x] == x:
-            depth[x] = 0
-            break
-        climbed.append(x)
-        x = above[x]
-    else:
-        raise InternalInvariantError("the forest's parent links form a cycle")
-    d = depth[x]
-    for y in reversed(climbed):
-        d += 1
-        depth[y] = d
-    return d
+    return RootedForest([-1] * n, [-1] * n, adjacency, [], 0, {})
 
 
 def cycle_edges(
@@ -225,29 +225,36 @@ def cycle_edges(
     """Edges of the subgraph ``(V, edge_ids)`` that lie on some cycle.
 
     These are the non-bridges: loops and both members of a parallel pair
-    always qualify. Every closing edge of a rooted spanning forest lies on
-    a cycle (a repeated id counts once, since the copy of a forest edge is
-    still a forest edge), and a forest edge does exactly when the tree
-    path of some closing edge covers it, whichever forest is taken. Each
-    closing edge's path is walked with path-halving jump pointers past the
-    edges already marked, so every forest edge is marked at most once
-    (Tarjan's path covering); depths are computed for the vertices the
-    walks compare. ``forest`` must be a rooted spanning forest of exactly
-    ``edge_ids``, which are then not range-checked; without it one is
-    rooted by ``root_forest``. A closing edge whose ends lie in two trees
-    of the forest raises InternalInvariantError.
+    always qualify. Every closing edge of a spanning forest lies on a cycle
+    (a repeated id counts once: the copy of a forest edge is still a forest
+    edge), and a forest edge does exactly when the tree path of some
+    closing edge covers it, whichever forest is taken. Each path is walked
+    with path-halving jump pointers past the edges already marked, so every
+    forest edge is marked once (Tarjan's path covering), by the closing
+    edge kept for it in ``forest.cover``. Depths come in one pass over a
+    forest this call spans, and otherwise by climbing, for the vertices
+    the walks compare. ``forest`` must be a rooted forest of exactly
+    ``edge_ids``, which are then not range-checked; it is grown to span
+    every vertex. Without it one comes from ``root_forest``. A closing
+    edge joining two trees raises InternalInvariantError.
     """
     if forest is None:
         edge_ids = _check_edge_ids(g, edge_ids)
         forest = root_forest(g, edge_ids)
-    taken = forest.edges
+    spanned_now = len(forest.reached) < g.n
+    if spanned_now:
+        forest.grow()
+    taken = set(forest.via)
     closing = [e for e in edge_ids if e not in taken]
+    forest.cover = cover = {}
     if not closing:
         return frozenset()
     edges, above, via = g.edges, forest.above, forest.via
     depth = [-1] * g.n
+    if spanned_now:  # the search reached every parent before its children
+        for z in forest.reached:
+            depth[z] = 0 if above[z] == z else depth[above[z]] + 1
     up = list(range(g.n))  # the highest vertex a vertex reaches over marked edges
-    marked = []
     for e in closing:
         a, b = edges[e]
         while True:
@@ -257,19 +264,50 @@ def cycle_edges(
                 up[b] = b = up[up[b]]
             if a == b:
                 break
+            if depth[a] < 0 or depth[b] < 0:  # climb to a known depth or a root
+                for x in (a, b):
+                    climbed = []
+                    for _ in above:
+                        if depth[x] >= 0 or above[x] == x:
+                            break
+                        climbed.append(x)
+                        x = above[x]
+                    else:
+                        raise InternalInvariantError("the forest's parent links form a cycle")
+                    d = depth[x] = max(depth[x], 0)  # a root's depth is 0
+                    for y in reversed(climbed):
+                        d += 1
+                        depth[y] = d
             da, db = depth[a], depth[b]
-            if da < 0:
-                da = _depth(above, depth, a)
-            if db < 0:
-                db = _depth(above, depth, b)
             if da < db:
                 a, b, da = b, a, db
             if da == 0:
                 raise InternalInvariantError(f"closing edge {e} joins two trees of the forest")
             # a lies below the path's top, so its parent edge is on the path
-            marked.append(via[a])
+            cover[via[a]] = e
             up[a] = above[a]
-    return frozenset(closing + marked)
+    return frozenset([*closing, *cover])
+
+
+def _meeting_point(above: list[VertexId], u: VertexId, v: VertexId) -> VertexId:
+    """The first vertex that ``u`` and ``v``, climbing parent links in turn, both
+    reach; once one climb is at its root, the other climbs alone."""
+    tips, climbed, s, alone = [u, v], ({u}, {v}), 0, False
+    while True:
+        x = tips[s]
+        if above[x] == x:
+            if alone:
+                raise NoCycleError("endpoints are not connected in the tree edges")
+            s, alone = 1 - s, True
+            continue
+        x = tips[s] = above[x]
+        if x in climbed[1 - s]:
+            return x
+        if x in climbed[s]:
+            raise NoCycleError("the forest's parent links form a cycle")
+        climbed[s].add(x)
+        if not alone:
+            s = 1 - s
 
 
 def fundamental_cycle(
@@ -283,51 +321,48 @@ def fundamental_cycle(
 
     ``tree_edge_ids`` must be acyclic and must connect the endpoints of
     ``e``; ``e`` itself must be a non-loop edge outside the set. The result
-    lists the tree path from one endpoint of ``e`` to the other, then ``e``.
-    The two ends climb parent links in turn until one reaches a vertex the
-    other has climbed, so the work is the length of the path. ``forest``
-    must be a rooted spanning forest of exactly ``tree_edge_ids``, which
-    are then not read; without it one is rooted by ``root_forest``.
+    lists the tree path from ``u`` to ``v``, the ends of ``e``, then ``e``.
+    The forest is grown until it reaches both ends of ``e``, which then
+    climb parent links in turn until they meet; when ``u`` roots the tree,
+    as after a search that began there, ``v`` climbs to it alone.
+    ``forest`` must be a rooted forest of exactly ``tree_edge_ids``, which
+    are then not read; without it one comes from ``root_forest``, and its
+    search runs from ``u`` until it reaches ``v``.
 
     Raises NoCycleError when the endpoints are not connected in the tree
     edges (both climbs reach a root) or the forest's parent links form a
     cycle, and ValueError on the other precondition violations.
     """
-    if forest is None:
-        forest = root_forest(g, _check_edge_ids(g, tree_edge_ids))
-    if e in forest.edges:
-        raise ValueError("edge already belongs to the tree edge set")
     if not 0 <= e < g.m:
         raise ValueError("edge id out of range")
     u, v = g.edges[e]
     if u == v:
         raise ValueError("a loop has no fundamental cycle through a tree")
-
+    if forest is None:
+        forest = root_forest(g, _check_edge_ids(g, tree_edge_ids))
     above, via = forest.above, forest.via
-    side = {u: 0, v: 1}  # each climbed vertex -> the end it was climbed from
-    tips = [u, v]
-    s = 0
-    while True:
-        x = tips[s]
-        up = above[x]
-        if up != x:
-            reached = side.get(up)
-            if reached is None:
-                side[up] = s
-                tips[s] = up
-            elif reached != s:
-                break
-            else:
-                raise NoCycleError("the forest's parent links form a cycle")
-        elif above[tips[1 - s]] == tips[1 - s]:
-            raise NoCycleError("endpoints are not connected in the tree edges")
-        s = 1 - s
-
-    meet = up
-    head: list[EdgeId] = []
+    if above[u] < 0 or above[v] < 0:
+        forest.grow(u, v)
+    if via[u] == e or via[v] == e:  # a tree edge between reached ends is a forest edge
+        raise ValueError("edge already belongs to the tree edge set")
+    meet = u if above[u] == u else _meeting_point(above, u, v)
+    path: list[EdgeId] = []
+    x = u
+    while x != meet:
+        path.append(via[x])
+        x = above[x]
     tail: list[EdgeId] = []
-    for x, out in ((u, head), (v, tail)):
-        while x != meet:
-            out.append(via[x])
-            x = above[x]
-    return (*head, *reversed(tail), e)
+    x = v
+    for _ in above:
+        if x == meet:
+            break
+        if above[x] == x:
+            raise NoCycleError("endpoints are not connected in the tree edges")
+        tail.append(via[x])
+        x = above[x]
+    else:
+        raise NoCycleError("the forest's parent links form a cycle")
+    tail.reverse()
+    path += tail
+    path.append(e)
+    return tuple(path)

@@ -29,7 +29,6 @@ from .multigraph import (
     InternalInvariantError,
     MultiGraph,
     RootedForest,
-    VertexId,
     _union_within,
     components,
     cycle_edges,
@@ -145,12 +144,16 @@ def _least_by_level(ids: Iterable[EdgeId], levels: LevelMap) -> EdgeId | None:
 
 
 def _exchange_from(
-    g: MultiGraph, t: KPartition, seq: PartitionSequence, rooted: _StageForests
+    g: MultiGraph, t: KPartition, seq: PartitionSequence, forests: dict[int, RootedForest]
 ) -> tuple[KPartition, ExchangeTrace]:
+    """The exchange ``exchange_step`` describes. ``forests`` holds the stage's
+    forests by color; one a color lacks is rooted and kept there."""
     k = t.k
     levels = edge_levels(g, t, seq)
     rest = t.edges_of_color(k)
-    e = _least_by_level(cycle_edges(g, rest, forest=rooted.of(k, rest)), levels)
+    if k not in forests:
+        forests[k] = root_forest(g, rest)
+    e = _least_by_level(cycle_edges(g, rest, forest=forests[k]), levels)
     if e is None or levels[e] == INFINITE_LEVEL:
         raise InternalInvariantError("no finite-level cycle edge in the remainder")
     m = int(levels[e])
@@ -166,7 +169,9 @@ def _exchange_from(
         raise InternalInvariantError(f"splitter at the selected level is {c_m}, not a tree color")
 
     tree = t.edges_of_color(c_m)
-    cycle = fundamental_cycle(g, tree, e, forest=rooted.of(c_m, tree))
+    if c_m not in forests:
+        forests[c_m] = root_forest(g, tree)
+    cycle = fundamental_cycle(g, tree, e, forest=forests[c_m])
     e_prime = _least_by_level(cycle, levels)
     if levels[e_prime] == INFINITE_LEVEL or levels[e_prime] >= m:
         raise InternalInvariantError("fundamental cycle has no edge below the selected level")
@@ -195,39 +200,7 @@ def _exchange_from(
         j=j,
         class_q=class_q,
     )
-    rooted.exchanged(trace)
     return after, trace
-
-
-class _StageForests:
-    """A stage's rooted forests by color, each rooted by ``root_forest`` on first use.
-
-    An exchange changes the remainder's forest and that of its tree color
-    ``c_m``. Each is patched for it when it is next read, so the patches
-    of a forest the stage does not read again are never made.
-    """
-
-    def __init__(self, g: MultiGraph, k: int) -> None:
-        self.g, self.k = g, k
-        self.by_color: dict[int, RootedForest] = {}
-        self.unpatched: dict[int, ExchangeTrace] = {}  # color -> the exchange that changed it
-
-    def of(self, color: int, ids: tuple[EdgeId, ...]) -> RootedForest:
-        """The forest of ``color``, whose edges are now ``ids``."""
-        forest = self.by_color.get(color)
-        if forest is None:
-            forest = self.by_color[color] = root_forest(self.g, ids)
-        elif color in self.unpatched:
-            last = self.unpatched.pop(color)
-            if color == self.k:
-                _relink_remainder(self.g, forest, ids, last.e, last.e_prime)
-            else:
-                _relink_tree(self.g, forest, last.cycle, last.e_prime)
-        return forest
-
-    def exchanged(self, trace: ExchangeTrace) -> None:
-        """Record that ``trace`` changed the remainder and its tree color."""
-        self.unpatched[self.k] = self.unpatched[trace.c_m] = trace
 
 
 def _relink_tree(
@@ -236,10 +209,11 @@ def _relink_tree(
     """Cut ``e_prime`` from a rooted tree and link ``e = cycle[-1]`` in its place.
 
     ``cycle`` runs from ``u`` to ``v`` along the tree, then ``e = (u, v)``.
-    ``e_prime`` is the parent edge of one of its ends; if that end is on
-    ``u``'s part of the path, the cut detaches ``u``'s side, which is
-    re-hung from ``v`` by reversing the path from ``u`` up to the cut, and
-    otherwise ``v``'s side is re-hung from ``u``.
+    If the lower end of ``e_prime`` is on ``u``'s part of the path, the
+    cut detaches ``u``'s side, re-hung from ``v`` by reversing the path
+    from ``u`` up to the cut; otherwise ``v``'s side is re-hung from ``u``.
+    The tree may be partly grown: the cycle's vertices are reached, so no
+    edge its growth has yet to take changes.
     """
     edges = g.edges
     e = cycle[-1]
@@ -253,54 +227,41 @@ def _relink_tree(
         tree.hang(walk[: i + 1], v, e)
     else:
         tree.hang(walk[:i:-1], u, e)
-    tree.edges.remove(e_prime)
-    tree.edges.add(e)
 
 
-def _relink_remainder(
-    g: MultiGraph, forest: RootedForest, rest: tuple[EdgeId, ...], e: EdgeId, e_prime: EdgeId
-) -> None:
-    """Patch the remainder's forest after ``e`` left it and ``e_prime = (x, y)`` joined.
+def _relink_remainder(g: MultiGraph, forest: RootedForest, e: EdgeId, e_prime: EdgeId) -> None:
+    """Patch the remainder's spanned forest after ``e`` left it and ``e_prime = (x, y)`` joined.
 
-    ``rest`` is the remainder after the exchange. ``e_prime`` links two
-    trees, re-rooting ``x``'s at ``x`` and hanging it from ``y``, or is a
-    closing edge. Cutting a forest edge ``e`` detaches a side; ``e`` lay on
-    a cycle, so some closing edge of ``rest`` joins that side back to its
-    tree, and the first such edge is hung in ``e``'s place.
+    ``e_prime`` links two trees, re-rooting ``x``'s at ``x`` under ``y``,
+    or is a closing edge. Cutting a forest edge ``e`` detaches the side
+    below it, and a closing edge with one end on each side is hung in its
+    place (a replacement edge): the one ``forest.cover`` holds for ``e``
+    from ``cycle_edges`` on this forest before the exchange, or else
+    ``e_prime``.
     """
-    edges, taken = g.edges, forest.edges
+    edges, above, via = g.edges, forest.above, forest.via
     x, y = edges[e_prime]
     path = forest.climb(x)
     if path[-1] != forest.climb(y)[-1]:
         forest.hang(path, y, e_prime)
-        taken.add(e_prime)
-    if e not in taken:
-        return
     a, b = edges[e]
-    cut = a if forest.via[a] == e else b
-    forest.above[cut], forest.via[cut] = cut, -1
-    taken.remove(e)
-    detached = {cut: True}  # whether a climbed vertex lies below the cut
-    for f in rest:
-        if f not in taken:
-            p, q = edges[f]
-            if _detached(forest, detached, p) != _detached(forest, detached, q):
-                if detached[q]:
-                    p, q = q, p
-                forest.hang(forest.climb(p), q, f)
-                taken.add(f)
-                return
+    cut = a if via[a] == e else b if via[b] == e else -1
+    if cut < 0:  # a closing edge
+        return
+    above[cut], via[cut] = cut, -1
+    for f in (forest.cover.get(e), e_prime):
+        if f is None:
+            continue
+        p, q = edges[f]
+        if via[p] == f or via[q] == f:  # a forest edge, not a closing one
+            continue
+        below, other = forest.climb(p), forest.climb(q)
+        if (below[-1] == cut) != (other[-1] == cut):
+            if other[-1] == cut:
+                below, q = other, p
+            forest.hang(below, q, f)
+            return
     raise InternalInvariantError(f"remainder forest edge {e} has no replacement")
-
-
-def _detached(forest: RootedForest, known: dict[VertexId, bool], x: VertexId) -> bool:
-    """Whether ``x`` lies below the cut, the one root ``known`` holds as True;
-    every vertex climbed joins ``known``, so a search climbs each vertex once."""
-    path = forest.climb(x, known)
-    below = known.get(path[-1], False)
-    for y in path:
-        known[y] = below
-    return below
 
 
 def exchange_step(g: MultiGraph, t: KPartition) -> tuple[KPartition, ExchangeTrace]:
@@ -312,7 +273,7 @@ def exchange_step(g: MultiGraph, t: KPartition) -> tuple[KPartition, ExchangeTra
     the remainder. Requires that ``density_check`` returned None for the
     same coloring.
     """
-    return _exchange_from(g, t, build_sequence(g, t), _StageForests(g, t.k))
+    return _exchange_from(g, t, build_sequence(g, t), {})
 
 
 def run_stage(
@@ -334,7 +295,9 @@ def run_stage(
     keeps them trees (``e`` enters ``c_m``, ``e'`` leaves the cycle ``e``
     closes there), so each sequence build takes them as forests unchecked.
     The remainder, and each tree color an exchange uses, is rooted once
-    per stage and patched for each exchange when next read (``_StageForests``).
+    per stage, and both forests an exchange changed are patched just before
+    the next exchange: the remainder's ``cover`` is then still the one its
+    ``cycle_edges`` call left, and a stage's last exchange patches nothing.
     """
     tree_sets = [frozenset(tree) for tree in trees]
     rest_set = frozenset(rest)
@@ -350,7 +313,8 @@ def run_stage(
             raise InternalInvariantError(f"color {c} is not a spanning tree")
 
     exchanges = 0
-    rooted = _StageForests(g, colors)
+    forests: dict[int, RootedForest] = {}
+    last = None
     while True:
         seq = build_sequence(g, t, forests=range(1, colors))
         if not seq.steps:
@@ -361,12 +325,15 @@ def run_stage(
             return StageOutcome(None, None, certificate, exchanges)
         if exchanges >= cap:
             raise InternalInvariantError(f"exchange cap {cap} exceeded")
-        after, trace = _exchange_from(g, t, seq, rooted)
+        if last is not None:
+            _relink_remainder(g, forests[colors], last.e, last.e_prime)
+            _relink_tree(g, forests[last.c_m], last.cycle, last.e_prime)
+        after, last = _exchange_from(g, t, seq, forests)
         exchanges += 1
         if on_exchange is not None:
             on_exchange(
                 ExchangeEvent(
-                    colors=colors, before=t, after=after, sequence=seq, trace=trace
+                    colors=colors, before=t, after=after, sequence=seq, trace=last
                 )
             )
         t = after

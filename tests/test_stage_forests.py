@@ -1,10 +1,10 @@
 """The stage's rooted forests against the per-call kernels.
 
-``run_stage`` roots the remainder, and each tree color an exchange uses,
-once per stage, and patches those forests for the edges each exchange
-moves. Here every forest call of a stage is held to the per-call result,
-each patch is checked on its own, and a corrupt forest must fail loudly
-instead of looping.
+``run_stage`` keeps a forest for the remainder, and for each tree color an
+exchange uses, each grown by its first call's own search, and patches
+them for the edges each exchange moves. Here every forest call of a stage
+is held to the per-call result, each patch is checked on its own, and a
+corrupt forest must fail loudly instead of looping.
 """
 
 from __future__ import annotations
@@ -34,19 +34,32 @@ from graphs import _shuffle, complete_graph, hypercube, union_of_spanning_trees
 
 
 def _assert_rooted(g: MultiGraph, forest: RootedForest, ids) -> None:
-    """``forest`` is a rooted spanning forest of exactly the edge set ``ids``."""
+    """``forest`` is a rooted forest of the edge set ``ids``, spanning every
+    vertex its search has reached, and all of them once it has reached all."""
     ids = set(ids)
-    assert forest.edges <= ids
-    assert forest.edges == set(forest.via) - {-1}
-    for v in range(g.n):
+    reached = [v for v in range(g.n) if forest.above[v] >= 0]
+    assert sorted(forest.reached) == reached
+    taken = _forest_edges(forest)
+    assert taken <= ids
+    assert len(taken) == sum(forest.via[v] >= 0 for v in reached)
+    for v in reached:
         up, e = forest.above[v], forest.via[v]
         if up == v:
             assert e == -1
         else:
             assert sorted(g.edges[e]) == sorted((v, up)), (v, e)
         forest.climb(v)  # raises if the parent links form a cycle
-    assert sum(forest.above[v] != v for v in range(g.n)) == len(forest.edges)
-    assert len(forest.edges) == g.n - components(g, ids).num_classes
+    assert sum(forest.above[v] != v for v in reached) == len(taken)
+    if len(reached) < g.n:  # a spanned forest has dropped its adjacency
+        for v in forest.reached[: forest.expanded]:
+            for w, e in forest.adjacency[v]:
+                assert forest.above[w] >= 0, "an expanded vertex has a neighbour not reached"
+    if len(reached) == g.n:
+        assert len(taken) == g.n - components(g, ids).num_classes
+
+
+def _forest_edges(forest: RootedForest) -> set[int]:
+    return set(forest.via) - {-1}
 
 
 @pytest.fixture
@@ -58,6 +71,8 @@ def checked_kernels(monkeypatch):
         assert forest is not None, "the stage called cycle_edges without its forest"
         _assert_rooted(g, forest, ids)
         got = cycle_edges(g, ids, forest=forest)
+        _assert_rooted(g, forest, ids)
+        assert len(forest.reached) == g.n
         assert got == cycle_edges(g, ids)
         calls["cycle_edges"] += 1
         return got
@@ -66,6 +81,7 @@ def checked_kernels(monkeypatch):
         assert forest is not None, "the stage called fundamental_cycle without its forest"
         _assert_rooted(g, forest, tree_ids)
         got = fundamental_cycle(g, tree_ids, e, forest=forest)
+        _assert_rooted(g, forest, tree_ids)
         assert got == fundamental_cycle(g, tree_ids, e)
         calls["fundamental_cycle"] += 1
         return got
@@ -155,51 +171,81 @@ def test_each_stage_roots_each_color_it_uses_once(monkeypatch):
     assert sum(s["rootings"] for s in stages) >= 2
 
 
+def test_fundamental_cycle_grows_the_search_only_as_far_as_it_needs():
+    # A path 0-1-2-3-4-5 and e = (0, 2): the search from 0 stops once it
+    # reaches 2, and e = (3, 5) grows it further.
+    g = MultiGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2), (3, 5)))
+    tree = root_forest(g, range(5))
+    assert fundamental_cycle(g, range(5), 5, forest=tree) == (0, 1, 5)
+    assert set(tree.reached) == {0, 1, 2}
+    assert fundamental_cycle(g, range(5), 6, forest=tree) == (3, 4, 6)
+    assert set(tree.reached) == set(range(6))
+    _assert_rooted(g, tree, range(5))
+
+
+def test_tree_patch_on_a_partly_grown_tree():
+    # The search from 0 reaches only {0, 1, 2} for e = (0, 2); cutting
+    # e' = (1, 2) re-hangs 2 from 0, and a later call grows the rest.
+    g = MultiGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2), (3, 5)))
+    tree = root_forest(g, range(5))
+    cycle = fundamental_cycle(g, range(5), 5, forest=tree)
+    _relink_tree(g, tree, cycle, 1)
+    after = [0, 2, 3, 4, 5]
+    _assert_rooted(g, tree, after)
+    assert set(tree.reached) == {0, 1, 2}
+    assert fundamental_cycle(g, after, 6, forest=tree) == fundamental_cycle(g, after, 6)
+    _assert_rooted(g, tree, after)
+    assert set(tree.reached) == set(range(6))
+
+
 # Each patch on its own -------------------------------------------------------
 
 def _patched_remainder(edges, before, e, e_prime):
-    """Root ``before``, move ``e`` out and ``e_prime`` in, and check the patch."""
+    """Span ``before`` by ``cycle_edges``, as a stage does before its exchange,
+    move ``e`` out and ``e_prime`` in, and check the patch."""
     g = MultiGraph(1 + max(max(pair) for pair in edges), tuple(edges))
     forest = root_forest(g, before)
+    cycle_edges(g, before, forest=forest)
     after = tuple(sorted(set(before) - {e} | {e_prime}))
-    _relink_remainder(g, forest, after, e, e_prime)
+    _relink_remainder(g, forest, e, e_prime)
     _assert_rooted(g, forest, after)
     assert cycle_edges(g, after, forest=forest) == cycle_edges(g, after)
     return forest
 
 
 def test_remainder_patch_when_e_prime_is_the_only_replacement():
-    # 0 -e- 1 -f- 2 with e a forest edge and a bridge: only e' = (2, 0) rejoins 1.
+    # 0 -e- 1 -f- 2 with e a forest edge and a bridge, so no closing edge
+    # covers it: only e' = (2, 0) rejoins 1.
     forest = _patched_remainder([(0, 1), (1, 2), (2, 0)], [0, 1], e=0, e_prime=2)
-    assert forest.edges == {1, 2}
+    assert _forest_edges(forest) == {1, 2}
 
 
 def test_remainder_patch_when_e_prime_joins_two_trees():
     # {0, 1} with a parallel pair and the lone vertex 2; e' = (1, 2) links them.
     forest = _patched_remainder([(0, 1), (0, 1), (1, 2)], [0, 1], e=0, e_prime=2)
-    assert forest.edges == {1, 2}
+    assert _forest_edges(forest) == {1, 2}
 
 
 def test_remainder_patch_when_e_prime_closes_a_cycle():
     # A path 0-1-2-3 plus a chord; e' = (3, 0) joins vertices of one tree.
     edges = [(0, 1), (1, 2), (2, 3), (1, 3), (3, 0)]
     forest = _patched_remainder(edges, [0, 1, 2, 3], e=3, e_prime=4)
-    assert 4 not in forest.edges and len(forest.edges) == 3
+    assert 4 not in _forest_edges(forest) and len(_forest_edges(forest)) == 3
 
 
 def test_remainder_patch_passes_over_a_loop():
     # e' = (0, 3) links vertex 3. Cutting e = (0, 1) detaches {1}; the loop
-    # at 1 comes first in id order but joins nothing, so (1, 2) replaces e.
+    # at 1 comes first in id order but covers nothing, so (1, 2) replaces e.
     edges = [(0, 1), (1, 1), (1, 2), (2, 0), (0, 3)]
     forest = _patched_remainder(edges, [0, 1, 2, 3], e=0, e_prime=4)
-    assert forest.edges == {2, 3, 4}
+    assert _forest_edges(forest) == {2, 3, 4}
 
 
 def test_remainder_patch_takes_a_parallel_copy():
     # e' = (2, 3) links vertex 3; the parallel copy of e = (0, 1) replaces it.
     edges = [(0, 1), (1, 2), (0, 1), (2, 3)]
     forest = _patched_remainder(edges, [0, 1, 2], e=0, e_prime=3)
-    assert forest.edges == {1, 2, 3}
+    assert _forest_edges(forest) == {1, 2, 3}
 
 
 @pytest.mark.parametrize("e", [4, 5])
@@ -210,6 +256,7 @@ def test_tree_patch_on_either_side_of_the_cycle(e, e_prime):
     # detaches v's side, and with its reversed copy (4, 1) u's side.
     g = MultiGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (4, 1)))
     tree = root_forest(g, range(4))
+    tree.grow()
     cycle = fundamental_cycle(g, range(4), e, forest=tree)
     _relink_tree(g, tree, cycle, e_prime)
     after = sorted(set(range(4)) - {e_prime} | {e})
@@ -239,26 +286,31 @@ def _deadline(seconds: int = 2):
 PATH = MultiGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
 
 
+def _forged(above, via) -> RootedForest:
+    """A forest whose search has reached and expanded every vertex."""
+    return RootedForest(above, via, reached=list(range(len(above))), expanded=len(above))
+
+
 def test_fundamental_cycle_climbs_that_reach_two_roots_raise():
-    split = RootedForest([0, 0, 2, 2], [-1, 0, -1, 2], {0, 2})  # 1 lost its parent
+    split = _forged([0, 0, 2, 2], [-1, 0, -1, 2])  # 1 lost its parent
     with _deadline(), pytest.raises(NoCycleError, match="not connected"):
         fundamental_cycle(PATH, range(3), 3, forest=split)
 
 
 def test_fundamental_cycle_on_cyclic_parent_links_raises():
-    looped = RootedForest([1, 0, 1, 2], [0, 0, 1, 2], {0, 1, 2})
+    looped = _forged([1, 0, 1, 2], [0, 0, 1, 2])
     with _deadline(), pytest.raises(NoCycleError, match="form a cycle"):
         fundamental_cycle(PATH, range(3), 3, forest=looped)
 
 
 def test_cycle_edges_climbs_that_reach_two_roots_raise():
-    split = RootedForest([0, 0, 2, 2], [-1, 0, -1, 2], {0, 2})
+    split = _forged([0, 0, 2, 2], [-1, 0, -1, 2])
     with _deadline(), pytest.raises(InternalInvariantError, match="joins two trees"):
         cycle_edges(PATH, range(4), forest=split)
 
 
 def test_cycle_edges_on_cyclic_parent_links_raises():
-    looped = RootedForest([1, 0, 1, 2], [0, 0, 1, 2], {0, 1, 2})
+    looped = _forged([1, 0, 1, 2], [0, 0, 1, 2])
     with _deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
         cycle_edges(PATH, range(4), forest=looped)
 
@@ -266,9 +318,18 @@ def test_cycle_edges_on_cyclic_parent_links_raises():
 def test_remainder_forest_edge_without_a_replacement_raises():
     # In the path 0-1-2, e = (1, 2) is a bridge, and e' = (2, 3) only links 3.
     forest = root_forest(PATH, [0, 1])
+    cycle_edges(PATH, [0, 1], forest=forest)
     with _deadline(), pytest.raises(InternalInvariantError, match="no replacement"):
-        _relink_remainder(PATH, forest, (0, 2), 1, 2)
+        _relink_remainder(PATH, forest, 1, 2)
+    # Nor does a forged cover: in 0-1=2 with a parallel pair, the copy of
+    # (1, 2) has both ends on the side that cutting the bridge (0, 1) detaches.
+    g = MultiGraph(4, ((0, 1), (1, 2), (1, 2), (2, 3)))
+    forest = root_forest(g, [0, 1, 2])
+    cycle_edges(g, [0, 1, 2], forest=forest)
+    forest.cover[0] = 2
+    with _deadline(), pytest.raises(InternalInvariantError, match="no replacement"):
+        _relink_remainder(g, forest, 0, 3)
     # Nor does a forged closing edge that forms a cycle with the parent links.
-    looped = RootedForest([1, 0, 1, 2], [0, 0, 1, 2], {0, 1, 2})
+    looped = _forged([1, 0, 1, 2], [0, 0, 1, 2])
     with _deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
-        _relink_remainder(PATH, looped, (0, 1, 3), 2, 3)
+        _relink_remainder(PATH, looped, 2, 3)
