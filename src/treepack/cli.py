@@ -443,6 +443,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: input too large to hold in memory", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except OverflowError as exc:
+        print(f"error: input too large: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ it is recolored downstream, so edge sets are always sets of ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .partition import Partition
 
@@ -142,56 +142,34 @@ def _canonical_labels(parent: list[int]) -> list[int]:
 
 @dataclass(eq=False, slots=True)
 class RootedForest:
-    """A rooted spanning forest of an edge set, grown on demand and patched in place.
+    """A rooted spanning forest of an edge set, patched in place.
 
-    ``above[v]`` is ``v``'s parent (``v`` at a root, ``-1`` until reached)
-    and ``via[v]`` the forest edge to it (``-1`` at a root); the set's other
-    ids are closing edges. A breadth-first search over ``adjacency`` grows
-    it: ``reached`` lists the vertices in the order reached, the first
-    ``expanded`` of them with every neighbour reached. ``cover`` maps each
-    forest edge the last ``cycle_edges`` call found on a cycle to the
-    closing edge whose path covered it. No depths are kept, since
-    re-hanging a subtree changes them all.
+    ``above[v]`` is ``v``'s parent (``v`` at a root) and ``via[v]`` the
+    forest edge to it (``-1`` at a root); the set's other ids are closing
+    edges. ``cover`` maps each forest edge the last ``cycle_edges`` call
+    found on a cycle to the closing edge whose path covered it. No depths
+    are kept, since re-hanging a subtree changes them all.
     """
 
     above: list[VertexId]
     via: list[EdgeId]
-    adjacency: list[list[tuple[VertexId, EdgeId]]] = field(default_factory=list)
-    reached: list[VertexId] = field(default_factory=list)
-    expanded: int = 0
     cover: dict[EdgeId, EdgeId] = field(default_factory=dict)
 
-    def grow(self, x: VertexId = -1, y: VertexId | None = None) -> None:
-        """Grow the search until it reaches ``x`` and ``y`` (default ``x``),
-        or every vertex when ``x`` is -1. Each time it runs out first, the
-        first of them not reached, or the least vertex not reached, roots a
-        new tree."""
-        above, via, adjacency, queue = self.above, self.via, self.adjacency, self.reached
-        y, i, n = x if y is None else y, self.expanded, len(above)
-        while (above[x] < 0 or above[y] < 0) if x >= 0 else len(queue) < n:
-            if i == len(queue):
-                root = (x if above[x] < 0 else y) if x >= 0 else above.index(-1)
-                above[root] = root
-                queue.append(root)
-                continue
-            z = queue[i]
-            i += 1
-            for w, e in adjacency[z]:
-                if above[w] < 0:
-                    above[w], via[w] = z, e
-                    queue.append(w)
-        self.expanded = i
-        if len(queue) == n:
-            self.adjacency = []  # every vertex is reached: no search needs it again
+    def climb(self, x: VertexId, stop: Container[VertexId] = ()) -> list[VertexId]:
+        """The vertices from ``x`` up to the first one in ``stop``, or to its root.
 
-    def climb(self, x: VertexId) -> list[VertexId]:
-        """The vertices from ``x`` up to its root."""
+        This is the only walk over parent links, so the only place that
+        checks them: links that form a cycle raise InternalInvariantError.
+        """
         above, path = self.above, [x]
         for _ in above:
-            if above[x] == x:
+            if x in stop:
                 return path
-            x = above[x]
-            path.append(x)
+            up = above[x]
+            if up == x:
+                return path
+            path.append(up)
+            x = up
         raise InternalInvariantError("the forest's parent links form a cycle")
 
     def hang(self, path: list[VertexId], parent: VertexId, edge: EdgeId) -> None:
@@ -204,11 +182,11 @@ class RootedForest:
 
 
 def root_forest(g: MultiGraph, ids: Iterable[EdgeId]) -> RootedForest:
-    """A forest of ``(V, ids)`` that no search has grown yet.
+    """A rooted spanning forest of ``(V, ids)``, by breadth-first search.
 
-    Its adjacency lists every id, so the searches of ``grow`` take the
-    edges that reach a new vertex and leave loops, parallel copies, chords
-    and repeated ids as closing edges.
+    Each tree is rooted at its least vertex. The search takes the edges
+    that reach a new vertex and leaves loops, parallel copies, chords and
+    repeated ids as closing edges.
     """
     n, edges = g.n, g.edges
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -216,7 +194,18 @@ def root_forest(g: MultiGraph, ids: Iterable[EdgeId]) -> RootedForest:
         a, b = edges[e]
         adjacency[a].append((b, e))
         adjacency[b].append((a, e))
-    return RootedForest([-1] * n, [-1] * n, adjacency, [], 0, {})
+    above, via = [-1] * n, [-1] * n
+    for root in range(n):
+        if above[root] >= 0:
+            continue
+        above[root] = root
+        queue = [root]
+        for z in queue:  # the loop reads the vertices appended while it runs
+            for w, e in adjacency[z]:
+                if above[w] < 0:
+                    above[w], via[w] = z, e
+                    queue.append(w)
+    return RootedForest(above, via)
 
 
 def cycle_edges(
@@ -231,32 +220,35 @@ def cycle_edges(
     closing edge covers it, whichever forest is taken. Each path is walked
     with path-halving jump pointers past the edges already marked, so every
     forest edge is marked once (Tarjan's path covering), by the closing
-    edge kept for it in ``forest.cover``. Depths come in one pass over a
-    forest this call spans, and otherwise by climbing, for the vertices
-    the walks compare. ``forest`` must be a rooted forest of exactly
-    ``edge_ids``, which are then not range-checked; it is grown to span
-    every vertex. Without it one comes from ``root_forest``. A closing
-    edge joining two trees raises InternalInvariantError.
+    edge kept for it in ``forest.cover``. The walks compare depths: each
+    vertex compared climbs to the first vertex whose depth is known, or to
+    its root, and the climb gives a depth to every vertex on it.
+    ``forest`` must be a rooted spanning forest of exactly ``edge_ids``,
+    which are then not range-checked; without it one comes from
+    ``root_forest``. A closing edge joining two trees raises
+    InternalInvariantError.
     """
     if forest is None:
         edge_ids = _check_edge_ids(g, edge_ids)
         forest = root_forest(g, edge_ids)
-    spanned_now = len(forest.reached) < g.n
-    if spanned_now:
-        forest.grow()
     taken = set(forest.via)
     closing = [e for e in edge_ids if e not in taken]
     forest.cover = cover = {}
     if not closing:
         return frozenset()
-    edges, above, via = g.edges, forest.above, forest.via
-    depth = [-1] * g.n
-    if spanned_now:  # the search reached every parent before its children
-        for z in forest.reached:
-            depth[z] = 0 if above[z] == z else depth[above[z]] + 1
+    edges, above, via, climb = g.edges, forest.above, forest.via, forest.climb
+    known: set[VertexId] = set()  # the vertices whose depth is set, with their ancestors
+    depth = [0] * g.n  # read for known vertices, and for roots, whose depth is 0
     up = list(range(g.n))  # the highest vertex a vertex reaches over marked edges
     for e in closing:
         a, b = edges[e]
+        for x in (a, b):  # then every vertex the walk meets, an ancestor, has a depth
+            if x not in known:
+                path = climb(x, known)
+                d = depth[path[-1]]
+                for y in reversed(path):
+                    depth[y], d = d, d + 1
+                known.update(path)
         while True:
             while up[a] != a:
                 up[a] = a = up[up[a]]
@@ -264,20 +256,6 @@ def cycle_edges(
                 up[b] = b = up[up[b]]
             if a == b:
                 break
-            if depth[a] < 0 or depth[b] < 0:  # climb to a known depth or a root
-                for x in (a, b):
-                    climbed = []
-                    for _ in above:
-                        if depth[x] >= 0 or above[x] == x:
-                            break
-                        climbed.append(x)
-                        x = above[x]
-                    else:
-                        raise InternalInvariantError("the forest's parent links form a cycle")
-                    d = depth[x] = max(depth[x], 0)  # a root's depth is 0
-                    for y in reversed(climbed):
-                        d += 1
-                        depth[y] = d
             da, db = depth[a], depth[b]
             if da < db:
                 a, b, da = b, a, db
@@ -287,27 +265,6 @@ def cycle_edges(
             cover[via[a]] = e
             up[a] = above[a]
     return frozenset([*closing, *cover])
-
-
-def _meeting_point(above: list[VertexId], u: VertexId, v: VertexId) -> VertexId:
-    """The first vertex that ``u`` and ``v``, climbing parent links in turn, both
-    reach; once one climb is at its root, the other climbs alone."""
-    tips, climbed, s, alone = [u, v], ({u}, {v}), 0, False
-    while True:
-        x = tips[s]
-        if above[x] == x:
-            if alone:
-                raise NoCycleError("endpoints are not connected in the tree edges")
-            s, alone = 1 - s, True
-            continue
-        x = tips[s] = above[x]
-        if x in climbed[1 - s]:
-            return x
-        if x in climbed[s]:
-            raise NoCycleError("the forest's parent links form a cycle")
-        climbed[s].add(x)
-        if not alone:
-            s = 1 - s
 
 
 def fundamental_cycle(
@@ -322,16 +279,15 @@ def fundamental_cycle(
     ``tree_edge_ids`` must be acyclic and must connect the endpoints of
     ``e``; ``e`` itself must be a non-loop edge outside the set. The result
     lists the tree path from ``u`` to ``v``, the ends of ``e``, then ``e``.
-    The forest is grown until it reaches both ends of ``e``, which then
-    climb parent links in turn until they meet; when ``u`` roots the tree,
-    as after a search that began there, ``v`` climbs to it alone.
-    ``forest`` must be a rooted forest of exactly ``tree_edge_ids``, which
-    are then not read; without it one comes from ``root_forest``, and its
-    search runs from ``u`` until it reaches ``v``.
+    ``u`` climbs parent links to its root, then ``v`` climbs until it meets
+    that climb. ``forest`` must be a rooted spanning forest of exactly
+    ``tree_edge_ids``, which are then not read; without it one comes from
+    ``root_forest``.
 
     Raises NoCycleError when the endpoints are not connected in the tree
-    edges (both climbs reach a root) or the forest's parent links form a
-    cycle, and ValueError on the other precondition violations.
+    edges (``v``'s climb reaches another root), InternalInvariantError
+    when the forest's parent links form a cycle, and ValueError on the
+    other precondition violations.
     """
     if not 0 <= e < g.m:
         raise ValueError("edge id out of range")
@@ -340,29 +296,16 @@ def fundamental_cycle(
         raise ValueError("a loop has no fundamental cycle through a tree")
     if forest is None:
         forest = root_forest(g, _check_edge_ids(g, tree_edge_ids))
-    above, via = forest.above, forest.via
-    if above[u] < 0 or above[v] < 0:
-        forest.grow(u, v)
-    if via[u] == e or via[v] == e:  # a tree edge between reached ends is a forest edge
+    via = forest.via
+    if via[u] == e or via[v] == e:  # a tree edge between spanned ends is a forest edge
         raise ValueError("edge already belongs to the tree edge set")
-    meet = u if above[u] == u else _meeting_point(above, u, v)
-    path: list[EdgeId] = []
-    x = u
-    while x != meet:
-        path.append(via[x])
-        x = above[x]
-    tail: list[EdgeId] = []
-    x = v
-    for _ in above:
-        if x == meet:
-            break
-        if above[x] == x:
-            raise NoCycleError("endpoints are not connected in the tree edges")
-        tail.append(via[x])
-        x = above[x]
-    else:
-        raise NoCycleError("the forest's parent links form a cycle")
-    tail.reverse()
-    path += tail
+    rise = forest.climb(u)
+    climbed = set(rise)
+    fall = forest.climb(v, climbed)
+    meet = fall.pop()
+    if meet not in climbed:
+        raise NoCycleError("endpoints are not connected in the tree edges")
+    path = [via[x] for x in rise[: rise.index(meet)]]
+    path += [via[x] for x in reversed(fall)]
     path.append(e)
     return tuple(path)

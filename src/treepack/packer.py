@@ -203,34 +203,27 @@ def _exchange_from(
     return after, trace
 
 
-def _relink_tree(
-    g: MultiGraph, tree: RootedForest, cycle: tuple[EdgeId, ...], e_prime: EdgeId
-) -> None:
-    """Cut ``e_prime`` from a rooted tree and link ``e = cycle[-1]`` in its place.
+def _relink_tree(g: MultiGraph, tree: RootedForest, e: EdgeId, e_prime: EdgeId) -> None:
+    """Cut ``e_prime`` from a rooted tree and link ``e = (u, v)`` in its place.
 
-    ``cycle`` runs from ``u`` to ``v`` along the tree, then ``e = (u, v)``.
-    If the lower end of ``e_prime`` is on ``u``'s part of the path, the
-    cut detaches ``u``'s side, re-hung from ``v`` by reversing the path
-    from ``u`` up to the cut; otherwise ``v``'s side is re-hung from ``u``.
-    The tree may be partly grown: the cycle's vertices are reached, so no
-    edge its growth has yet to take changes.
+    ``e_prime`` lies on the tree path from ``u`` to ``v``, so cutting it
+    detaches the side below its lower end, which holds ``u`` or ``v``. That
+    end of ``e`` climbs to the lower end of ``e_prime``, and the side is
+    re-hung from the other end of ``e`` by reversing the parent links along
+    the climb.
     """
-    edges = g.edges
-    e = cycle[-1]
-    u, v = edges[e]
-    walk = [u]  # the path's vertices, from u to v
-    for f in cycle[:-1]:
-        a, b = edges[f]
-        walk.append(b if walk[-1] == a else a)
-    i = cycle.index(e_prime)
-    if tree.via[walk[i]] == e_prime:
-        tree.hang(walk[: i + 1], v, e)
+    u, v = g.edges[e]
+    x, y = g.edges[e_prime]
+    low = x if tree.via[x] == e_prime else y
+    path = tree.climb(u, (low,))
+    if path[-1] == low:
+        tree.hang(path, v, e)
     else:
-        tree.hang(walk[:i:-1], u, e)
+        tree.hang(tree.climb(v, (low,)), u, e)
 
 
 def _relink_remainder(g: MultiGraph, forest: RootedForest, e: EdgeId, e_prime: EdgeId) -> None:
-    """Patch the remainder's spanned forest after ``e`` left it and ``e_prime = (x, y)`` joined.
+    """Patch the remainder's forest after ``e`` left it and ``e_prime = (x, y)`` joined.
 
     ``e_prime`` links two trees, re-rooting ``x``'s at ``x`` under ``y``,
     or is a closing edge. Cutting a forest edge ``e`` detaches the side
@@ -294,9 +287,10 @@ def run_stage(
     Before its first exchange a stage checks each tree once: an exchange
     keeps them trees (``e`` enters ``c_m``, ``e'`` leaves the cycle ``e``
     closes there), so each sequence build takes them as forests unchecked.
-    The remainder, and each tree color an exchange uses, is rooted once
-    per stage, and both forests an exchange changed are patched just before
-    the next exchange: the remainder's ``cover`` is then still the one its
+    The remainder, and each tree color an exchange uses, is rooted by one
+    search at its first use in the stage, and both forests an exchange
+    changed are patched just before the next exchange (the tree by one
+    climb): the remainder's ``cover`` is then still the one its
     ``cycle_edges`` call left, and a stage's last exchange patches nothing.
     """
     tree_sets = [frozenset(tree) for tree in trees]
@@ -327,7 +321,7 @@ def run_stage(
             raise InternalInvariantError(f"exchange cap {cap} exceeded")
         if last is not None:
             _relink_remainder(g, forests[colors], last.e, last.e_prime)
-            _relink_tree(g, forests[last.c_m], last.cycle, last.e_prime)
+            _relink_tree(g, forests[last.c_m], last.e, last.e_prime)
         after, last = _exchange_from(g, t, seq, forests)
         exchanges += 1
         if on_exchange is not None:
@@ -396,7 +390,8 @@ def pack(
     single-vertex graphs succeed vacuously. Loops can never enter a tree
     and simply stay in the remainder. Every stage gets the exchange cap
     ``cap``, by default ``max(1, k * n * m)``; a negative cap is a
-    ValueError.
+    ValueError. At most ``m // (n - 1) + 1`` stages run, whatever ``k``:
+    a certificate is guaranteed by then (see ``stp_number``).
     """
     if type(k) is not int or k < 0:
         raise ValueError("k must be a nonnegative integer")
@@ -409,9 +404,12 @@ def pack(
     if g.n == 1:
         return PackResult(k=k, trees=(frozenset(),) * k, certificate=None, exchanges=0)
     limit = cap if cap is not None else max(1, k * g.n * g.m)
+    ceiling = g.m // (g.n - 1) + 1
     last, exchanges = StageOutcome((), None, None, 0), 0
-    for last in islice(_stages(g, limit, seedtree_order, on_exchange), k):
+    for last in islice(_stages(g, limit, seedtree_order, on_exchange), min(k, ceiling)):
         exchanges += last.exchanges
+    if k > ceiling and last.certificate is None:
+        raise InternalInvariantError("no certificate at the arithmetic ceiling")
     return PackResult(k=k, trees=last.trees, certificate=last.certificate, exchanges=exchanges)
 
 

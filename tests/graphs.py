@@ -1,4 +1,4 @@
-"""Instance builders shared across the test suite.
+"""Instance builders, and the exchange's prefix check, shared across the test suite.
 
 Random instances are drawn from the package's own SplitMix64 generator so
 every test run sees exactly the same corpus.
@@ -6,7 +6,7 @@ every test run sees exactly the same corpus.
 
 from __future__ import annotations
 
-from treepack import KPartition, MultiGraph
+from treepack import ExchangeEvent, KPartition, MultiGraph, build_sequence
 from treepack.generate import SplitMix64
 from treepack.multigraph import NoCycleError, _union_within, fundamental_cycle
 
@@ -189,3 +189,16 @@ def broken_tree_coloring(seed: int, g: MultiGraph, k: int) -> KPartition | None:
 def random_partition_labels(seed: int, n: int) -> list[int]:
     rng = SplitMix64(seed)
     return [rng.below(n) for _ in range(n)]
+
+
+def prefix_violations(g: MultiGraph, event: ExchangeEvent, where: str) -> list[str]:
+    """What breaks the prefix property of one exchange: the sequences before
+    and after it agree in their partitions through index ``j`` and in their
+    splitters through ``j - 1``."""
+    before, after, j = event.sequence, build_sequence(g, event.after), event.trace.j
+    violations = []
+    if any(before.partition_at(i) != after.partition_at(i) for i in range(j + 1)):
+        violations.append(f"{where}: partitions differ at or before j = {j}")
+    if any(before.splitter_at(i) != after.splitter_at(i) for i in range(j)):
+        violations.append(f"{where}: splitters differ before j = {j}")
+    return violations

@@ -214,6 +214,36 @@ def test_cmd_pack_out_of_memory_is_input_error(tmp_path, capsys, monkeypatch):
     assert err == "error: input too large to hold in memory\n"
 
 
+HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        pytest.param(f"p {HUGE} 0\n", ["pack", "FILE", "1"], id="pack-n"),
+        pytest.param(f"p {HUGE} 0\n", ["stp", "FILE"], id="stp-n"),
+        pytest.param("p 1 0\n", ["pack", "FILE", HUGE], id="pack-k-one-vertex"),
+    ],
+)
+def test_cmd_sizes_beyond_an_index_are_input_errors(tmp_path, capsys, text, argv):
+    # Each once ended in an OverflowError traceback with exit 1, the code
+    # of a failed verification.
+    path = _write(tmp_path, "huge.gr", text)
+    code, out, err = _run(capsys, [path if arg == "FILE" else arg for arg in argv])
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error: input too large") and err.count("\n") == 1
+
+
+def test_cmd_pack_k_beyond_the_certificate_bound(tmp_path, capsys):
+    path = _write(tmp_path, "p3.gr", serialize_graph(path_graph(3)))
+    code, out, _ = _run(capsys, ["pack", path, HUGE])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["verdict"] == "certificate" and doc["k"] == int(HUGE)
+    assert doc["classes"] == [[1], [2], [3]]
+
+
 def test_cmd_pack_deterministic_output(tmp_path, capsys):
     path = _write(tmp_path, "k4.gr", K4_TEXT)
     _, out_a, _ = _run(capsys, ["pack", path, "2", "--trace"])

@@ -14,7 +14,6 @@ import pytest
 from treepack import (
     ExchangeEvent,
     MultiGraph,
-    build_sequence,
     components,
     cycle_edges,
     pack,
@@ -24,7 +23,7 @@ from treepack import (
     verify_packing,
 )
 
-from graphs import complete_graph, hypercube, union_of_spanning_trees
+from graphs import complete_graph, hypercube, prefix_violations, union_of_spanning_trees
 
 # Some seeds certify the union minus an edge before any exchange (2009 and
 # 2010 do); 2008 makes exchanges in both instances.
@@ -89,8 +88,9 @@ def _exchange_violations(g: MultiGraph, k: int) -> tuple[int, list[str]]:
     cycle and ``e'`` the least on its fundamental cycle; the coloring
     strictly improves; every tree color is still a spanning tree; and the
     sequences before and after agree in their partitions through index
-    ``j`` and in their splitters through ``j - 1``. The last is the prefix property the exchange keeps in place
-    of the lemma that criterion 3 checks (agreement through ``m``). Strict
+    ``j`` and in their splitters through ``j - 1`` (``prefix_violations``).
+    The last is the prefix property the exchange keeps in place of the
+    lemma that criterion 3 checks (agreement through ``m``). Strict
     coarsening at ``m + 1``, which criterion 3 also checks, is not
     asserted: it fails on 1 of Q6's 35 exchanges, 1 of Q8's 226, none of
     the union's 41 and 13 of K16's 42.
@@ -126,12 +126,7 @@ def _exchange_violations(g: MultiGraph, k: int) -> tuple[int, list[str]]:
                 or components(g, ids).num_classes > 1
             ):
                 violations.append(f"{where}: color {color} is not a spanning tree")
-        before, after = event.sequence, build_sequence(g, event.after)
-        j = trace.j
-        if any(before.partition_at(i) != after.partition_at(i) for i in range(j + 1)):
-            violations.append(f"{where}: partitions differ at or before j = {j}")
-        if any(before.splitter_at(i) != after.splitter_at(i) for i in range(j)):
-            violations.append(f"{where}: splitters differ before j = {j}")
+        violations.extend(prefix_violations(g, event, where))
 
     result = pack(g, k, on_exchange=check)
     assert result.verdict == "packing"

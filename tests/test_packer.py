@@ -531,6 +531,32 @@ def test_pack_single_vertex_any_k(monkeypatch):
         assert result.exchanges == 0 and result.certificate is None
 
 
+def test_pack_beyond_the_certificate_bound_stops_there():
+    # A certificate comes by stage m // (n - 1) + 1, so a larger k runs no
+    # further stage: 10**20 gives that stage's certificate and exchanges.
+    graphs = [random_multigraph(seed) for seed in range(200)]
+    graphs += [complete_graph(n) for n in range(2, 12)]
+    for g in graphs:
+        ceiling = g.m // (g.n - 1) + 1
+        bound = pack(g, ceiling)
+        beyond = pack(g, 10**20)
+        assert bound.certificate is not None
+        assert beyond.k == 10**20 and beyond.trees is None
+        assert (beyond.certificate, beyond.exchanges) == (bound.certificate, bound.exchanges)
+
+
+def test_pack_beyond_the_certificate_bound_without_a_certificate_raises(monkeypatch):
+    def packing_stages(g, *args):
+        while True:
+            yield StageOutcome((), frozenset(), None, 0)
+
+    monkeypatch.setattr(treepack.packer, "_stages", packing_stages)
+    g = complete_graph(4)
+    with pytest.raises(InternalInvariantError, match="no certificate at the arithmetic ceiling"):
+        pack(g, 10**20)
+    assert pack(g, g.m // (g.n - 1) + 1).certificate is None  # k at the bound takes the stage
+
+
 def test_pack_loops_never_enter_trees():
     g = MultiGraph(3, ((0, 1), (1, 2), (1, 1), (0, 2), (0, 0)))
     result = pack(g, 1)

@@ -1,10 +1,11 @@
 """The stage's rooted forests against the per-call kernels.
 
 ``run_stage`` keeps a forest for the remainder, and for each tree color an
-exchange uses, each grown by its first call's own search, and patches
+exchange uses, each rooted by one search at its first use, and patches
 them for the edges each exchange moves. Here every forest call of a stage
-is held to the per-call result, each patch is checked on its own, and a
-corrupt forest must fail loudly instead of looping.
+is held to the per-call result, the search, the climb and each patch are
+checked on their own, and a corrupt forest must fail loudly instead of
+looping.
 """
 
 from __future__ import annotations
@@ -30,32 +31,30 @@ from treepack.generate import SplitMix64
 from treepack.multigraph import RootedForest, cycle_edges, fundamental_cycle, root_forest
 from treepack.packer import _relink_remainder, _relink_tree
 
-from graphs import _shuffle, complete_graph, hypercube, union_of_spanning_trees
+from graphs import (
+    _shuffle,
+    complete_graph,
+    hypercube,
+    prefix_violations,
+    union_of_spanning_trees,
+)
 
 
 def _assert_rooted(g: MultiGraph, forest: RootedForest, ids) -> None:
-    """``forest`` is a rooted forest of the edge set ``ids``, spanning every
-    vertex its search has reached, and all of them once it has reached all."""
+    """``forest`` is a rooted spanning forest of the edge set ``ids``."""
     ids = set(ids)
-    reached = [v for v in range(g.n) if forest.above[v] >= 0]
-    assert sorted(forest.reached) == reached
     taken = _forest_edges(forest)
     assert taken <= ids
-    assert len(taken) == sum(forest.via[v] >= 0 for v in reached)
-    for v in reached:
+    assert len(taken) == sum(e >= 0 for e in forest.via)
+    for v in range(g.n):
         up, e = forest.above[v], forest.via[v]
         if up == v:
             assert e == -1
         else:
             assert sorted(g.edges[e]) == sorted((v, up)), (v, e)
         forest.climb(v)  # raises if the parent links form a cycle
-    assert sum(forest.above[v] != v for v in reached) == len(taken)
-    if len(reached) < g.n:  # a spanned forest has dropped its adjacency
-        for v in forest.reached[: forest.expanded]:
-            for w, e in forest.adjacency[v]:
-                assert forest.above[w] >= 0, "an expanded vertex has a neighbour not reached"
-    if len(reached) == g.n:
-        assert len(taken) == g.n - components(g, ids).num_classes
+    assert sum(forest.above[v] != v for v in range(g.n)) == len(taken)
+    assert len(taken) == g.n - components(g, ids).num_classes
 
 
 def _forest_edges(forest: RootedForest) -> set[int]:
@@ -72,7 +71,6 @@ def checked_kernels(monkeypatch):
         _assert_rooted(g, forest, ids)
         got = cycle_edges(g, ids, forest=forest)
         _assert_rooted(g, forest, ids)
-        assert len(forest.reached) == g.n
         assert got == cycle_edges(g, ids)
         calls["cycle_edges"] += 1
         return got
@@ -135,13 +133,22 @@ def _random_stage(seed: int, k: int):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_stage_forests_agree_with_per_call_kernels_on_random_stages(checked_kernels, k):
-    exchanges = 0
+    # Every exchange also keeps the prefix property, as in the families.
+    exchanges, checked, violations = 0, 0, []
+
+    def check(event: ExchangeEvent) -> None:
+        nonlocal checked
+        checked += 1
+        violations.extend(prefix_violations(g, event, f"seed {seed}, exchange {checked}"))
+
     for seed in range(250):
         case = _random_stage(seed, k)
         if case is not None:
-            exchanges += run_stage(*case).exchanges
+            g = case[0]
+            exchanges += run_stage(*case, on_exchange=check).exchanges
     assert checked_kernels == {"cycle_edges": exchanges, "fundamental_cycle": exchanges}
-    assert exchanges >= 100
+    assert checked == exchanges >= 100
+    assert violations == [], violations[:5]
 
 
 def test_each_stage_roots_each_color_it_uses_once(monkeypatch):
@@ -171,31 +178,36 @@ def test_each_stage_roots_each_color_it_uses_once(monkeypatch):
     assert sum(s["rootings"] for s in stages) >= 2
 
 
-def test_fundamental_cycle_grows_the_search_only_as_far_as_it_needs():
-    # A path 0-1-2-3-4-5 and e = (0, 2): the search from 0 stops once it
-    # reaches 2, and e = (3, 5) grows it further.
-    g = MultiGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2), (3, 5)))
-    tree = root_forest(g, range(5))
-    assert fundamental_cycle(g, range(5), 5, forest=tree) == (0, 1, 5)
-    assert set(tree.reached) == {0, 1, 2}
-    assert fundamental_cycle(g, range(5), 6, forest=tree) == (3, 4, 6)
-    assert set(tree.reached) == set(range(6))
-    _assert_rooted(g, tree, range(5))
+# A path 0-1-2-3 whose closing edge is (0, 3).
+PATH = MultiGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
 
 
-def test_tree_patch_on_a_partly_grown_tree():
-    # The search from 0 reaches only {0, 1, 2} for e = (0, 2); cutting
-    # e' = (1, 2) re-hangs 2 from 0, and a later call grows the rest.
-    g = MultiGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2), (3, 5)))
-    tree = root_forest(g, range(5))
-    cycle = fundamental_cycle(g, range(5), 5, forest=tree)
-    _relink_tree(g, tree, cycle, 1)
-    after = [0, 2, 3, 4, 5]
-    _assert_rooted(g, tree, after)
-    assert set(tree.reached) == {0, 1, 2}
-    assert fundamental_cycle(g, after, 6, forest=tree) == fundamental_cycle(g, after, 6)
-    _assert_rooted(g, tree, after)
-    assert set(tree.reached) == set(range(6))
+def test_root_forest_spans_every_vertex_from_its_least_vertex():
+    # Components {0, 3, 5} (with a loop, a parallel copy and a repeated id),
+    # {1, 6} and the lone vertices 2 and 4.
+    g = MultiGraph(7, ((5, 3), (3, 3), (0, 5), (6, 1), (3, 5), (0, 3)))
+    ids = [0, 1, 2, 3, 4, 5, 0]
+    forest = root_forest(g, ids)
+    _assert_rooted(g, forest, ids)
+    assert [forest.climb(v)[-1] for v in range(g.n)] == [0, 1, 2, 0, 4, 0, 1]
+    for seed in range(60):
+        case = _random_stage(seed, 2)
+        if case is not None:
+            g, _, rest = case
+            forest = root_forest(g, rest)
+            _assert_rooted(g, forest, rest)
+            least = components(g, rest).class_of  # labels by first occurrence
+            roots = [forest.climb(v)[-1] for v in range(g.n)]
+            assert roots == [least.index(least[v]) for v in range(g.n)], seed
+
+
+def test_climb_stops_at_the_first_vertex_in_stop():
+    forest = root_forest(PATH, range(3))  # the path 0-1-2-3, rooted at 0
+    assert forest.climb(3) == [3, 2, 1, 0]
+    assert forest.climb(3, {1}) == [3, 2, 1]
+    assert forest.climb(3, {0, 2}) == [3, 2]
+    assert forest.climb(3, (3,)) == [3]
+    assert forest.climb(1, {2, 3}) == [1, 0]  # a stop below x is never met
 
 
 # Each patch on its own -------------------------------------------------------
@@ -252,13 +264,12 @@ def test_remainder_patch_takes_a_parallel_copy():
 @pytest.mark.parametrize("e_prime", [1, 2, 3])
 def test_tree_patch_on_either_side_of_the_cycle(e, e_prime):
     # A path 0-1-2-3-4 rooted at 0; e = (1, 4) closes 1-2-3-4 and e' is
-    # cut from it. The cycle runs from u to v, so with e = (1, 4) the cut
-    # detaches v's side, and with its reversed copy (4, 1) u's side.
+    # cut from it. With e = (1, 4), u = 1 climbs to the root without
+    # meeting the cut, so v's side is re-hung; with its reversed copy
+    # (4, 1), u = 4 climbs to the cut and u's side is re-hung.
     g = MultiGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (4, 1)))
     tree = root_forest(g, range(4))
-    tree.grow()
-    cycle = fundamental_cycle(g, range(4), e, forest=tree)
-    _relink_tree(g, tree, cycle, e_prime)
+    _relink_tree(g, tree, e, e_prime)
     after = sorted(set(range(4)) - {e_prime} | {e})
     _assert_rooted(g, tree, after)
     for f in range(g.m):
@@ -282,35 +293,34 @@ def _deadline(seconds: int = 2):
         signal.signal(signal.SIGALRM, previous)
 
 
-# A path 0-1-2-3 whose closing edge is (0, 3).
-PATH = MultiGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
-
-
-def _forged(above, via) -> RootedForest:
-    """A forest whose search has reached and expanded every vertex."""
-    return RootedForest(above, via, reached=list(range(len(above))), expanded=len(above))
+def test_climb_on_cyclic_parent_links_raises():
+    looped = RootedForest([1, 0, 1, 2], [0, 0, 1, 2])  # 0 and 1 climb to each other
+    with _deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
+        looped.climb(3)
+    with _deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
+        looped.climb(3, {4})
 
 
 def test_fundamental_cycle_climbs_that_reach_two_roots_raise():
-    split = _forged([0, 0, 2, 2], [-1, 0, -1, 2])  # 1 lost its parent
+    split = RootedForest([0, 0, 2, 2], [-1, 0, -1, 2])  # 2 lost its parent
     with _deadline(), pytest.raises(NoCycleError, match="not connected"):
         fundamental_cycle(PATH, range(3), 3, forest=split)
 
 
 def test_fundamental_cycle_on_cyclic_parent_links_raises():
-    looped = _forged([1, 0, 1, 2], [0, 0, 1, 2])
-    with _deadline(), pytest.raises(NoCycleError, match="form a cycle"):
+    looped = RootedForest([1, 0, 1, 2], [0, 0, 1, 2])
+    with _deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
         fundamental_cycle(PATH, range(3), 3, forest=looped)
 
 
 def test_cycle_edges_climbs_that_reach_two_roots_raise():
-    split = _forged([0, 0, 2, 2], [-1, 0, -1, 2])
+    split = RootedForest([0, 0, 2, 2], [-1, 0, -1, 2])
     with _deadline(), pytest.raises(InternalInvariantError, match="joins two trees"):
         cycle_edges(PATH, range(4), forest=split)
 
 
 def test_cycle_edges_on_cyclic_parent_links_raises():
-    looped = _forged([1, 0, 1, 2], [0, 0, 1, 2])
+    looped = RootedForest([1, 0, 1, 2], [0, 0, 1, 2])
     with _deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
         cycle_edges(PATH, range(4), forest=looped)
 
@@ -330,6 +340,6 @@ def test_remainder_forest_edge_without_a_replacement_raises():
     with _deadline(), pytest.raises(InternalInvariantError, match="no replacement"):
         _relink_remainder(g, forest, 0, 3)
     # Nor does a forged closing edge that forms a cycle with the parent links.
-    looped = _forged([1, 0, 1, 2], [0, 0, 1, 2])
+    looped = RootedForest([1, 0, 1, 2], [0, 0, 1, 2])
     with _deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
         _relink_remainder(PATH, looped, 2, 3)
