@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 from .multigraph import MultiGraph
 
 
@@ -32,9 +34,13 @@ def random_graph(n: int, m: int, seed: int) -> MultiGraph:
     """Random multigraph with loops and parallels allowed, reproducible by seed.
 
     Each endpoint is ``(next SplitMix64 word) % n``, drawn in order (u then
-    v per edge), so the graph is a pure function of (n, m, seed).
+    v per edge), so the graph is a pure function of (n, m, seed). An ``n``
+    or ``m`` that no index can address is a ValueError, raised before any
+    edge is drawn.
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
+    if max(n, m) > sys.maxsize:
+        raise ValueError(f"input too large: n and m must be at most {sys.maxsize}")
     rng = SplitMix64(seed)
     return MultiGraph(n, tuple((rng.below(n), rng.below(n)) for _ in range(m)))

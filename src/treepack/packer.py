@@ -12,6 +12,7 @@ strict in a partial order on a finite set, so stages terminate.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import compress, count, islice
@@ -203,60 +204,6 @@ def _exchange_from(
     return after, trace
 
 
-def _relink_tree(g: MultiGraph, tree: RootedForest, e: EdgeId, e_prime: EdgeId) -> None:
-    """Cut ``e_prime`` from a rooted tree and link ``e = (u, v)`` in its place.
-
-    ``e_prime`` lies on the tree path from ``u`` to ``v``, so cutting it
-    detaches the side below its lower end, which holds ``u`` or ``v``. That
-    end of ``e`` climbs to the lower end of ``e_prime``, and the side is
-    re-hung from the other end of ``e`` by reversing the parent links along
-    the climb.
-    """
-    u, v = g.edges[e]
-    x, y = g.edges[e_prime]
-    low = x if tree.via[x] == e_prime else y
-    path = tree.climb(u, (low,))
-    if path[-1] == low:
-        tree.hang(path, v, e)
-    else:
-        tree.hang(tree.climb(v, (low,)), u, e)
-
-
-def _relink_remainder(g: MultiGraph, forest: RootedForest, e: EdgeId, e_prime: EdgeId) -> None:
-    """Patch the remainder's forest after ``e`` left it and ``e_prime = (x, y)`` joined.
-
-    ``e_prime`` links two trees, re-rooting ``x``'s at ``x`` under ``y``,
-    or is a closing edge. Cutting a forest edge ``e`` detaches the side
-    below it, and a closing edge with one end on each side is hung in its
-    place (a replacement edge): the one ``forest.cover`` holds for ``e``
-    from ``cycle_edges`` on this forest before the exchange, or else
-    ``e_prime``.
-    """
-    edges, above, via = g.edges, forest.above, forest.via
-    x, y = edges[e_prime]
-    path = forest.climb(x)
-    if path[-1] != forest.climb(y)[-1]:
-        forest.hang(path, y, e_prime)
-    a, b = edges[e]
-    cut = a if via[a] == e else b if via[b] == e else -1
-    if cut < 0:  # a closing edge
-        return
-    above[cut], via[cut] = cut, -1
-    for f in (forest.cover.get(e), e_prime):
-        if f is None:
-            continue
-        p, q = edges[f]
-        if via[p] == f or via[q] == f:  # a forest edge, not a closing one
-            continue
-        below, other = forest.climb(p), forest.climb(q)
-        if (below[-1] == cut) != (other[-1] == cut):
-            if other[-1] == cut:
-                below, q = other, p
-            forest.hang(below, q, f)
-            return
-    raise InternalInvariantError(f"remainder forest edge {e} has no replacement")
-
-
 def exchange_step(g: MultiGraph, t: KPartition) -> tuple[KPartition, ExchangeTrace]:
     """One improving exchange between the remainder color and a tree color.
 
@@ -288,10 +235,12 @@ def run_stage(
     keeps them trees (``e`` enters ``c_m``, ``e'`` leaves the cycle ``e``
     closes there), so each sequence build takes them as forests unchecked.
     The remainder, and each tree color an exchange uses, is rooted by one
-    search at its first use in the stage, and both forests an exchange
-    changed are patched just before the next exchange (the tree by one
-    climb): the remainder's ``cover`` is then still the one its
-    ``cycle_edges`` call left, and a stage's last exchange patches nothing.
+    search at its first use in the stage. Just before the next exchange,
+    each of the two colors an exchange changed loses one edge and gains
+    one, so its forest takes one ``RootedForest.swap``: the remainder's
+    with ``e`` out and ``e'`` in, tree ``c_m``'s with the roles reversed.
+    The remainder's ``cover`` is then still the one its ``cycle_edges``
+    call left, and a stage's last exchange patches nothing.
     """
     tree_sets = [frozenset(tree) for tree in trees]
     rest_set = frozenset(rest)
@@ -320,8 +269,8 @@ def run_stage(
         if exchanges >= cap:
             raise InternalInvariantError(f"exchange cap {cap} exceeded")
         if last is not None:
-            _relink_remainder(g, forests[colors], last.e, last.e_prime)
-            _relink_tree(g, forests[last.c_m], last.e, last.e_prime)
+            forests[colors].swap(g.edges, last.e, last.e_prime)
+            forests[last.c_m].swap(g.edges, last.e_prime, last.e)
         after, last = _exchange_from(g, t, seq, forests)
         exchanges += 1
         if on_exchange is not None:
@@ -387,7 +336,8 @@ def pack(
     Trees are extracted one stage at a time; any stage certificate is also
     a certificate for the full ``k`` since a violation of ``t * (|P| - 1)``
     at stage ``t <= k`` implies one of ``k * (|P| - 1)``. ``k = 0`` and
-    single-vertex graphs succeed vacuously. Loops can never enter a tree
+    single-vertex graphs succeed vacuously, for any ``k`` a tuple can hold
+    (a larger one is a ValueError). Loops can never enter a tree
     and simply stay in the remainder. Every stage gets the exchange cap
     ``cap``, by default ``max(1, k * n * m)``; a negative cap is a
     ValueError. At most ``m // (n - 1) + 1`` stages run, whatever ``k``:
@@ -402,6 +352,8 @@ def pack(
     if cap is not None and cap < 0:
         raise ValueError("exchange cap must be nonnegative")
     if g.n == 1:
+        if k > sys.maxsize:
+            raise ValueError(f"input too large: k must be at most {sys.maxsize} on one vertex")
         return PackResult(k=k, trees=(frozenset(),) * k, certificate=None, exchanges=0)
     limit = cap if cap is not None else max(1, k * g.n * g.m)
     ceiling = g.m // (g.n - 1) + 1

@@ -1,10 +1,15 @@
-"""Instance builders, and the exchange's prefix check, shared across the test suite.
+"""Instance builders, the exchange's prefix check and a deadline, shared across the test suite.
 
 Random instances are drawn from the package's own SplitMix64 generator so
 every test run sees exactly the same corpus.
 """
 
 from __future__ import annotations
+
+import signal
+from contextlib import contextmanager
+
+import pytest
 
 from treepack import ExchangeEvent, KPartition, MultiGraph, build_sequence
 from treepack.generate import SplitMix64
@@ -202,3 +207,22 @@ def prefix_violations(g: MultiGraph, event: ExchangeEvent, where: str) -> list[s
     if any(before.splitter_at(i) != after.splitter_at(i) for i in range(j)):
         violations.append(f"{where}: splitters differ before j = {j}")
     return violations
+
+
+@contextmanager
+def deadline(seconds: int = 2):
+    """Fail the test if the block runs longer, instead of waiting for it.
+
+    The failure is pytest's, which no ``except Exception`` in the code
+    under test can catch.
+    """
+    def expire(signum, frame):
+        pytest.fail(f"the block did not end within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

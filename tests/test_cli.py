@@ -25,6 +25,7 @@ from treepack.generate import SplitMix64, random_graph
 
 from graphs import (
     complete_graph,
+    deadline,
     hypercube,
     path_graph,
     random_multigraph,
@@ -223,13 +224,18 @@ HUGE = "100000000000000000000"
         pytest.param(f"p {HUGE} 0\n", ["pack", "FILE", "1"], id="pack-n"),
         pytest.param(f"p {HUGE} 0\n", ["stp", "FILE"], id="stp-n"),
         pytest.param("p 1 0\n", ["pack", "FILE", HUGE], id="pack-k-one-vertex"),
+        pytest.param(None, ["gen", "3", HUGE, "1"], id="gen-m"),
+        pytest.param(None, ["gen", HUGE, "0", "1"], id="gen-n"),
     ],
 )
 def test_cmd_sizes_beyond_an_index_are_input_errors(tmp_path, capsys, text, argv):
-    # Each once ended in an OverflowError traceback with exit 1, the code
-    # of a failed verification.
-    path = _write(tmp_path, "huge.gr", text)
-    code, out, err = _run(capsys, [path if arg == "FILE" else arg for arg in argv])
+    # The pack and stp cases once ended in an OverflowError traceback with
+    # exit 1, the code of a failed verification. `gen` once drew edges
+    # until memory ran out, or wrote a header that pack rejects; the
+    # deadline fails a run that does not end instead of waiting for it.
+    path = _write(tmp_path, "huge.gr", text) if text is not None else None
+    with deadline():
+        code, out, err = _run(capsys, [path if arg == "FILE" else arg for arg in argv])
     assert code == EXIT_INPUT_ERROR
     assert out == ""
     assert err.startswith("error: input too large") and err.count("\n") == 1

@@ -531,6 +531,13 @@ def test_pack_single_vertex_any_k(monkeypatch):
         assert result.exchanges == 0 and result.certificate is None
 
 
+def test_pack_single_vertex_k_beyond_an_index_is_input_too_large():
+    # Checked before the k empty trees are built, which raised a bare
+    # OverflowError.
+    with pytest.raises(ValueError, match="^input too large"):
+        pack(MultiGraph(1, ()), 10**20)
+
+
 def test_pack_beyond_the_certificate_bound_stops_there():
     # A certificate comes by stage m // (n - 1) + 1, so a larger k runs no
     # further stage: 10**20 gives that stage's certificate and exchanges.

@@ -2,16 +2,13 @@
 
 ``run_stage`` keeps a forest for the remainder, and for each tree color an
 exchange uses, each rooted by one search at its first use, and patches
-them for the edges each exchange moves. Here every forest call of a stage
-is held to the per-call result, the search, the climb and each patch are
-checked on their own, and a corrupt forest must fail loudly instead of
-looping.
+both colors an exchange changes with one ``RootedForest.swap`` each. Here
+every forest call of a stage is held to the per-call result, the search,
+the climb and each swap are checked on their own, and a corrupt forest
+must fail loudly instead of looping.
 """
 
 from __future__ import annotations
-
-import signal
-from contextlib import contextmanager
 
 import pytest
 
@@ -29,11 +26,11 @@ from treepack import (
 )
 from treepack.generate import SplitMix64
 from treepack.multigraph import RootedForest, cycle_edges, fundamental_cycle, root_forest
-from treepack.packer import _relink_remainder, _relink_tree
 
 from graphs import (
     _shuffle,
     complete_graph,
+    deadline,
     hypercube,
     prefix_violations,
     union_of_spanning_trees,
@@ -210,16 +207,16 @@ def test_climb_stops_at_the_first_vertex_in_stop():
     assert forest.climb(1, {2, 3}) == [1, 0]  # a stop below x is never met
 
 
-# Each patch on its own -------------------------------------------------------
+# Each swap on its own --------------------------------------------------------
 
 def _patched_remainder(edges, before, e, e_prime):
     """Span ``before`` by ``cycle_edges``, as a stage does before its exchange,
-    move ``e`` out and ``e_prime`` in, and check the patch."""
+    swap ``e`` out and ``e_prime`` in, and check the patch."""
     g = MultiGraph(1 + max(max(pair) for pair in edges), tuple(edges))
     forest = root_forest(g, before)
     cycle_edges(g, before, forest=forest)
     after = tuple(sorted(set(before) - {e} | {e_prime}))
-    _relink_remainder(g, forest, e, e_prime)
+    forest.swap(g.edges, e, e_prime)
     _assert_rooted(g, forest, after)
     assert cycle_edges(g, after, forest=forest) == cycle_edges(g, after)
     return forest
@@ -227,13 +224,14 @@ def _patched_remainder(edges, before, e, e_prime):
 
 def test_remainder_patch_when_e_prime_is_the_only_replacement():
     # 0 -e- 1 -f- 2 with e a forest edge and a bridge, so no closing edge
-    # covers it: only e' = (2, 0) rejoins 1.
+    # covers it: only e' = (2, 0) rejoins {1, 2} to 0.
     forest = _patched_remainder([(0, 1), (1, 2), (2, 0)], [0, 1], e=0, e_prime=2)
     assert _forest_edges(forest) == {1, 2}
 
 
 def test_remainder_patch_when_e_prime_joins_two_trees():
-    # {0, 1} with a parallel pair and the lone vertex 2; e' = (1, 2) links them.
+    # {0, 1} with a parallel pair and the lone vertex 2: the copy replaces e,
+    # and then e' = (1, 2) links the two trees.
     forest = _patched_remainder([(0, 1), (0, 1), (1, 2)], [0, 1], e=0, e_prime=2)
     assert _forest_edges(forest) == {1, 2}
 
@@ -247,7 +245,7 @@ def test_remainder_patch_when_e_prime_closes_a_cycle():
 
 def test_remainder_patch_passes_over_a_loop():
     # e' = (0, 3) links vertex 3. Cutting e = (0, 1) detaches {1}; the loop
-    # at 1 comes first in id order but covers nothing, so (1, 2) replaces e.
+    # at 1 is a closing edge but covers nothing, so (1, 2) replaces e.
     edges = [(0, 1), (1, 1), (1, 2), (2, 0), (0, 3)]
     forest = _patched_remainder(edges, [0, 1, 2, 3], e=0, e_prime=4)
     assert _forest_edges(forest) == {2, 3, 4}
@@ -260,16 +258,24 @@ def test_remainder_patch_takes_a_parallel_copy():
     assert _forest_edges(forest) == {1, 2, 3}
 
 
+def test_remainder_patch_when_e_is_a_closing_edge():
+    # The triangle 0-1-2 is rooted at 0 by (0, 1) and (0, 2), so e = (1, 2)
+    # is its closing edge: nothing is cut, and e' = (2, 3) links vertex 3.
+    forest = _patched_remainder([(0, 1), (1, 2), (0, 2), (2, 3)], [0, 1, 2], e=1, e_prime=3)
+    assert _forest_edges(forest) == {0, 2, 3}
+
+
 @pytest.mark.parametrize("e", [4, 5])
 @pytest.mark.parametrize("e_prime", [1, 2, 3])
 def test_tree_patch_on_either_side_of_the_cycle(e, e_prime):
-    # A path 0-1-2-3-4 rooted at 0; e = (1, 4) closes 1-2-3-4 and e' is
-    # cut from it. With e = (1, 4), u = 1 climbs to the root without
-    # meeting the cut, so v's side is re-hung; with its reversed copy
-    # (4, 1), u = 4 climbs to the cut and u's side is re-hung.
+    # A path 0-1-2-3-4 rooted at 0; e = (1, 4) closes 1-2-3-4, and the swap
+    # takes e' out and e in, the remainder's roles reversed. The tree has no
+    # cover, so e is the replacement. With e = (1, 4) the cut lies on the
+    # climb of its second end, 4; with its reversed copy (4, 1), on the climb
+    # of its first end.
     g = MultiGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (4, 1)))
     tree = root_forest(g, range(4))
-    _relink_tree(g, tree, e, e_prime)
+    tree.swap(g.edges, e_prime, e)
     after = sorted(set(range(4)) - {e_prime} | {e})
     _assert_rooted(g, tree, after)
     for f in range(g.m):
@@ -279,67 +285,60 @@ def test_tree_patch_on_either_side_of_the_cycle(e, e_prime):
 
 # A corrupt forest fails loudly -----------------------------------------------
 
-@contextmanager
-def _deadline(seconds: int = 2):
-    def expire(signum, frame):
-        raise TimeoutError("a corrupt forest looped instead of failing")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_climb_on_cyclic_parent_links_raises():
     looped = RootedForest([1, 0, 1, 2], [0, 0, 1, 2])  # 0 and 1 climb to each other
-    with _deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
+    with deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
         looped.climb(3)
-    with _deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
+    with deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
         looped.climb(3, {4})
 
 
 def test_fundamental_cycle_climbs_that_reach_two_roots_raise():
     split = RootedForest([0, 0, 2, 2], [-1, 0, -1, 2])  # 2 lost its parent
-    with _deadline(), pytest.raises(NoCycleError, match="not connected"):
+    with deadline(), pytest.raises(NoCycleError, match="not connected"):
         fundamental_cycle(PATH, range(3), 3, forest=split)
 
 
 def test_fundamental_cycle_on_cyclic_parent_links_raises():
     looped = RootedForest([1, 0, 1, 2], [0, 0, 1, 2])
-    with _deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
+    with deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
         fundamental_cycle(PATH, range(3), 3, forest=looped)
 
 
 def test_cycle_edges_climbs_that_reach_two_roots_raise():
     split = RootedForest([0, 0, 2, 2], [-1, 0, -1, 2])
-    with _deadline(), pytest.raises(InternalInvariantError, match="joins two trees"):
+    with deadline(), pytest.raises(InternalInvariantError, match="joins two trees"):
         cycle_edges(PATH, range(4), forest=split)
 
 
 def test_cycle_edges_on_cyclic_parent_links_raises():
     looped = RootedForest([1, 0, 1, 2], [0, 0, 1, 2])
-    with _deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
+    with deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
         cycle_edges(PATH, range(4), forest=looped)
 
 
 def test_remainder_forest_edge_without_a_replacement_raises():
-    # In the path 0-1-2, e = (1, 2) is a bridge, and e' = (2, 3) only links 3.
+    # In the path 0-1-2, e = (1, 2) is a bridge, and e' = (2, 3) joins the
+    # side cutting it detaches, {2}, to the lone vertex 3, not back to {0, 1}.
     forest = root_forest(PATH, [0, 1])
     cycle_edges(PATH, [0, 1], forest=forest)
-    with _deadline(), pytest.raises(InternalInvariantError, match="no replacement"):
-        _relink_remainder(PATH, forest, 1, 2)
+    with deadline(), pytest.raises(InternalInvariantError, match="no replacement"):
+        forest.swap(PATH.edges, 1, 2)
     # Nor does a forged cover: in 0-1=2 with a parallel pair, the copy of
     # (1, 2) has both ends on the side that cutting the bridge (0, 1) detaches.
     g = MultiGraph(4, ((0, 1), (1, 2), (1, 2), (2, 3)))
     forest = root_forest(g, [0, 1, 2])
     cycle_edges(g, [0, 1, 2], forest=forest)
     forest.cover[0] = 2
-    with _deadline(), pytest.raises(InternalInvariantError, match="no replacement"):
-        _relink_remainder(g, forest, 0, 3)
+    with deadline(), pytest.raises(InternalInvariantError, match="no replacement"):
+        forest.swap(g.edges, 0, 3)
     # Nor does a forged closing edge that forms a cycle with the parent links.
     looped = RootedForest([1, 0, 1, 2], [0, 0, 1, 2])
-    with _deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
-        _relink_remainder(PATH, looped, 2, 3)
+    with deadline(), pytest.raises(InternalInvariantError, match="form a cycle"):
+        looped.swap(PATH.edges, 2, 3)
+    # Nor does a tree's e whose cycle misses e': in the path 0-1-2-3-4, the
+    # cycle 1-2-3 that (1, 3) closes misses (0, 1).
+    g = MultiGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 3)))
+    tree = root_forest(g, range(4))
+    with deadline(), pytest.raises(InternalInvariantError, match="no replacement"):
+        tree.swap(g.edges, 0, 4)
