@@ -44,10 +44,7 @@ class KPartition:
     color_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.k) is not int:
-            raise ValueError(f"k must be an int, not {self.k!r}")
-        if self.k < 1:
-            raise ValueError("need at least one color")
+        _check_k(self.k)
         color_of = tuple(self.color_of)
         object.__setattr__(self, "color_of", color_of)
         # Set checks in one pass, types first so that an unhashable color is
@@ -59,15 +56,20 @@ class KPartition:
     def from_edge_sets(
         cls, k: int, edge_sets: Iterable[Iterable[EdgeId]], m: int
     ) -> "KPartition":
-        """Build a coloring from k edge-id sets that partition ``range(m)``."""
+        """Build a coloring from k edge-id sets that partition ``range(m)``.
+
+        Each id and its set's color are checked by ``recolor``'s per-entry
+        rule, which names the least bad edge.
+        """
+        _check_k(k)
+        entries = [(e, color) for color, ids in enumerate(edge_sets, start=1) for e in ids]
+        if any(_entry_error(e, color, m, k) for e, color in entries):
+            raise ValueError(_first_error(entries, m, k))
         color_of = [0] * m
-        for color, ids in enumerate(edge_sets, start=1):
-            for e in ids:
-                if not 0 <= e < m:
-                    raise ValueError(f"edge id {e} out of range")
-                if color_of[e]:
-                    raise ValueError(f"edge {e} assigned to two colors")
-                color_of[e] = color
+        for e, color in entries:
+            if color_of[e]:
+                raise ValueError(f"edge {e} assigned to two colors")
+            color_of[e] = color
         if any(c == 0 for c in color_of):
             missing = color_of.index(0)
             raise ValueError(f"edge {missing} has no color")
@@ -113,6 +115,13 @@ class KPartition:
                     lists[color] = lists[color][:j] + (e,) + lists[color][j:]
             vars(after)["_edges_by_color"] = tuple(lists)
         return after
+
+
+def _check_k(k: object) -> None:
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, not {k!r}")
+    if k < 1:
+        raise ValueError("need at least one color")
 
 
 def _entry_error(e: object, color: object, m: int, k: int) -> str | None:

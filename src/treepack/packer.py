@@ -30,6 +30,7 @@ from .multigraph import (
     InternalInvariantError,
     MultiGraph,
     RootedForest,
+    _check_edge_ids,
     _union_within,
     components,
     cycle_edges,
@@ -74,10 +75,9 @@ class ExchangeEvent:
 
 @dataclass(frozen=True)
 class StageOutcome:
-    """Result of one stage: a connected remainder or a certificate."""
+    """Result of one stage: its last coloring, whose remainder is connected or certified."""
 
-    trees: tuple[frozenset[EdgeId], ...] | None
-    rest: frozenset[EdgeId] | None
+    coloring: KPartition
     certificate: Partition | None
     exchanges: int
 
@@ -218,60 +218,55 @@ def exchange_step(g: MultiGraph, t: KPartition) -> tuple[KPartition, ExchangeTra
 
 def run_stage(
     g: MultiGraph,
-    trees: Iterable[Iterable[EdgeId]],
-    rest: Iterable[EdgeId],
+    coloring: KPartition,
     *,
+    forests: dict[int, RootedForest] | None = None,
     cap: int | None = None,
     on_exchange: OnExchange | None = None,
 ) -> StageOutcome:
     """Exchange until the remainder color is connected or a certificate appears.
 
-    ``trees`` are the spanning trees fixed so far (exchanges may rotate
-    edges through them, but they stay spanning trees); ``rest`` is every
-    remaining edge; the stage ends once it is connected (``components``
-    before any exchange, a sequence with no steps after one). ``cap`` is a
-    safety bound on exchanges; exceeding it raises InternalInvariantError.
-    Before its first exchange a stage checks each tree once: an exchange
-    keeps them trees (``e`` enters ``c_m``, ``e'`` leaves the cycle ``e``
-    closes there), so each sequence build takes them as forests unchecked.
-    The remainder, and each tree color an exchange uses, is rooted by one
-    search at its first use in the stage. Just before the next exchange,
-    each of the two colors an exchange changed loses one edge and gains
-    one, so its forest takes one ``RootedForest.swap``: the remainder's
-    with ``e`` out and ``e'`` in, tree ``c_m``'s with the roles reversed.
-    The remainder's ``cover`` is then still the one its ``cycle_edges``
-    call left, and a stage's last exchange patches nothing.
+    Colors ``1..k-1`` of ``coloring`` are the spanning trees fixed so far
+    and color ``k`` the remainder; the stage ends once it is connected
+    (``components`` before any exchange, a sequence with no steps after
+    one). ``cap`` is a safety bound on exchanges; exceeding it raises
+    InternalInvariantError. Before its first exchange a stage checks each
+    tree once: an exchange keeps them trees (``e`` enters ``c_m``, ``e'``
+    leaves the cycle ``e`` closes there), so each sequence build takes them
+    as forests unchecked. ``forests`` maps colors to rooted forests of
+    exactly their edges and is updated in place; a color an exchange uses
+    that it lacks is rooted by one search. Each exchange swaps ``e'`` out
+    of tree ``c_m``'s forest and ``e`` in (``RootedForest.swap``). The
+    remainder's forest takes the reverse swap just before the next
+    exchange, its ``cover`` still the one ``cycle_edges`` left; a stage
+    that exchanged drops it. Every forest left matches the coloring returned.
     """
-    tree_sets = [frozenset(tree) for tree in trees]
-    rest_set = frozenset(rest)
-    colors = len(tree_sets) + 1
-    t = KPartition.from_edge_sets(colors, [*tree_sets, rest_set], g.m)
+    t, colors = coloring, coloring.k
+    if t.m != g.m:
+        raise ValueError("coloring does not match the graph's edge count")
+    forests = {} if forests is None else forests
     if cap is None:
         cap = max(1, colors * g.n * g.m)
-    if components(g, rest_set).num_classes <= 1:
-        return StageOutcome(tuple(tree_sets), rest_set, None, 0)
+    if components(g, t.edges_of_color(colors)).num_classes <= 1:
+        return StageOutcome(t, None, 0)
     for c in range(1, colors):
         ids = t.edges_of_color(c)
         if len(ids) != g.n - 1 or len(_union_within(g, ids, [0] * g.n)[1]) != g.n - 1:
             raise InternalInvariantError(f"color {c} is not a spanning tree")
 
-    exchanges = 0
-    forests: dict[int, RootedForest] = {}
-    last = None
+    exchanges, last = 0, None
     while True:
         seq = build_sequence(g, t, forests=range(1, colors))
-        if not seq.steps:
-            final_trees = tuple(frozenset(t.edges_of_color(c)) for c in range(1, colors))
-            return StageOutcome(final_trees, frozenset(t.edges_of_color(colors)), None, exchanges)
-        certificate = density_check(g, t, seq)
-        if certificate is not None:
-            return StageOutcome(None, None, certificate, exchanges)
+        certificate = density_check(g, t, seq) if seq.steps else None
+        if certificate is not None or not seq.steps:
+            forests.pop(colors, None)
+            return StageOutcome(t, certificate, exchanges)
         if exchanges >= cap:
             raise InternalInvariantError(f"exchange cap {cap} exceeded")
         if last is not None:
             forests[colors].swap(g.edges, last.e, last.e_prime)
-            forests[last.c_m].swap(g.edges, last.e_prime, last.e)
         after, last = _exchange_from(g, t, seq, forests)
+        forests[last.c_m].swap(g.edges, last.e_prime, last.e)
         exchanges += 1
         if on_exchange is not None:
             on_exchange(
@@ -292,7 +287,9 @@ def greedy_spanning_tree(
     """
     if order not in ("asc", "desc"):
         raise ValueError("order must be 'asc' or 'desc'")
-    ids = sorted(edge_ids, reverse=(order == "desc"))
+    ids = _check_edge_ids(g, edge_ids)
+    if order == "desc":
+        ids.reverse()
     _, chosen = _union_within(g, ids, [0] * g.n)
     if len(chosen) != g.n - 1:
         raise InternalInvariantError("edge set does not span a connected graph")
@@ -304,23 +301,26 @@ def _stages(
 ) -> Iterator[StageOutcome]:
     """Outcomes of stages 1, 2, ..., each stage run once; ends at a certificate.
 
-    A connected stage is yielded with the next tree, extracted greedily from
-    its remainder, moved from ``rest`` to ``trees``. Stage ``s`` gets the
-    exchange cap ``cap``, or ``max(1, s * n * m)`` when ``cap`` is None.
+    One coloring and one dict of tree forests run through every stage. A
+    connected stage ``s`` is yielded with the next stage's coloring: the
+    tree taken greedily from color ``s`` keeps it, and the rest moves to
+    color ``s + 1``. Stage ``s`` gets the exchange cap ``cap``, or
+    ``max(1, s * n * m)`` when ``cap`` is None.
     """
-    trees: tuple[frozenset[EdgeId], ...] = ()
-    rest = frozenset(range(g.m))
+    t, forests = KPartition(1, (1,) * g.m), {}
     for stage in count(1):
         limit = cap if cap is not None else max(1, stage * g.n * g.m)
-        outcome = run_stage(g, trees, rest, cap=limit, on_exchange=on_exchange)
+        outcome = run_stage(g, t, forests=forests, cap=limit, on_exchange=on_exchange)
         if outcome.certificate is not None:
             yield outcome
             return
-        assert outcome.trees is not None and outcome.rest is not None
-        new_tree = greedy_spanning_tree(g, outcome.rest, seedtree_order)
-        trees = (*outcome.trees, new_tree)
-        rest = outcome.rest - new_tree
-        yield replace(outcome, trees=trees, rest=rest)
+        rest = outcome.coloring.edges_of_color(stage)
+        tree = greedy_spanning_tree(g, rest, seedtree_order)
+        color_of = list(outcome.coloring.color_of)
+        for e in set(rest) - tree:
+            color_of[e] = stage + 1
+        t = KPartition(stage + 1, tuple(color_of))
+        yield replace(outcome, coloring=t)
 
 
 def pack(
@@ -333,9 +333,11 @@ def pack(
 ) -> PackResult:
     """Find k edge-disjoint spanning trees or a violating partition.
 
-    Trees are extracted one stage at a time; any stage certificate is also
-    a certificate for the full ``k`` since a violation of ``t * (|P| - 1)``
-    at stage ``t <= k`` implies one of ``k * (|P| - 1)``. ``k = 0`` and
+    Trees are extracted one stage at a time, on one coloring that every
+    stage carries on, and read from the last stage's coloring as ``k`` sets;
+    any stage certificate is also a certificate for the full ``k`` since a
+    violation of ``t * (|P| - 1)`` at stage ``t <= k`` implies one of
+    ``k * (|P| - 1)``. ``k = 0`` and
     single-vertex graphs succeed vacuously, for any ``k`` a tuple can hold
     (a larger one is a ValueError). Loops can never enter a tree
     and simply stay in the remainder. Every stage gets the exchange cap
@@ -351,18 +353,21 @@ def pack(
         raise ValueError("seedtree_order must be 'asc' or 'desc'")
     if cap is not None and cap < 0:
         raise ValueError("exchange cap must be nonnegative")
-    if g.n == 1:
+    if g.n == 1 or k == 0:
         if k > sys.maxsize:
             raise ValueError(f"input too large: k must be at most {sys.maxsize} on one vertex")
         return PackResult(k=k, trees=(frozenset(),) * k, certificate=None, exchanges=0)
     limit = cap if cap is not None else max(1, k * g.n * g.m)
     ceiling = g.m // (g.n - 1) + 1
-    last, exchanges = StageOutcome((), None, None, 0), 0
+    exchanges = 0
     for last in islice(_stages(g, limit, seedtree_order, on_exchange), min(k, ceiling)):
         exchanges += last.exchanges
-    if k > ceiling and last.certificate is None:
+    if last.certificate is not None:
+        return PackResult(k=k, trees=None, certificate=last.certificate, exchanges=exchanges)
+    if k > ceiling:
         raise InternalInvariantError("no certificate at the arithmetic ceiling")
-    return PackResult(k=k, trees=last.trees, certificate=last.certificate, exchanges=exchanges)
+    trees = tuple(frozenset(last.coloring.edges_of_color(c)) for c in range(1, k + 1))
+    return PackResult(k=k, trees=trees, certificate=None, exchanges=exchanges)
 
 
 def stp_number(g: MultiGraph, *, cap: int | None = None) -> tuple[int, Partition]:

@@ -231,6 +231,21 @@ def test_recolor_names_the_least_bad_edge():
     # The constructor names its least bad edge by the same rule.
     with pytest.raises(ValueError, match="^edge 1 has color 0, not in 1..3$"):
         KPartition(3, (1, 0, 4, 2.0))
+    # So does from_edge_sets, each id with the color of its set: neither a
+    # float nor a bool is an edge id (0.5 would fail as a list index, True
+    # would pass for edge 1).
+    for sets, message in [
+        ([[0.5], [0, 1]], "edge id 0.5 out of range"),
+        ([[True], [0]], "edge id True out of range"),
+        ([[1, 4], [0, -1]], "edge id -1 out of range"),
+        ([[1], [0, "x", 7]], "edge id x out of range"),
+        ([[1], [0], [2, 9]], "edge 2 has color 3, not in 1..2"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            KPartition.from_edge_sets(2, sets, 3)
+        assert str(raised.value) == message, sets
+    with pytest.raises(ValueError, match="^k must be an int, not 2.0$"):
+        KPartition.from_edge_sets(2.0, [[0]], 1)
 
 
 # build_sequence ---------------------------------------------------------------

@@ -333,18 +333,30 @@ def test_deep_exchange_keeps_full_prefix_agreement():
 
 # run_stage ----------------------------------------------------------------------
 
+def _stage_coloring(g: MultiGraph, trees, rest) -> KPartition:
+    """The coloring with the given trees as colors ``1..k-1`` and ``rest`` as color ``k``."""
+    return KPartition.from_edge_sets(len(trees) + 1, [*trees, rest], g.m)
+
+
 def test_run_stage_returns_connected_rest_immediately():
     g = path_graph(4)
-    outcome = run_stage(g, [], range(g.m))
+    outcome = run_stage(g, _stage_coloring(g, [], range(g.m)))
     assert outcome.certificate is None
-    assert outcome.rest == frozenset(range(g.m))
+    assert outcome.coloring.edges_of_color(1) == tuple(range(g.m))
     assert outcome.exchanges == 0
+
+
+def test_run_stage_rejects_a_coloring_of_another_edge_count():
+    g = path_graph(4)
+    for m in (g.m - 1, g.m + 1):
+        with pytest.raises(ValueError, match="^coloring does not match the graph's edge count$"):
+            run_stage(g, KPartition(1, (1,) * m))
 
 
 def test_run_stage_single_color_connected():
     g = complete_graph(4)
-    outcome = run_stage(g, [], range(g.m))
-    assert outcome.rest == frozenset(range(g.m))
+    outcome = run_stage(g, _stage_coloring(g, [], range(g.m)))
+    assert outcome.coloring.edges_of_color(1) == tuple(range(g.m))
     assert outcome.exchanges == 0
 
 
@@ -381,8 +393,8 @@ def test_run_stage_rejects_a_tree_color_that_is_not_a_tree(edges, tree_ids, expe
     rest = sorted(set(range(g.m)) - {e for ids in tree_ids for e in ids})
     assert components(g, rest).num_classes > 1
     message = f"color {expected} is not a spanning tree"
-    assert _invariant_message(lambda: run_stage(g, tree_ids, rest)) == message
-    t = KPartition.from_edge_sets(len(tree_ids) + 1, [*tree_ids, rest], g.m)
+    t = _stage_coloring(g, tree_ids, rest)
+    assert _invariant_message(lambda: run_stage(g, t)) == message
     assert _invariant_message(lambda: density_check(g, t, build_sequence(g, t))) == message
 
 
@@ -395,17 +407,19 @@ def test_run_stage_tree_check_matches_density_check_on_random_colorings():
             rest = t.edges_of_color(k)
             if components(g, rest).num_classes <= 1:
                 continue
-            trees = [t.edges_of_color(c) for c in range(1, k)]
+            stage = _stage_coloring(g, [t.edges_of_color(c) for c in range(1, k)], rest)
             expected = _invariant_message(lambda: density_check(g, t, build_sequence(g, t)))
-            assert _invariant_message(lambda: run_stage(g, trees, rest)) == expected, (g, t)
+            assert _invariant_message(lambda: run_stage(g, stage)) == expected, (g, t)
             raised += expected is not None
     assert raised >= 100, raised
 
 
 def test_run_stage_returns_a_connected_remainder_unchecked():
     g = complete_graph(4)  # edges 0, 1, 3 close the triangle 0-1-2
-    outcome = run_stage(g, [[0, 1, 3]], [2, 4, 5])
-    assert outcome == StageOutcome((frozenset({0, 1, 3}),), frozenset({2, 4, 5}), None, 0)
+    t = _stage_coloring(g, [[0, 1, 3]], [2, 4, 5])
+    outcome = run_stage(g, t)
+    assert outcome == StageOutcome(t, None, 0)
+    assert [outcome.coloring.edges_of_color(c) for c in (1, 2)] == [(0, 1, 3), (2, 4, 5)]
 
 
 def test_stage_sequences_equal_the_tested_sequences():
@@ -428,11 +442,11 @@ def test_stage_sequences_equal_the_tested_sequences():
 def test_run_stage_k4_second_stage():
     g = complete_graph(4)
     first = greedy_spanning_tree(g, range(g.m))
-    outcome = run_stage(g, [first], frozenset(range(g.m)) - first)
+    outcome = run_stage(g, _stage_coloring(g, [first], frozenset(range(g.m)) - first))
     assert outcome.certificate is None
-    trees = [*outcome.trees, outcome.rest]
+    trees = [outcome.coloring.edges_of_color(c) for c in (1, 2)]
     assert all(_is_spanning_tree(g, tr) for tr in trees[:-1])
-    assert components(g, outcome.rest).num_classes == 1
+    assert components(g, trees[-1]).num_classes == 1
 
 
 # greedy_spanning_tree -------------------------------------------------------------
@@ -471,6 +485,16 @@ def test_greedy_spanning_tree_rejects_a_disconnected_edge_set():
             greedy_spanning_tree(g, range(g.m), order)
     with pytest.raises(InternalInvariantError):
         greedy_spanning_tree(path_graph(3), [0])
+
+
+def test_greedy_spanning_tree_rejects_edge_ids_out_of_range():
+    # Unchecked, -1 would be read as the last edge by negative indexing,
+    # and 5 would raise IndexError.
+    g = MultiGraph(3, ((0, 1), (1, 2), (0, 2)))
+    for ids in ([-1, 0], [5, 0]):
+        for order in ("asc", "desc"):
+            with pytest.raises(ValueError, match="^edge id out of range$"):
+                greedy_spanning_tree(g, ids, order)
 
 
 # pack ---------------------------------------------------------------------------
@@ -555,7 +579,7 @@ def test_pack_beyond_the_certificate_bound_stops_there():
 def test_pack_beyond_the_certificate_bound_without_a_certificate_raises(monkeypatch):
     def packing_stages(g, *args):
         while True:
-            yield StageOutcome((), frozenset(), None, 0)
+            yield StageOutcome(KPartition(1, (1,) * g.m), None, 0)
 
     monkeypatch.setattr(treepack.packer, "_stages", packing_stages)
     g = complete_graph(4)

@@ -2,10 +2,12 @@
 
 ``run_stage`` keeps a forest for the remainder, and for each tree color an
 exchange uses, each rooted by one search at its first use, and patches
-both colors an exchange changes with one ``RootedForest.swap`` each. Here
-every forest call of a stage is held to the per-call result, the search,
-the climb and each swap are checked on their own, and a corrupt forest
-must fail loudly instead of looping.
+both colors an exchange changes with one ``RootedForest.swap`` each. The
+tree forests outlive the stage: ``pack`` and ``stp_number`` carry them, with
+the coloring, into the next one. Here every forest call of a stage is held
+to the per-call result, the carried forests to their colors and to a run
+that carries none, the search, the climb and each swap are checked on
+their own, and a corrupt forest must fail loudly instead of looping.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ import treepack.packer
 from treepack import (
     ExchangeEvent,
     InternalInvariantError,
+    KPartition,
     MultiGraph,
     NoCycleError,
     components,
     greedy_spanning_tree,
     pack,
     run_stage,
+    stp_number,
 )
 from treepack.generate import SplitMix64
 from treepack.multigraph import RootedForest, cycle_edges, fundamental_cycle, root_forest
@@ -33,6 +37,7 @@ from graphs import (
     deadline,
     hypercube,
     prefix_violations,
+    random_multigraph,
     union_of_spanning_trees,
 )
 
@@ -141,38 +146,121 @@ def test_stage_forests_agree_with_per_call_kernels_on_random_stages(checked_kern
     for seed in range(250):
         case = _random_stage(seed, k)
         if case is not None:
-            g = case[0]
-            exchanges += run_stage(*case, on_exchange=check).exchanges
+            g, trees, rest = case
+            t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
+            exchanges += run_stage(g, t, on_exchange=check).exchanges
     assert checked_kernels == {"cycle_edges": exchanges, "fundamental_cycle": exchanges}
     assert checked == exchanges >= 100
     assert violations == [], violations[:5]
 
 
 def test_each_stage_roots_each_color_it_uses_once(monkeypatch):
-    # The remainder, and every tree color an exchange enters, is rooted
-    # once in its stage: never again per exchange, and never by the
-    # per-call fallback inside cycle_edges or fundamental_cycle.
+    # The remainder is rooted once in each stage that exchanges; a tree
+    # color at most once in the whole run, at its first use after it became
+    # a tree. Never again per exchange, and never by the per-call fallback
+    # inside cycle_edges or fundamental_cycle.
     g = union_of_spanning_trees(2008, 200, 3)
     stages: list[dict] = []
+    pending: list[tuple[int, ...]] = []
     stage, root = treepack.packer.run_stage, root_forest
 
-    def counted_stage(*args, **kwargs):
-        stages.append({"rootings": 0, "colors": set()})
-        return stage(*args, **kwargs)
+    def counted_stage(g, coloring, **kwargs):
+        stages.append({"remainder": coloring.k, "rooted": [], "used": set()})
+        return stage(g, coloring, **kwargs)
 
     def counted_root(g, ids):
-        stages[-1]["rootings"] += 1
+        pending.append(tuple(ids))
         return root(g, ids)
 
     def record(event: ExchangeEvent) -> None:
-        stages[-1]["colors"].update({event.colors, event.trace.c_m})
+        for ids in pending:  # rooted for this exchange: name the color
+            color = event.before.color_of[ids[0]]
+            assert ids == event.before.edges_of_color(color)
+            stages[-1]["rooted"].append(color)
+        pending.clear()
+        stages[-1]["used"].update({event.colors, event.trace.c_m})
 
     monkeypatch.setattr(treepack.packer, "run_stage", counted_stage)
     monkeypatch.setattr(treepack.packer, "root_forest", counted_root)
     monkeypatch.setattr(treepack.multigraph, "root_forest", counted_root)
     assert pack(g, 3, on_exchange=record).exchanges >= 1
-    assert [s["rootings"] for s in stages] == [len(s["colors"]) for s in stages]
-    assert sum(s["rootings"] for s in stages) >= 2
+    assert pending == []
+    used_as_tree: set[int] = set()
+    for s in stages:
+        remainder = s["remainder"]
+        first_uses = s["used"] - {remainder} - used_as_tree
+        assert sorted(s["rooted"]) == sorted(first_uses | (s["used"] & {remainder}))
+        used_as_tree |= s["used"] - {remainder}
+    assert [len(s["rooted"]) for s in stages] == [0, 2, 2]
+
+
+def _checked_stages(monkeypatch):
+    """Rebind ``run_stage`` so that the forests carried into and out of
+    every stage are checked against its coloring."""
+    stage = treepack.packer.run_stage
+    checked = []
+
+    def check(g, coloring, forests) -> None:
+        assert set(forests) <= set(range(1, coloring.k)), "a remainder forest was carried"
+        for color, forest in forests.items():
+            _assert_rooted(g, forest, coloring.edges_of_color(color))
+        checked.append(len(forests))
+
+    def checked_stage(g, coloring, *, forests=None, **kwargs):
+        assert forests is not None, "the stage carries no forests"
+        check(g, coloring, forests)
+        outcome = stage(g, coloring, forests=forests, **kwargs)
+        check(g, outcome.coloring, forests)
+        return outcome
+
+    monkeypatch.setattr(treepack.packer, "run_stage", checked_stage)
+    return checked
+
+
+def _fresh_stages(monkeypatch):
+    """Rebind ``run_stage`` so that every stage starts from a coloring built
+    by ``from_edge_sets`` and with no forest carried in."""
+    stage = treepack.packer.run_stage
+
+    def fresh_stage(g, coloring, *, forests=None, **kwargs):
+        sets = [coloring.edges_of_color(c) for c in range(1, coloring.k + 1)]
+        return stage(g, KPartition.from_edge_sets(coloring.k, sets, g.m), **kwargs)
+
+    monkeypatch.setattr(treepack.packer, "run_stage", fresh_stage)
+
+
+def _run(g, k):
+    events: list[ExchangeEvent] = []
+    return pack(g, k, on_exchange=events.append), events, stp_number(g)
+
+
+def _carried_forest_cases():
+    cases = [(hypercube(6), 3), (hypercube(8), 4), (complete_graph(16), 8)]
+    cases += [(union_of_spanning_trees(2008, 200, 3), 3)]
+    for seed in range(60):
+        g = random_multigraph(seed, max_m=24)
+        if g.n >= 2:
+            cases.append((g, g.m // (g.n - 1) + 1))
+    return cases
+
+
+def test_carried_forests_match_their_colors_and_a_run_that_carries_none(monkeypatch):
+    cases = _carried_forest_cases()
+    loops = parallels = carried = exchanges = 0
+    for g, k in cases:
+        with monkeypatch.context() as m:
+            checked = _checked_stages(m)
+            carrying = _run(g, k)
+        with monkeypatch.context() as m:
+            _fresh_stages(m)
+            fresh = _run(g, k)
+        assert carrying == fresh, g
+        carried += sum(checked)
+        exchanges += carrying[0].exchanges
+        loops += any(u == v for u, v in g.edges)
+        parallels += len({tuple(sorted(e)) for e in g.edges}) < g.m
+    assert loops >= 40 and parallels >= 40, (loops, parallels)
+    assert carried >= 120 and exchanges >= 300, (carried, exchanges)
 
 
 # A path 0-1-2-3 whose closing edge is (0, 3).
