@@ -147,9 +147,9 @@ class RootedForest:
     ``above[v]`` is ``v``'s parent (``v`` at a root) and ``via[v]`` the
     forest edge to it (``-1`` at a root); the set's other ids are closing
     edges. ``cover`` maps each forest edge the last ``cycle_edges`` call
-    found on a cycle to the closing edge whose path covered it, the first
-    replacement ``swap`` tries. No depths are kept, since re-hanging a
-    subtree changes them all.
+    found on a cycle to the closing edge whose path covered it, the
+    replacement ``swap`` takes for it. No depths are kept, since re-hanging
+    a subtree changes them all.
     """
 
     above: list[VertexId]
@@ -184,33 +184,29 @@ class RootedForest:
     def swap(self, edges: Sequence[tuple[VertexId, VertexId]], out: EdgeId, into: EdgeId) -> None:
         """Patch the forest after ``out`` left its edge set and ``into`` joined.
 
-        A forest edge ``out`` is cut, and the side below it re-hung from the
-        first of ``cover[out]`` and ``into`` whose tree path runs through
-        ``out``, that is, which joins that side back to the tree ``out``
-        left. The candidate's ends climb as in ``fundamental_cycle``: one to
-        its root, the other until it meets that climb. With no such edge
-        InternalInvariantError is raised. Then ``into`` is linked if it
-        still joins two trees, the tree of its first end re-rooted there.
+        A forest edge ``out`` is cut, and the side below it re-hung from its
+        one replacement: ``cover[out]``, or ``into`` when ``out`` has no
+        cover. Its ends climb as in ``fundamental_cycle``: one to its root,
+        the other until it meets that climb. If its tree path misses
+        ``out``, so that it does not join that side back to the tree ``out``
+        left, InternalInvariantError is raised. Then ``into`` is linked if
+        it still joins two trees, the tree of its first end re-rooted there.
         """
         via, climb = self.via, self.climb
         a, b = edges[out]
         cut = a if via[a] == out else b if via[b] == out else -1
         if cut >= 0:
-            for f in (self.cover.get(out, into), into):  # with no cover, into twice
-                p, q = edges[f]
-                rise = climb(p)
-                climbed = set(rise)
-                fall = climb(q, climbed)
-                meet = fall.pop()
-                if meet not in climbed:  # two trees
-                    continue
-                if cut in fall:
-                    self.hang(fall[: fall.index(cut) + 1], p, f)
-                    break
-                if cut in rise and rise.index(cut) < rise.index(meet):
-                    self.hang(rise[: rise.index(cut) + 1], q, f)
-                    break
-            else:
+            f = self.cover.get(out, into)
+            p, q = edges[f]
+            rise = climb(p)
+            climbed = set(rise)
+            fall = climb(q, climbed)
+            meet = fall.pop()
+            if meet in climbed and cut in fall:
+                self.hang(fall[: fall.index(cut) + 1], p, f)
+            elif meet in climbed and cut in rise[: rise.index(meet)]:
+                self.hang(rise[: rise.index(cut) + 1], q, f)
+            else:  # f joins two trees, or its path misses out
                 raise InternalInvariantError(f"forest edge {out} has no replacement")
         x, y = edges[into]
         if via[x] != into and via[y] != into:
@@ -259,7 +255,7 @@ def cycle_edges(
     with path-halving jump pointers past the edges already marked, so every
     forest edge is marked once (Tarjan's path covering), by the closing
     edge kept for it in ``forest.cover``: the replacement ``RootedForest.swap``
-    tries first when that edge leaves the set. The walks compare depths: each
+    takes when that edge leaves the set. The walks compare depths: each
     vertex compared climbs to the first vertex whose depth is known, or to
     its root, and the climb gives a depth to every vertex on it.
     ``forest`` must be a rooted spanning forest of exactly ``edge_ids``,

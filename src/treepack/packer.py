@@ -235,11 +235,11 @@ def run_stage(
     leaves the cycle ``e`` closes there), so each sequence build takes them
     as forests unchecked. ``forests`` maps colors to rooted forests of
     exactly their edges and is updated in place; a color an exchange uses
-    that it lacks is rooted by one search. Each exchange swaps ``e'`` out
-    of tree ``c_m``'s forest and ``e`` in (``RootedForest.swap``). The
-    remainder's forest takes the reverse swap just before the next
-    exchange, its ``cover`` still the one ``cycle_edges`` left; a stage
-    that exchanged drops it. Every forest left matches the coloring returned.
+    that it lacks is rooted by one search. Right after each exchange both
+    forests take it (``RootedForest.swap``): the remainder's swaps ``e``
+    out and ``e'`` in, its ``cover`` the one ``cycle_edges`` just left, and
+    tree ``c_m``'s the reverse. So after every exchange each forest spans
+    exactly its color; a stage that exchanged drops the remainder's.
     """
     t, colors = coloring, coloring.k
     if t.m != g.m:
@@ -254,7 +254,7 @@ def run_stage(
         if len(ids) != g.n - 1 or len(_union_within(g, ids, [0] * g.n)[1]) != g.n - 1:
             raise InternalInvariantError(f"color {c} is not a spanning tree")
 
-    exchanges, last = 0, None
+    exchanges = 0
     while True:
         seq = build_sequence(g, t, forests=range(1, colors))
         certificate = density_check(g, t, seq) if seq.steps else None
@@ -263,15 +263,14 @@ def run_stage(
             return StageOutcome(t, certificate, exchanges)
         if exchanges >= cap:
             raise InternalInvariantError(f"exchange cap {cap} exceeded")
-        if last is not None:
-            forests[colors].swap(g.edges, last.e, last.e_prime)
-        after, last = _exchange_from(g, t, seq, forests)
-        forests[last.c_m].swap(g.edges, last.e_prime, last.e)
+        after, trace = _exchange_from(g, t, seq, forests)
+        forests[colors].swap(g.edges, trace.e, trace.e_prime)
+        forests[trace.c_m].swap(g.edges, trace.e_prime, trace.e)
         exchanges += 1
         if on_exchange is not None:
             on_exchange(
                 ExchangeEvent(
-                    colors=colors, before=t, after=after, sequence=seq, trace=last
+                    colors=colors, before=t, after=after, sequence=seq, trace=trace
                 )
             )
         t = after

@@ -77,6 +77,10 @@ def test_parse_parallel_pair_and_comments():
         ("p 2 1\nq 1 2\n", "unrecognized"),
         ("p 2 x\n", "integers"),
         ("p 0 0\n", "n >= 1"),
+        ("p 2 1\np 2 1\n", "duplicate header"),
+        ("p 2 1\ne 1\n", "edge must be"),
+        ("p 2 1\ne 1 x\n", "endpoints must be integers"),
+        ("c no header\n", "missing 'p"),
     ],
 )
 def test_parse_errors_carry_context(text, fragment):
@@ -121,6 +125,7 @@ def test_gen_is_reproducible_and_well_formed(tmp_path, capsys):
     assert out_a == "p 4 6\ne 2 4\ne 3 4\ne 2 1\ne 2 2\ne 1 3\ne 2 3\n"
     assert g == random_graph(4, 6, 1)
     assert _run(capsys, ["gen", "3", "0", "5"])[1] == "p 3 0\n"
+    assert _run(capsys, ["gen", "0", "5", "1"])[:2] == (EXIT_INPUT_ERROR, "")
 
 
 def test_gen_writes_files_identically(tmp_path, capsys):
@@ -356,6 +361,13 @@ def test_cmd_verify_rejects_tampered_trace(tmp_path, capsys):
         code, _, err = _run(capsys, ["verify", graph, result])
         assert code == EXIT_VERIFY_FAILED, field
         assert f"field {field!r}" in err
+    doc = json.loads(out)
+    claimed = len(doc["trace"])
+    doc["trace"].pop()
+    result = _write(tmp_path, "result.json", json.dumps(doc))
+    code, _, err = _run(capsys, ["verify", graph, result])
+    assert code == EXIT_VERIFY_FAILED
+    assert f"replay made {claimed} exchanges, document claims {claimed - 1}" in err
 
 
 @pytest.mark.parametrize(
@@ -421,16 +433,24 @@ def test_cmd_verify_certificate_counts_must_be_json_integers(tmp_path, capsys):
 
 def test_cmd_verify_malformed_documents(tmp_path, capsys):
     graph = _write(tmp_path, "k4.gr", K4_TEXT)
-    for text in (
-        "not json",
-        json.dumps({"verdict": "maybe"}),
-        json.dumps({"verdict": "packing", "k": 2, "trees": [[99, 1, 2], [3, 4, 5]]}),
-        json.dumps({"verdict": "certificate", "k": 2, "classes": [[1, 2], [2, 3, 4]],
-                    "crossing_edges": 0, "bound": 2}),
+    _, out, _ = _run(capsys, ["pack", graph, "2", "--trace"])
+    traced = json.loads(out)
+    for text, fragment in (
+        ("not json", "not valid JSON"),
+        ("[]", "must be a JSON object"),
+        (json.dumps({"verdict": "maybe"}), "unknown verdict"),
+        (json.dumps({"verdict": "packing", "k": 2, "trees": [[99, 1, 2], [3, 4, 5]]}), "edge id 99"),
+        (json.dumps({"verdict": "certificate", "k": 2, "classes": [[1, 2], [2, 3, 4]],
+                     "crossing_edges": 0, "bound": 2}), "do not partition"),
+        (json.dumps({"verdict": "certificate", "k": 2, "classes": 5,
+                     "crossing_edges": 0, "bound": 2}), "'classes' must be a list of lists"),
+        (json.dumps({**traced, "trace": {}}), "'trace' must be a list"),
+        (json.dumps({**traced, "trace": [5, *traced["trace"][1:]]}), "trace record 0 must be an object"),
     ):
         result = _write(tmp_path, "result.json", text)
-        code, _, _ = _run(capsys, ["verify", graph, result])
-        assert code == EXIT_INPUT_ERROR
+        code, _, err = _run(capsys, ["verify", graph, result])
+        assert code == EXIT_INPUT_ERROR, text
+        assert fragment in err, (text, err)
 
 
 # stp / oracle --------------------------------------------------------------------
@@ -486,6 +506,11 @@ def test_cmd_dot_packing_and_certificate(tmp_path, capsys):
     code, dot, _ = _run(capsys, ["dot", path_file, cert])
     assert code == EXIT_OK
     assert "style=dashed" in dot
+
+    unknown = _write(tmp_path, "maybe.json", json.dumps({"verdict": "maybe"}))
+    code, dot, err = _run(capsys, ["dot", graph, unknown])
+    assert (code, dot) == (EXIT_INPUT_ERROR, "")
+    assert "unknown verdict 'maybe'" in err
 
 
 @pytest.mark.parametrize("trees", [5, [3], [[[1]]]], ids=["int", "list-of-ints", "nested-lists"])

@@ -378,6 +378,13 @@ def test_levels_match_definitional_scan():
             assert t.edges_of_color(c) == scan, (kind, g, t, c)
 
 
+def test_build_sequence_rejects_a_coloring_of_another_edge_count():
+    g = MultiGraph(3, ((0, 1), (1, 2)))
+    for t in (KPartition(1, (1,)), KPartition(1, (1, 1, 1))):
+        with pytest.raises(ValueError, match="does not match the graph's edge count"):
+            build_sequence(g, t)
+
+
 def test_edge_levels_rejects_a_sequence_of_another_graph():
     g = MultiGraph(3, ((0, 1), (1, 2)))
     t = KPartition(1, (1, 1))

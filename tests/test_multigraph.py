@@ -39,6 +39,8 @@ def test_construction_rejects_bad_endpoints():
         MultiGraph(2, ((0, 2),))
     with pytest.raises(ValueError):
         MultiGraph(1, ((-1, 0),))
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        MultiGraph(-1, ())
 
 
 # quotient ------------------------------------------------------------------
@@ -101,6 +103,13 @@ def test_components_rejects_bad_edge_ids():
 
 
 # restrict_components --------------------------------------------------------
+
+def test_restrict_components_rejects_a_partition_of_another_size():
+    g = MultiGraph(3, ((0, 1), (1, 2)))
+    for p in (Partition.trivial(2), Partition.singletons(4)):
+        with pytest.raises(ValueError, match="partition does not match"):
+            restrict_components(g, (0, 1), p)
+
 
 def test_restrict_spanning_inside_every_class_is_identity():
     g = MultiGraph(4, ((0, 1), (2, 3)))
@@ -307,6 +316,9 @@ def test_fundamental_cycle_errors():
         fundamental_cycle(g, (0, 2), 0)  # e already a tree edge
     with pytest.raises(ValueError):
         fundamental_cycle(g, (0,), 3)  # e is a loop
+    for e in (-1, g.m):
+        with pytest.raises(ValueError, match="edge id out of range"):
+            fundamental_cycle(g, (0, 1), e)
 
 
 def test_fundamental_cycle_is_a_closed_degree_two_walk():

@@ -53,6 +53,10 @@ def test_enumeration_range_errors():
         list(enumerate_partitions(0))
     with pytest.raises(ValueError):
         list(enumerate_partitions(13))
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        density_margin(path_graph(3), -1)
+    with pytest.raises(ValueError, match="vertex count must be in 1..12"):
+        density_margin(MultiGraph(13, ()), 1)
 
 
 # density_margin -----------------------------------------------------------------
@@ -123,6 +127,8 @@ def test_verify_packing_rejections():
     split = MultiGraph(4, ((0, 1), (2, 3), (0, 1)))
     ok, detail = verify_packing(split, [[0, 1, 2]], 1)
     assert not ok and "connected" in detail
+    for e in (g.m, -1):
+        assert verify_packing(g, [[0, 1, e]], 1) == (False, f"tree 0 uses unknown edge id {e}")
 
 
 # verify_certificate --------------------------------------------------------------
@@ -167,3 +173,9 @@ def test_exhaustive_search_agrees_with_density_condition():
 def test_exhaustive_search_guards_its_size():
     with pytest.raises(ValueError):
         exists_packing_exhaustive(complete_graph(6), 3)
+
+
+def test_exhaustive_search_on_k_zero_and_below():
+    assert exists_packing_exhaustive(MultiGraph(3, ()), 0) is True  # vacuous, though disconnected
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        exists_packing_exhaustive(path_graph(3), -1)

@@ -497,6 +497,11 @@ def test_greedy_spanning_tree_rejects_edge_ids_out_of_range():
                 greedy_spanning_tree(g, ids, order)
 
 
+def test_greedy_spanning_tree_rejects_an_unknown_order():
+    with pytest.raises(ValueError, match="order must be 'asc' or 'desc'"):
+        greedy_spanning_tree(path_graph(3), [0, 1], "up")
+
+
 # pack ---------------------------------------------------------------------------
 
 def test_pack_zero_trees_is_vacuous():
@@ -510,6 +515,11 @@ def test_pack_zero_trees_is_vacuous():
 def test_pack_rejects_negative_k():
     with pytest.raises(ValueError):
         pack(path_graph(2), -1)
+
+
+def test_pack_rejects_a_graph_without_vertices():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        pack(MultiGraph(0, ()), 1)
 
 
 def test_pack_rejects_k_that_is_not_an_int_before_any_stage(monkeypatch):
@@ -676,6 +686,16 @@ def test_stp_number_of_k6_is_three():
 def test_stp_number_rejects_tiny_graphs():
     with pytest.raises(ValueError):
         stp_number(MultiGraph(1, ()))
+
+
+def test_stp_number_without_a_certificate_at_the_ceiling_raises(monkeypatch):
+    def packing_stages(g, *args):
+        while True:
+            yield StageOutcome(KPartition(1, (1,) * g.m), None, 0)
+
+    monkeypatch.setattr(treepack.packer, "_stages", packing_stages)
+    with pytest.raises(InternalInvariantError, match="no certificate at the arithmetic ceiling"):
+        stp_number(complete_graph(4))
 
 
 def _stp_by_repeated_pack(g: MultiGraph) -> tuple[int, Partition]:

@@ -2,10 +2,11 @@
 
 ``run_stage`` keeps a forest for the remainder, and for each tree color an
 exchange uses, each rooted by one search at its first use, and patches
-both colors an exchange changes with one ``RootedForest.swap`` each. The
-tree forests outlive the stage: ``pack`` and ``stp_number`` carry them, with
-the coloring, into the next one. Here every forest call of a stage is held
-to the per-call result, the carried forests to their colors and to a run
+both colors an exchange changes with one ``RootedForest.swap`` each, right
+after the exchange. The tree forests outlive the stage: ``pack`` and
+``stp_number`` carry them, with the coloring, into the next one. Here every
+forest call of a stage is held to the per-call result, every forest to its
+color after each exchange, the carried forests to their colors and to a run
 that carries none, the search, the climb and each swap are checked on
 their own, and a corrupt forest must fail loudly instead of looping.
 """
@@ -91,15 +92,15 @@ def checked_kernels(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "g, k",
-    [
-        pytest.param(hypercube(6), 3, id="Q6"),
-        pytest.param(hypercube(8), 4, id="Q8"),
-        pytest.param(union_of_spanning_trees(2008, 200, 3), 3, id="union-n200"),
-        pytest.param(complete_graph(16), 8, id="K16"),
-    ],
-)
+FAMILIES = [
+    pytest.param(hypercube(6), 3, id="Q6"),
+    pytest.param(hypercube(8), 4, id="Q8"),
+    pytest.param(union_of_spanning_trees(2008, 200, 3), 3, id="union-n200"),
+    pytest.param(complete_graph(16), 8, id="K16"),
+]
+
+
+@pytest.mark.parametrize("g, k", FAMILIES)
 def test_stage_forests_agree_with_per_call_kernels_on_families(checked_kernels, g, k):
     result = pack(g, k)
     assert result.exchanges >= 1
@@ -152,6 +153,54 @@ def test_stage_forests_agree_with_per_call_kernels_on_random_stages(checked_kern
     assert checked_kernels == {"cycle_edges": exchanges, "fundamental_cycle": exchanges}
     assert checked == exchanges >= 100
     assert violations == [], violations[:5]
+
+
+def _assert_forests_match(g: MultiGraph, forests, event: ExchangeEvent) -> None:
+    """Every forest of the stage's dict spans exactly its color after the exchange."""
+    assert {event.colors, event.trace.c_m} <= set(forests)
+    for color, forest in forests.items():
+        _assert_rooted(g, forest, event.after.edges_of_color(color))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_every_forest_matches_its_color_after_each_exchange_on_random_stages(k):
+    # Both colors an exchange changes are patched before the callback runs.
+    exchanges = checked = 0
+
+    def check(event: ExchangeEvent) -> None:
+        nonlocal checked
+        _assert_forests_match(g, forests, event)
+        checked += 1
+
+    for seed in range(250):
+        case = _random_stage(seed, k)
+        if case is not None:
+            g, trees, rest = case
+            forests: dict[int, RootedForest] = {}
+            t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
+            exchanges += run_stage(g, t, forests=forests, on_exchange=check).exchanges
+    assert checked == exchanges >= 100
+
+
+@pytest.mark.parametrize("g, k", FAMILIES)
+def test_every_forest_matches_its_color_after_each_exchange_on_families(monkeypatch, g, k):
+    stage = treepack.packer.run_stage
+    checked = 0
+
+    def checked_stage(g, coloring, *, forests=None, on_exchange=None, **kwargs):
+        assert forests is not None, "the stage carries no forests"
+
+        def check(event: ExchangeEvent) -> None:
+            nonlocal checked
+            _assert_forests_match(g, forests, event)
+            checked += 1
+            if on_exchange is not None:
+                on_exchange(event)
+
+        return stage(g, coloring, forests=forests, on_exchange=check, **kwargs)
+
+    monkeypatch.setattr(treepack.packer, "run_stage", checked_stage)
+    assert pack(g, k).exchanges == checked >= 1
 
 
 def test_each_stage_roots_each_color_it_uses_once(monkeypatch):
@@ -415,6 +464,15 @@ def test_remainder_forest_edge_without_a_replacement_raises():
     # Nor does a forged cover: in 0-1=2 with a parallel pair, the copy of
     # (1, 2) has both ends on the side that cutting the bridge (0, 1) detaches.
     g = MultiGraph(4, ((0, 1), (1, 2), (1, 2), (2, 3)))
+    forest = root_forest(g, [0, 1, 2])
+    cycle_edges(g, [0, 1, 2], forest=forest)
+    forest.cover[0] = 2
+    with deadline(), pytest.raises(InternalInvariantError, match="no replacement"):
+        forest.swap(g.edges, 0, 3)
+    # Nor does into stand in for a cover that fails: in the triangle 0-1-2
+    # with a copy of (0, 1), rooted at 0 by (0, 1) and (0, 2), a forged cover
+    # (0, 2) does not rejoin {1}, though e' = the copy would.
+    g = MultiGraph(3, ((0, 1), (1, 2), (0, 2), (0, 1)))
     forest = root_forest(g, [0, 1, 2])
     cycle_edges(g, [0, 1, 2], forest=forest)
     forest.cover[0] = 2
