@@ -244,7 +244,8 @@ def _check_certificate_document(g: MultiGraph, doc: dict) -> tuple[bool, str]:
 
 
 def _check_trace(g: MultiGraph, doc: dict, seedtree_order: str) -> tuple[bool, str]:
-    """Replay the run from scratch and compare every field of every record."""
+    """Replay the run from scratch and compare every field of the document,
+    each field of each trace record included."""
     claimed = doc.get("trace")
     if not isinstance(claimed, list):
         raise ResultDocumentError("document field 'trace' must be a list")
@@ -252,11 +253,13 @@ def _check_trace(g: MultiGraph, doc: dict, seedtree_order: str) -> tuple[bool, s
     result = pack(
         g, _document_k(doc), seedtree_order=seedtree_order, on_exchange=events.append
     )
-    if result.verdict != doc.get("verdict"):
-        return False, f"replay verdict {result.verdict!r} != document {doc.get('verdict')!r}"
+    replay = result_document(g, result, events)
+    derived = replay.pop("trace")
+    for field, value in replay.items():
+        if not _same_json(doc.get(field), value):
+            return False, f"field {field!r} is {doc.get(field)!r}, replay derives {value!r}"
     if len(events) != len(claimed):
         return False, f"replay made {len(events)} exchanges, document claims {len(claimed)}"
-    derived = result_document(g, result, events)["trace"]
     for index, (replayed, record) in enumerate(zip(derived, claimed)):
         if not isinstance(record, dict):
             raise ResultDocumentError(f"trace record {index} must be an object")

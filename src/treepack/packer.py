@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
-from itertools import compress, count, islice
+from itertools import compress
 
 from .kpartition import (
     INFINITE_LEVEL,
@@ -304,10 +304,13 @@ def _stages(
     connected stage ``s`` is yielded with the next stage's coloring: the
     tree taken greedily from color ``s`` keeps it, and the rest moves to
     color ``s + 1``. Stage ``s`` gets the exchange cap ``cap``, or
-    ``max(1, s * n * m)`` when ``cap`` is None.
+    ``max(1, s * n * m)`` when ``cap`` is None. A certificate comes by
+    stage ``m // (n - 1) + 1``, where ``s * (n - 1) > m`` and the one-vertex
+    classes alone violate the count; asking for a stage past it raises
+    InternalInvariantError. Needs ``n >= 2``.
     """
     t, forests = KPartition(1, (1,) * g.m), {}
-    for stage in count(1):
+    for stage in range(1, g.m // (g.n - 1) + 2):
         limit = cap if cap is not None else max(1, stage * g.n * g.m)
         outcome = run_stage(g, t, forests=forests, cap=limit, on_exchange=on_exchange)
         if outcome.certificate is not None:
@@ -320,6 +323,7 @@ def _stages(
             color_of[e] = stage + 1
         t = KPartition(stage + 1, tuple(color_of))
         yield replace(outcome, coloring=t)
+    raise InternalInvariantError("no certificate at the arithmetic ceiling")
 
 
 def pack(
@@ -332,17 +336,15 @@ def pack(
 ) -> PackResult:
     """Find k edge-disjoint spanning trees or a violating partition.
 
-    Trees are extracted one stage at a time, on one coloring that every
-    stage carries on, and read from the last stage's coloring as ``k`` sets;
-    any stage certificate is also a certificate for the full ``k`` since a
-    violation of ``t * (|P| - 1)`` at stage ``t <= k`` implies one of
-    ``k * (|P| - 1)``. ``k = 0`` and
-    single-vertex graphs succeed vacuously, for any ``k`` a tuple can hold
-    (a larger one is a ValueError). Loops can never enter a tree
-    and simply stay in the remainder. Every stage gets the exchange cap
-    ``cap``, by default ``max(1, k * n * m)``; a negative cap is a
-    ValueError. At most ``m // (n - 1) + 1`` stages run, whatever ``k``:
-    a certificate is guaranteed by then (see ``stp_number``).
+    Runs the first ``k`` stages of ``_stages``, which set each stage's
+    exchange cap, and reads the trees from the last stage's coloring as
+    ``k`` sets; any stage certificate is also a certificate for the full
+    ``k`` since a violation of ``t * (|P| - 1)`` at stage ``t <= k`` implies
+    one of ``k * (|P| - 1)``, so a ``k`` beyond the stages (even ``10**20``)
+    gets that certificate. ``k = 0`` and single-vertex graphs succeed
+    vacuously, for any ``k`` a tuple can hold (a larger one is a
+    ValueError). Loops can never enter a tree and simply stay in the
+    remainder. A negative cap is a ValueError.
     """
     if type(k) is not int or k < 0:
         raise ValueError("k must be a nonnegative integer")
@@ -356,15 +358,11 @@ def pack(
         if k > sys.maxsize:
             raise ValueError(f"input too large: k must be at most {sys.maxsize} on one vertex")
         return PackResult(k=k, trees=(frozenset(),) * k, certificate=None, exchanges=0)
-    limit = cap if cap is not None else max(1, k * g.n * g.m)
-    ceiling = g.m // (g.n - 1) + 1
     exchanges = 0
-    for last in islice(_stages(g, limit, seedtree_order, on_exchange), min(k, ceiling)):
+    for _, last in zip(range(k), _stages(g, cap, seedtree_order, on_exchange)):
         exchanges += last.exchanges
     if last.certificate is not None:
         return PackResult(k=k, trees=None, certificate=last.certificate, exchanges=exchanges)
-    if k > ceiling:
-        raise InternalInvariantError("no certificate at the arithmetic ceiling")
     trees = tuple(frozenset(last.coloring.edges_of_color(c)) for c in range(1, k + 1))
     return PackResult(k=k, trees=trees, certificate=None, exchanges=exchanges)
 
@@ -372,21 +370,15 @@ def pack(
 def stp_number(g: MultiGraph, *, cap: int | None = None) -> tuple[int, Partition]:
     """Largest k packing k spanning trees, plus the certificate for k + 1.
 
-    Runs stages 1, 2, ... once each and stops at the first certificate: a
-    certificate at stage ``s`` yields ``(s - 1, certificate)``. Stage ``s``
-    gets the exchange cap ``cap``, by default ``max(1, s * n * m)``, the
-    cap it has in ``pack(g, s)``; a negative cap is a ValueError. A
-    certificate is guaranteed by stage ``m // (n - 1) + 1``, where the
-    one-vertex classes alone violate the count. Graphs with fewer than two
-    vertices pack every k vacuously and are rejected.
+    Runs the stages of ``_stages`` to the first certificate, with the caps
+    they have in ``pack``: a certificate at stage ``s`` yields
+    ``(s - 1, certificate)``. A negative cap is a ValueError. Graphs with
+    fewer than two vertices pack every k vacuously and are rejected.
     """
     if g.n <= 1:
         raise ValueError("packing number is unbounded for graphs with n <= 1")
     if cap is not None and cap < 0:
         raise ValueError("exchange cap must be nonnegative")
-    ceiling = g.m // (g.n - 1) + 1
-    outcomes = islice(_stages(g, cap, "asc", None), ceiling)
-    for stage, outcome in enumerate(outcomes, start=1):
-        if outcome.certificate is not None:
-            return stage - 1, outcome.certificate
-    raise InternalInvariantError("no certificate at the arithmetic ceiling")
+    for k_max, last in enumerate(_stages(g, cap, "asc", None)):
+        pass  # the stages end at their certificate
+    return k_max, last.certificate

@@ -370,6 +370,36 @@ def test_cmd_verify_rejects_tampered_trace(tmp_path, capsys):
     assert f"replay made {claimed} exchanges, document claims {claimed - 1}" in err
 
 
+TWO_K4_TEXT = K4_TEXT.replace("p 4 6", "p 8 13") + "e 5 6\ne 5 7\ne 5 8\ne 6 7\ne 6 8\ne 7 8\ne 1 5\n"
+
+
+@pytest.mark.parametrize(
+    "text, forged",
+    [
+        # The other packing of K4: valid, but not the one the trace makes.
+        (K4_TEXT, {"trees": [[0, 3, 5], [1, 2, 4]]}),
+        # Two K4s joined by one edge: a violating partition, but the trace
+        # certifies with the singletons.
+        (TWO_K4_TEXT, {"classes": [[1, 2, 3, 4], [5, 6, 7, 8]], "crossing_edges": 1, "bound": 2}),
+    ],
+    ids=["k4-other-packing", "two-k4-other-certificate"],
+)
+def test_cmd_verify_binds_a_traced_document_to_its_replay(tmp_path, capsys, text, forged):
+    graph = _write(tmp_path, "g.gr", text)
+    code, out, _ = _run(capsys, ["pack", graph, "2", "--trace"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert all(doc[field] != value for field, value in forged.items())
+    doc.update(forged)
+    untraced = {field: value for field, value in doc.items() if field != "trace"}
+    result = _write(tmp_path, "untraced.json", json.dumps(untraced))
+    assert _run(capsys, ["verify", graph, result])[0] == EXIT_OK  # valid on its own
+    result = _write(tmp_path, "result.json", json.dumps(doc))
+    code, _, err = _run(capsys, ["verify", graph, result])
+    assert code == EXIT_VERIFY_FAILED
+    assert f"field {next(iter(forged))!r} is" in err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -31,6 +31,7 @@ from graphs import (
     cycle_graph,
     doubled_triangle,
     early_improvement_graph,
+    hypercube,
     parallel_pair_instance,
     path_graph,
     planted_coloring,
@@ -586,12 +587,16 @@ def test_pack_beyond_the_certificate_bound_stops_there():
         assert (beyond.certificate, beyond.exchanges) == (bound.certificate, bound.exchanges)
 
 
-def test_pack_beyond_the_certificate_bound_without_a_certificate_raises(monkeypatch):
-    def packing_stages(g, *args):
-        while True:
-            yield StageOutcome(KPartition(1, (1,) * g.m), None, 0)
+def _fake_packing_stages(monkeypatch) -> None:
+    """Every stage is connected with no certificate, and its tree is empty."""
+    monkeypatch.setattr(
+        treepack.packer, "run_stage", lambda g, t, **kwargs: StageOutcome(t, None, 0)
+    )
+    monkeypatch.setattr(treepack.packer, "greedy_spanning_tree", lambda *args: frozenset())
 
-    monkeypatch.setattr(treepack.packer, "_stages", packing_stages)
+
+def test_pack_beyond_the_certificate_bound_without_a_certificate_raises(monkeypatch):
+    _fake_packing_stages(monkeypatch)
     g = complete_graph(4)
     with pytest.raises(InternalInvariantError, match="no certificate at the arithmetic ceiling"):
         pack(g, 10**20)
@@ -689,11 +694,7 @@ def test_stp_number_rejects_tiny_graphs():
 
 
 def test_stp_number_without_a_certificate_at_the_ceiling_raises(monkeypatch):
-    def packing_stages(g, *args):
-        while True:
-            yield StageOutcome(KPartition(1, (1,) * g.m), None, 0)
-
-    monkeypatch.setattr(treepack.packer, "_stages", packing_stages)
+    _fake_packing_stages(monkeypatch)
     with pytest.raises(InternalInvariantError, match="no certificate at the arithmetic ceiling"):
         stp_number(complete_graph(4))
 
@@ -732,7 +733,41 @@ def test_stp_number_runs_each_stage_once_with_its_pack_cap(monkeypatch):
     assert caps == [50] * 4
     caps.clear()
     pack(g, 3)
-    assert caps == [3 * g.n * g.m] * 3
+    assert caps == [s * g.n * g.m for s in (1, 2, 3)]
+
+
+def _stage_record(monkeypatch, run) -> list[tuple]:
+    """The cap and the outcome of every ``run_stage`` call that ``run()`` makes."""
+    record = []
+    real = treepack.packer.run_stage
+
+    def recording(g, coloring, **kwargs):
+        outcome = real(g, coloring, **kwargs)
+        record.append(
+            (kwargs["cap"], outcome.coloring.color_of, outcome.certificate, outcome.exchanges)
+        )
+        return outcome
+
+    with monkeypatch.context() as m:
+        m.setattr(treepack.packer, "run_stage", recording)
+        run()
+    return record
+
+
+def test_pack_runs_a_prefix_of_the_stages_of_stp_number(monkeypatch):
+    # pack(g, k) runs the first k stages stp_number runs, with the same caps
+    # and outcomes, for every k up to one past k_max and for a k beyond them.
+    graphs = [hypercube(6), complete_graph(16), union_of_spanning_trees(2008, 200, 3)]
+    graphs += [random_multigraph(seed) for seed in range(50)]
+    compared = 0
+    for g in graphs:
+        stp = _stage_record(monkeypatch, lambda: stp_number(g))
+        assert stp[-1][2] is not None and all(r[2] is None for r in stp[:-1])
+        for k in [*range(1, len(stp) + 1), 10**20]:
+            packed = _stage_record(monkeypatch, lambda: pack(g, k))
+            assert packed == stp[: min(k, len(stp))], (g, k)
+            compared += len(packed)
+    assert compared >= 300, compared
 
 
 def test_stp_number_respects_cap():
