@@ -6,10 +6,8 @@ Graph file format (1-based vertices, ``u = v`` allowed for loops)::
     p <n> <m>
     e <u> <v>        (exactly m such lines; edge ids follow line order)
 
-Result documents are single JSON objects; trees reference edges by their
-0-based id in file order, since endpoint pairs cannot identify an edge
-once parallels are allowed. Exit codes: 0 definitive verdict, 1 failed
-verification, 2 input error, 3 internal invariant violation.
+Result documents live in ``treepack.document``. Exit codes: 0 definitive
+verdict, 1 failed verification, 2 input error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -18,13 +16,19 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Callable
 
+from .document import (
+    check_document,
+    load_document,
+    oracle_document,
+    render_dot,
+    result_document,
+    stp_document,
+)
 from .generate import random_graph
-from .multigraph import MultiGraph, quotient
-from .oracle import MAX_ENUMERATION_N, density_margin, verify_certificate, verify_packing
-from .packer import ExchangeEvent, InternalInvariantError, PackResult, pack, stp_number
-from .partition import Partition
+from .multigraph import MultiGraph
+from .oracle import MAX_ENUMERATION_N, density_margin
+from .packer import ExchangeEvent, InternalInvariantError, pack, stp_number
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -34,10 +38,6 @@ EXIT_INTERNAL_ERROR = 3
 
 class GraphFileError(ValueError):
     """Malformed graph file; the message names the offending line."""
-
-
-class ResultDocumentError(ValueError):
-    """Malformed result document."""
 
 
 def parse_graph(text: str) -> MultiGraph:
@@ -95,65 +95,6 @@ def load_graph(path: str) -> MultiGraph:
         return parse_graph(handle.read())
 
 
-def _classes_1based(p: Partition) -> list[list[int]]:
-    """The classes of ``p`` with 1-based vertices, from one pass over its labels."""
-    members: list[list[int]] = [[] for _ in range(p.num_classes)]
-    for v, index in enumerate(p.class_of, start=1):
-        members[index].append(v)
-    return members
-
-
-def _certificate_body(g: MultiGraph, p: Partition, k: int) -> dict:
-    return {
-        "classes": _classes_1based(p),
-        "crossing_edges": quotient(g, p).m,
-        "bound": k * (p.num_classes - 1),
-    }
-
-
-def _trace_record(event: ExchangeEvent, classes_1based: Callable) -> dict:
-    trace = event.trace
-    sequence = event.sequence
-    return {
-        "e": trace.e,
-        "m": trace.m,
-        "class_p": [v + 1 for v in trace.class_p],
-        "c_m": trace.c_m,
-        "cycle": list(trace.cycle),
-        "e_prime": trace.e_prime,
-        "j": trace.j,
-        "class_q": [v + 1 for v in trace.class_q],
-        "sequence": {
-            "steps": [
-                {"classes": classes_1based(step.partition), "splitter": step.splitter}
-                for step in sequence.steps
-            ],
-            "terminal": classes_1based(sequence.terminal),
-        },
-    }
-
-
-def result_document(
-    g: MultiGraph, result: PackResult, events: list[ExchangeEvent] | None = None
-) -> dict:
-    """``pack``'s document; trace records share the class lists of equal
-    partitions, each serialized once, so dump the document, do not edit it."""
-    if result.trees is not None:
-        doc: dict = {
-            "verdict": "packing",
-            "k": result.k,
-            "trees": [sorted(tree) for tree in result.trees],
-        }
-    else:
-        assert result.certificate is not None
-        doc = {"verdict": "certificate", "k": result.k}
-        doc.update(_certificate_body(g, result.certificate, result.k))
-    if events is not None:
-        classes_1based = functools.cache(_classes_1based)
-        doc["trace"] = [_trace_record(event, classes_1based) for event in events]
-    return doc
-
-
 def _write(text: str, path: str | None) -> None:
     """Write ``text`` to the file ``path``, or to stdout when it is None."""
     if path is None:
@@ -181,132 +122,18 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_document(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ResultDocumentError(f"result document is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ResultDocumentError("result document must be a JSON object")
-    return doc
-
-
-def _document_k(doc: dict) -> int:
-    k = doc.get("k")
-    if type(k) is not int or k < 0:
-        raise ResultDocumentError("document field 'k' must be a nonnegative integer")
-    return k
-
-
-def _document_trees(g: MultiGraph, doc: dict) -> list[list[int]]:
-    """The document's ``trees``: lists of edge ids that exist in ``g``."""
-    trees = doc.get("trees")
-    if not isinstance(trees, list) or not all(isinstance(t, list) for t in trees):
-        raise ResultDocumentError("document field 'trees' must be a list of lists")
-    for tree in trees:
-        for e in tree:
-            if type(e) is not int or not 0 <= e < g.m:
-                raise ResultDocumentError(f"edge id {e!r} does not exist in the graph")
-    return trees
-
-
-def _partition_from_document(g: MultiGraph, classes: object) -> Partition:
-    if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
-        raise ResultDocumentError("document field 'classes' must be a list of lists")
-    zero_based = []
-    for members in classes:
-        for v in members:
-            if type(v) is not int or not 1 <= v <= g.n:
-                raise ResultDocumentError(f"vertex {v!r} does not exist in the graph")
-        zero_based.append([v - 1 for v in members])
-    try:
-        return Partition.from_classes(zero_based, g.n)
-    except ValueError as exc:
-        raise ResultDocumentError(f"classes do not partition the vertex set: {exc}")
-
-
-def _same_json(claimed: object, derived: object) -> bool:
-    """Equal as JSON, types included: ``true`` and ``1.0`` are not ``1``."""
-    return json.dumps(claimed, sort_keys=True) == json.dumps(derived, sort_keys=True)
-
-
-def _check_certificate_document(g: MultiGraph, doc: dict) -> tuple[bool, str]:
-    p = _partition_from_document(g, doc.get("classes"))
-    k = _document_k(doc)
-    crossing = quotient(g, p).m
-    bound = k * (p.num_classes - 1)
-    if not _same_json(doc.get("crossing_edges"), crossing):
-        return False, f"document says {doc.get('crossing_edges')} crossing edges, graph has {crossing}"
-    if not _same_json(doc.get("bound"), bound):
-        return False, f"document says bound {doc.get('bound')}, expected {bound}"
-    return verify_certificate(g, p, k)
-
-
-def _check_trace(g: MultiGraph, doc: dict, seedtree_order: str) -> tuple[bool, str]:
-    """Replay the run from scratch and compare every field of the document,
-    each field of each trace record included."""
-    claimed = doc.get("trace")
-    if not isinstance(claimed, list):
-        raise ResultDocumentError("document field 'trace' must be a list")
-    events: list[ExchangeEvent] = []
-    result = pack(
-        g, _document_k(doc), seedtree_order=seedtree_order, on_exchange=events.append
-    )
-    replay = result_document(g, result, events)
-    derived = replay.pop("trace")
-    for field, value in replay.items():
-        if not _same_json(doc.get(field), value):
-            return False, f"field {field!r} is {doc.get(field)!r}, replay derives {value!r}"
-    if len(events) != len(claimed):
-        return False, f"replay made {len(events)} exchanges, document claims {len(claimed)}"
-    for index, (replayed, record) in enumerate(zip(derived, claimed)):
-        if not isinstance(record, dict):
-            raise ResultDocumentError(f"trace record {index} must be an object")
-        for field, value in replayed.items():
-            if not _same_json(record.get(field), value):
-                return False, (
-                    f"trace record {index}: field {field!r} is "
-                    f"{record.get(field)!r}, replay derives {value!r}"
-                )
-    return True, "ok"
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = load_graph(args.file)
-    doc = _load_document(args.result)
-    verdict = doc.get("verdict")
-    if verdict == "packing":
-        ok, detail = verify_packing(g, _document_trees(g, doc), _document_k(doc))
-    elif verdict == "certificate":
-        ok, detail = _check_certificate_document(g, doc)
-    else:
-        raise ResultDocumentError(f"unknown verdict {verdict!r}")
-    if not ok:
-        print(f"verification failed: {detail}", file=sys.stderr)
+    failure = check_document(g, load_document(args.result), args.seedtree_order)
+    if failure is not None:
+        print(failure, file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    if "trace" in doc:
-        ok, detail = _check_trace(g, doc, args.seedtree_order)
-        if not ok:
-            print(f"trace verification failed: {detail}", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 
 def _cmd_stp(args: argparse.Namespace) -> int:
     g = load_graph(args.file)
-    if g.n <= 1:
-        _emit({"k_max": None, "unbounded": True})
-        return EXIT_OK
-    k_max, certificate = stp_number(g)
-    doc = {
-        "k_max": k_max,
-        "certificate": {
-            "k": k_max + 1,
-            **_certificate_body(g, certificate, k_max + 1),
-        },
-    }
-    _emit(doc)
+    _emit(stp_document(g, stp_number(g) if g.n > 1 else None))
     return EXIT_OK
 
 
@@ -314,14 +141,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     g = load_graph(args.file)
     if g.n > MAX_ENUMERATION_N:
         raise ValueError(f"oracle enumeration is limited to n <= {MAX_ENUMERATION_N}")
-    report = density_margin(g, args.k)
-    _emit(
-        {
-            "k": args.k,
-            "margin": report.margin,
-            "witness": _classes_1based(report.witness),
-        }
-    )
+    _emit(oracle_document(args.k, density_margin(g, args.k)))
     return EXIT_OK
 
 
@@ -330,49 +150,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_PALETTE = (
-    "red",
-    "blue",
-    "forestgreen",
-    "darkorange",
-    "purple",
-    "saddlebrown",
-    "deeppink",
-    "cadetblue",
-    "olive",
-    "gray40",
-)
-
-
-def render_dot(g: MultiGraph, doc: dict) -> str:
-    """DOT rendering: one color per tree, dashed certificate-crossing edges."""
-    lines = ["graph packing {", "  node [shape=circle];"]
-    verdict = doc.get("verdict")
-    if verdict == "packing":
-        color_of: dict[int, str] = {}
-        for index, tree in enumerate(_document_trees(g, doc)):
-            for e in tree:
-                color_of[e] = _PALETTE[index % len(_PALETTE)]
-        for eid, (u, v) in enumerate(g.edges):
-            color = color_of.get(eid, "gray80")
-            lines.append(f'  {u + 1} -- {v + 1} [color="{color}"];')
-    elif verdict == "certificate":
-        p = _partition_from_document(g, doc.get("classes"))
-        for v in range(g.n):
-            fill = _PALETTE[p.class_of[v] % len(_PALETTE)]
-            lines.append(f'  {v + 1} [style=filled, fillcolor="{fill}"];')
-        for u, v in g.edges:
-            style = "dashed" if p.class_of[u] != p.class_of[v] else "solid"
-            lines.append(f"  {u + 1} -- {v + 1} [style={style}];")
-    else:
-        raise ResultDocumentError(f"unknown verdict {verdict!r}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_dot(args: argparse.Namespace) -> int:
     g = load_graph(args.file)
-    _write(render_dot(g, _load_document(args.result)), args.output)
+    _write(render_dot(g, load_document(args.result)), args.output)
     return EXIT_OK
 
 

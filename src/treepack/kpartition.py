@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable, Mapping, NamedTuple
 
-from .multigraph import EdgeId, MultiGraph, components, restrict_components
+from .multigraph import EdgeId, MultiGraph, restrict_components
 from .partition import Partition
 
 # Level of an edge whose endpoints are never separated (loops included).
@@ -191,7 +191,7 @@ class PartitionSequence:
 
 
 def build_sequence(
-    g: MultiGraph, t: KPartition, *, forests: Container[int] | None = None
+    g: MultiGraph, t: KPartition, *, forests: Container[int] = ()
 ) -> PartitionSequence:
     """Compute the partition sequence of ``t`` and the level of every edge.
 
@@ -207,17 +207,13 @@ def build_sequence(
     color's list gives level ``i`` to the edges the split separates and
     drops them (the splitter's edges all stay inside its components).
     ``forests`` names colors the caller knows to be forests, trusted as
-    such; every other color is then taken as no forest. With None, the
-    default, a color is a forest when it has ``n - len(ids)`` components.
+    such; the flag only skips work, so any set of true forests, the
+    default none included, gives the same sequence.
     """
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
     n, k, edges = g.n, t.k, g.edges
     colors = [t.edges_of_color(c) for c in range(k + 1)]
-    if forests is None:
-        forests = {
-            c for c, ids in enumerate(colors) if components(g, ids).num_classes == n - len(ids)
-        }
     forest = [c in forests for c in range(k + 1)]
     inside = [
         ids if forest[c] else [e for e in ids if edges[e][0] != edges[e][1]]

@@ -30,18 +30,21 @@ class MultiGraph:
 
     ``edges[i]`` is the unordered endpoint pair of edge id ``i``. Edge
     order is construction order and is never permuted, which keeps every
-    downstream choice deterministic.
+    downstream choice deterministic. ``n`` and each endpoint are exact ints.
     """
 
     n: int
     edges: tuple[tuple[VertexId, VertexId], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n = self.n
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an int, not {n!r}")
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         for eid, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {eid} endpoint out of range: ({u}, {v})")
 
     @property

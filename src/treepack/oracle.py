@@ -98,11 +98,12 @@ def verify_packing(
     if len(tree_lists) != k:
         return False, f"expected {k} trees, found {len(tree_lists)}"
     used: dict[EdgeId, int] = {}
+    m = g.m
     for index, ids in enumerate(tree_lists):
         if len(set(ids)) != len(ids):
             return False, f"tree {index} repeats an edge id"
         for e in ids:
-            if not 0 <= e < g.m:
+            if type(e) is not int or not 0 <= e < m:
                 return False, f"tree {index} uses unknown edge id {e}"
             if e in used:
                 return False, f"trees {used[e]} and {index} share edge {e}"

@@ -220,8 +220,8 @@ def run_stage(
     g: MultiGraph,
     coloring: KPartition,
     *,
-    forests: dict[int, RootedForest] | None = None,
-    cap: int | None = None,
+    forests: dict[int, RootedForest],
+    cap: int,
     on_exchange: OnExchange | None = None,
 ) -> StageOutcome:
     """Exchange until the remainder color is connected or a certificate appears.
@@ -244,9 +244,6 @@ def run_stage(
     t, colors = coloring, coloring.k
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
-    forests = {} if forests is None else forests
-    if cap is None:
-        cap = max(1, colors * g.n * g.m)
     if components(g, t.edges_of_color(colors)).num_classes <= 1:
         return StageOutcome(t, None, 0)
     for c in range(1, colors):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import treepack
+import treepack.document
 from treepack import ExchangeEvent, MultiGraph, Partition, pack, verify_packing
 from treepack.cli import (
     EXIT_INPUT_ERROR,
@@ -617,3 +618,24 @@ def test_module_invocation_round_trip(tmp_path):
     )
     assert run.returncode == 0
     assert json.loads(run.stdout)["verdict"] == "packing"
+
+
+# module boundary -------------------------------------------------------------------
+
+def test_cli_result_document_is_the_document_modules():
+    # The benchmark calls and spans ``treepack.cli.result_document``; both
+    # names must hold one function object.
+    assert treepack.cli.result_document is treepack.document.result_document
+    assert result_document is treepack.document.result_document
+
+
+def test_package_root_exports_no_document_name():
+    # Nothing imports a document name from ``treepack``, so the root exports none.
+    defined = {
+        name
+        for name, value in vars(treepack.document).items()
+        if getattr(value, "__module__", None) == "treepack.document"
+    }
+    assert {"ResultDocumentError", "check_document", "result_document"} <= defined
+    assert defined.isdisjoint(treepack.__all__)
+    assert defined.isdisjoint(vars(treepack))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from treepack import (
@@ -41,6 +43,27 @@ def test_construction_rejects_bad_endpoints():
         MultiGraph(1, ((-1, 0),))
     with pytest.raises(ValueError, match="vertex count must be nonnegative"):
         MultiGraph(-1, ())
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True])
+def test_construction_rejects_a_vertex_count_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match=f"^vertex count must be an int, not {n!r}$"):
+        MultiGraph(n, ())
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # A float endpoint once failed in pack with a bare TypeError, and a
+        # bool one packed as vertex 1.
+        (((0, 1.0), (1, 2)), "edge 0 endpoint out of range: (0, 1.0)"),
+        (((0, True), (1, 2)), "edge 0 endpoint out of range: (0, True)"),
+        (((1, 2), (False, 2)), "edge 1 endpoint out of range: (False, 2)"),
+    ],
+)
+def test_construction_rejects_an_endpoint_that_is_not_an_int(edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MultiGraph(3, edges)
 
 
 # quotient ------------------------------------------------------------------

@@ -339,9 +339,23 @@ def _stage_coloring(g: MultiGraph, trees, rest) -> KPartition:
     return KPartition.from_edge_sets(len(trees) + 1, [*trees, rest], g.m)
 
 
+def _run_stage(g: MultiGraph, t: KPartition) -> StageOutcome:
+    """``run_stage`` with no forests carried in and the cap ``_stages`` gives stage ``t.k``."""
+    return run_stage(g, t, forests={}, cap=max(1, t.k * g.n * g.m))
+
+
+def test_run_stage_requires_a_cap_and_forests():
+    g = complete_graph(4)
+    t = _stage_coloring(g, [], range(g.m))
+    with pytest.raises(TypeError, match="'cap'"):
+        run_stage(g, t, forests={})
+    with pytest.raises(TypeError, match="'forests'"):
+        run_stage(g, t, cap=1)
+
+
 def test_run_stage_returns_connected_rest_immediately():
     g = path_graph(4)
-    outcome = run_stage(g, _stage_coloring(g, [], range(g.m)))
+    outcome = _run_stage(g, _stage_coloring(g, [], range(g.m)))
     assert outcome.certificate is None
     assert outcome.coloring.edges_of_color(1) == tuple(range(g.m))
     assert outcome.exchanges == 0
@@ -351,12 +365,12 @@ def test_run_stage_rejects_a_coloring_of_another_edge_count():
     g = path_graph(4)
     for m in (g.m - 1, g.m + 1):
         with pytest.raises(ValueError, match="^coloring does not match the graph's edge count$"):
-            run_stage(g, KPartition(1, (1,) * m))
+            _run_stage(g, KPartition(1, (1,) * m))
 
 
 def test_run_stage_single_color_connected():
     g = complete_graph(4)
-    outcome = run_stage(g, _stage_coloring(g, [], range(g.m)))
+    outcome = _run_stage(g, _stage_coloring(g, [], range(g.m)))
     assert outcome.coloring.edges_of_color(1) == tuple(range(g.m))
     assert outcome.exchanges == 0
 
@@ -395,7 +409,7 @@ def test_run_stage_rejects_a_tree_color_that_is_not_a_tree(edges, tree_ids, expe
     assert components(g, rest).num_classes > 1
     message = f"color {expected} is not a spanning tree"
     t = _stage_coloring(g, tree_ids, rest)
-    assert _invariant_message(lambda: run_stage(g, t)) == message
+    assert _invariant_message(lambda: _run_stage(g, t)) == message
     assert _invariant_message(lambda: density_check(g, t, build_sequence(g, t))) == message
 
 
@@ -410,7 +424,7 @@ def test_run_stage_tree_check_matches_density_check_on_random_colorings():
                 continue
             stage = _stage_coloring(g, [t.edges_of_color(c) for c in range(1, k)], rest)
             expected = _invariant_message(lambda: density_check(g, t, build_sequence(g, t)))
-            assert _invariant_message(lambda: run_stage(g, stage)) == expected, (g, t)
+            assert _invariant_message(lambda: _run_stage(g, stage)) == expected, (g, t)
             raised += expected is not None
     assert raised >= 100, raised
 
@@ -418,7 +432,7 @@ def test_run_stage_tree_check_matches_density_check_on_random_colorings():
 def test_run_stage_returns_a_connected_remainder_unchecked():
     g = complete_graph(4)  # edges 0, 1, 3 close the triangle 0-1-2
     t = _stage_coloring(g, [[0, 1, 3]], [2, 4, 5])
-    outcome = run_stage(g, t)
+    outcome = _run_stage(g, t)
     assert outcome == StageOutcome(t, None, 0)
     assert [outcome.coloring.edges_of_color(c) for c in (1, 2)] == [(0, 1, 3), (2, 4, 5)]
 
@@ -443,7 +457,7 @@ def test_stage_sequences_equal_the_tested_sequences():
 def test_run_stage_k4_second_stage():
     g = complete_graph(4)
     first = greedy_spanning_tree(g, range(g.m))
-    outcome = run_stage(g, _stage_coloring(g, [first], frozenset(range(g.m)) - first))
+    outcome = _run_stage(g, _stage_coloring(g, [first], frozenset(range(g.m)) - first))
     assert outcome.certificate is None
     trees = [outcome.coloring.edges_of_color(c) for c in (1, 2)]
     assert all(_is_spanning_tree(g, tr) for tr in trees[:-1])

@@ -149,7 +149,8 @@ def test_stage_forests_agree_with_per_call_kernels_on_random_stages(checked_kern
         if case is not None:
             g, trees, rest = case
             t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
-            exchanges += run_stage(g, t, on_exchange=check).exchanges
+            cap = max(1, k * g.n * g.m)
+            exchanges += run_stage(g, t, forests={}, cap=cap, on_exchange=check).exchanges
     assert checked_kernels == {"cycle_edges": exchanges, "fundamental_cycle": exchanges}
     assert checked == exchanges >= 100
     assert violations == [], violations[:5]
@@ -178,7 +179,8 @@ def test_every_forest_matches_its_color_after_each_exchange_on_random_stages(k):
             g, trees, rest = case
             forests: dict[int, RootedForest] = {}
             t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
-            exchanges += run_stage(g, t, forests=forests, on_exchange=check).exchanges
+            cap = max(1, k * g.n * g.m)
+            exchanges += run_stage(g, t, forests=forests, cap=cap, on_exchange=check).exchanges
     assert checked == exchanges >= 100
 
 
@@ -273,7 +275,7 @@ def _fresh_stages(monkeypatch):
 
     def fresh_stage(g, coloring, *, forests=None, **kwargs):
         sets = [coloring.edges_of_color(c) for c in range(1, coloring.k + 1)]
-        return stage(g, KPartition.from_edge_sets(coloring.k, sets, g.m), **kwargs)
+        return stage(g, KPartition.from_edge_sets(coloring.k, sets, g.m), forests={}, **kwargs)
 
     monkeypatch.setattr(treepack.packer, "run_stage", fresh_stage)
 
