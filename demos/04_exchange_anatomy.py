@@ -22,19 +22,17 @@ g = MultiGraph(5, tuple(edges))
 t = KPartition.from_edge_sets(2, [range(0, 4), range(4, 8)], g.m)
 
 print("before:", [f"{e}:{g.edges[e]}@c{t.color_of[e]}" for e in range(g.m)])
-after, trace = exchange_step(g, t)
+event = exchange_step(g, t)
 
-print(f"\ne       = {trace.e} {g.edges[trace.e]}   (remainder cycle edge, level m = {trace.m})")
-print(f"class P = {trace.class_p}   (class at level m holding both ends of e)")
-print(f"c_m     = {trace.c_m}   (tree color that splits level m)")
-print(f"cycle C = {trace.cycle}   (fundamental cycle of e in that tree)")
-print(f"e'      = {trace.e_prime} {g.edges[trace.e_prime]}   (lowest-level edge of C, level j = {trace.j})")
-print(f"class Q = {trace.class_q}   (class at level j; the whole cycle sits inside it)")
+print(f"\ne       = {event.e} {g.edges[event.e]}   (remainder cycle edge, level m = {event.m})")
+print(f"class P = {event.class_p}   (class at level m holding both ends of e)")
+print(f"c_m     = {event.c_m}   (tree color that splits level m)")
+print(f"cycle C = {event.cycle}   (fundamental cycle of e in that tree)")
+print(f"e'      = {event.e_prime} {g.edges[event.e_prime]}   (lowest-level edge of C, level j = {event.j})")
+print(f"class Q = {event.class_q}   (class at level j; the whole cycle sits inside it)")
 
-print("\nafter: ", [f"{e}:{g.edges[e]}@c{after.color_of[e]}" for e in range(g.m)])
-print("improved:", precedes(t, after, g))
+print("\nafter: ", [f"{e}:{g.edges[e]}@c{event.after.color_of[e]}" for e in range(g.m)])
+print("improved:", precedes(t, event.after, g))
 
-old_terminal = build_sequence(g, t).terminal
-new_terminal = build_sequence(g, after).terminal
-print(f"terminal partition before: {old_terminal}")
-print(f"terminal partition after:  {new_terminal}")
+print(f"terminal partition before: {event.sequence.terminal}")
+print(f"terminal partition after:  {build_sequence(g, event.after).terminal}")

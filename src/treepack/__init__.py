@@ -36,7 +36,6 @@ from .oracle import (
 )
 from .packer import (
     ExchangeEvent,
-    ExchangeTrace,
     InternalInvariantError,
     PackResult,
     StageOutcome,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityReport",
     "ExchangeEvent",
-    "ExchangeTrace",
     "INFINITE_LEVEL",
     "InternalInvariantError",
     "KPartition",

@@ -27,7 +27,7 @@ from .document import (
 )
 from .generate import random_graph
 from .multigraph import MultiGraph
-from .oracle import MAX_ENUMERATION_N, density_margin
+from .oracle import density_margin
 from .packer import ExchangeEvent, InternalInvariantError, pack, stp_number
 
 EXIT_OK = 0
@@ -139,8 +139,6 @@ def _cmd_stp(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = load_graph(args.file)
-    if g.n > MAX_ENUMERATION_N:
-        raise ValueError(f"oracle enumeration is limited to n <= {MAX_ENUMERATION_N}")
     _emit(oracle_document(args.k, density_margin(g, args.k)))
     return EXIT_OK
 

@@ -38,17 +38,16 @@ def _certificate_body(g: MultiGraph, p: Partition, k: int) -> dict:
 
 
 def _trace_record(event: ExchangeEvent, classes_1based: Callable) -> dict:
-    trace = event.trace
     sequence = event.sequence
     return {
-        "e": trace.e,
-        "m": trace.m,
-        "class_p": [v + 1 for v in trace.class_p],
-        "c_m": trace.c_m,
-        "cycle": list(trace.cycle),
-        "e_prime": trace.e_prime,
-        "j": trace.j,
-        "class_q": [v + 1 for v in trace.class_q],
+        "e": event.e,
+        "m": event.m,
+        "class_p": [v + 1 for v in event.class_p],
+        "c_m": event.c_m,
+        "cycle": list(event.cycle),
+        "e_prime": event.e_prime,
+        "j": event.j,
+        "class_q": [v + 1 for v in event.class_q],
         "sequence": {
             "steps": [
                 {"classes": classes_1based(step.partition), "splitter": step.splitter}

@@ -63,6 +63,12 @@ def _check_edge_ids(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> list[EdgeId]:
     return ids
 
 
+def _check_tree_count(k: int) -> None:
+    """Reject a ``k`` that is not exactly an ``int`` (a bool or a float) or is negative."""
+    if type(k) is not int or k < 0:
+        raise ValueError("k must be a nonnegative integer")
+
+
 def quotient(g: MultiGraph, p: Partition) -> MultiGraph:
     """Contract each class of ``p`` to a single vertex.
 

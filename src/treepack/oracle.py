@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .multigraph import EdgeId, MultiGraph, components, quotient
+from .multigraph import EdgeId, MultiGraph, _check_tree_count, components, quotient
 from .partition import Partition
 
 # Bell(12) = 4,213,597 partitions is the practical enumeration ceiling.
@@ -69,8 +69,7 @@ def density_margin(g: MultiGraph, k: int) -> DensityReport:
     """
     if not 1 <= g.n <= MAX_ENUMERATION_N:
         raise ValueError(f"vertex count must be in 1..{MAX_ENUMERATION_N}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_tree_count(k)
     best_margin: int | None = None
     best_labels: list[int] | None = None
     for labels in _restricted_growth_strings(g.n):
@@ -94,6 +93,7 @@ def verify_packing(
     Returns ``(ok, detail)`` where ``detail`` names the first violated
     property: count, disjointness, loops, edge count, or connectivity.
     """
+    _check_tree_count(k)
     tree_lists = [list(tree) for tree in trees]
     if len(tree_lists) != k:
         return False, f"expected {k} trees, found {len(tree_lists)}"
@@ -120,6 +120,7 @@ def verify_packing(
 
 def verify_certificate(g: MultiGraph, p: Partition, k: int) -> tuple[bool, str]:
     """Check the violation ``|E(G/P)| < k * (|P| - 1)`` for the given partition."""
+    _check_tree_count(k)
     if p.n != g.n:
         raise ValueError("partition does not match the graph's vertex set")
     crossing = quotient(g, p).m
@@ -136,8 +137,7 @@ def exists_packing_exhaustive(g: MultiGraph, k: int) -> bool:
     not cover every edge) and slots ``1..k`` must all be spanning trees.
     Only meant for tiny inputs; the search space has ``(k+1)**m`` points.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_tree_count(k)
     if k == 0:
         return True
     if (k + 1) ** g.m > 4_000_000:

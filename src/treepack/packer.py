@@ -31,6 +31,7 @@ from .multigraph import (
     MultiGraph,
     RootedForest,
     _check_edge_ids,
+    _check_tree_count,
     _union_within,
     components,
     cycle_edges,
@@ -41,9 +42,12 @@ from .partition import Partition
 
 
 @dataclass(frozen=True)
-class ExchangeTrace:
-    """Record of one exchange: what moved, where, and why it was legal.
+class ExchangeEvent:
+    """One exchange, as ``exchange_step`` returns it and ``on_exchange`` sees it.
 
+    In a stage of ``colors`` colors, ``sequence`` is the partition sequence
+    of ``before``, and ``after`` is ``before`` with ``e`` and ``e_prime``
+    swapped; a trace record holds the eight fields below under their names.
     ``e`` is the minimum-level cycle edge of the remainder color, ``m`` its
     level and ``class_p`` the class at level ``m`` containing both its
     ends. ``cycle`` is the fundamental cycle of ``e`` in tree color
@@ -52,6 +56,10 @@ class ExchangeTrace:
     in ``class_q``.
     """
 
+    colors: int
+    before: KPartition
+    after: KPartition
+    sequence: PartitionSequence
     e: EdgeId
     m: int
     class_p: tuple[int, ...]
@@ -60,17 +68,6 @@ class ExchangeTrace:
     e_prime: EdgeId
     j: int
     class_q: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ExchangeEvent:
-    """One exchange as observed by a ``pack``/``run_stage`` callback."""
-
-    colors: int
-    before: KPartition
-    after: KPartition
-    sequence: PartitionSequence
-    trace: ExchangeTrace
 
 
 @dataclass(frozen=True)
@@ -115,6 +112,8 @@ def density_check(
     least color disconnected on the whole graph (no round: all connected),
     and from the coloring's edge lists: connected with ``n - 1`` edges is a tree.
     ``run_stage``'s builds take tree colors as forests; it checks them per stage.
+    A remainder edge crosses ``P`` exactly when the sequence gave it a
+    finite level: loops and edges inside a class of ``P`` keep none.
     """
     k = t.k
     splitter = seq.steps[0].splitter if seq.steps else k + 1
@@ -123,13 +122,8 @@ def density_check(
             raise InternalInvariantError(f"color {color} is not a spanning tree")
     if splitter != k:
         raise InternalInvariantError("remainder color is already connected")
-    rest = t.edges_of_color(k)
-    terminal = seq.terminal
-    crossing = 0
-    for e in rest:
-        u, v = g.edges[e]
-        if terminal.class_of[u] != terminal.class_of[v]:
-            crossing += 1
+    levels, terminal = seq.levels, seq.terminal
+    crossing = sum(1 for e in t.edges_of_color(k) if levels[e] != INFINITE_LEVEL)
     if crossing < terminal.num_classes - 1:
         return terminal
     return None
@@ -146,9 +140,15 @@ def _least_by_level(ids: Iterable[EdgeId], levels: LevelMap) -> EdgeId | None:
 
 def _exchange_from(
     g: MultiGraph, t: KPartition, seq: PartitionSequence, forests: dict[int, RootedForest]
-) -> tuple[KPartition, ExchangeTrace]:
-    """The exchange ``exchange_step`` describes. ``forests`` holds the stage's
-    forests by color; one a color lacks is rooted and kept there."""
+) -> ExchangeEvent:
+    """The exchange ``exchange_step`` describes, from ``t``'s sequence ``seq``.
+
+    ``forests`` holds the stage's forests by color, each spanning exactly
+    its color; one a color lacks is rooted and kept there. Both forests the
+    exchange uses take it (``RootedForest.swap``): the remainder's swaps
+    ``e`` out and ``e'`` in, its ``cover`` the one ``cycle_edges`` just
+    left, and tree ``c_m``'s the reverse. So each still spans its color.
+    """
     k = t.k
     levels = edge_levels(g, t, seq)
     rest = t.edges_of_color(k)
@@ -191,7 +191,13 @@ def _exchange_from(
             raise InternalInvariantError("fundamental cycle leaves its low-level class")
 
     after = t.recolor({e: c_m, e_prime: k})
-    trace = ExchangeTrace(
+    forests[k].swap(g.edges, e, e_prime)
+    forests[c_m].swap(g.edges, e_prime, e)
+    return ExchangeEvent(
+        colors=k,
+        before=t,
+        after=after,
+        sequence=seq,
         e=e,
         m=m,
         class_p=class_p,
@@ -201,17 +207,16 @@ def _exchange_from(
         j=j,
         class_q=class_q,
     )
-    return after, trace
 
 
-def exchange_step(g: MultiGraph, t: KPartition) -> tuple[KPartition, ExchangeTrace]:
+def exchange_step(g: MultiGraph, t: KPartition) -> ExchangeEvent:
     """One improving exchange between the remainder color and a tree color.
 
     Picks the minimum-level remainder edge ``e`` lying on a cycle (ties by
     lowest id), moves it into the tree color that splits its level, and
     returns the minimum-level edge of the resulting fundamental cycle to
-    the remainder. Requires that ``density_check`` returned None for the
-    same coloring.
+    the remainder; the new coloring is the event's ``after``. Requires that
+    ``density_check`` returned None for the same coloring.
     """
     return _exchange_from(g, t, build_sequence(g, t), {})
 
@@ -234,12 +239,8 @@ def run_stage(
     tree once: an exchange keeps them trees (``e`` enters ``c_m``, ``e'``
     leaves the cycle ``e`` closes there), so each sequence build takes them
     as forests unchecked. ``forests`` maps colors to rooted forests of
-    exactly their edges and is updated in place; a color an exchange uses
-    that it lacks is rooted by one search. Right after each exchange both
-    forests take it (``RootedForest.swap``): the remainder's swaps ``e``
-    out and ``e'`` in, its ``cover`` the one ``cycle_edges`` just left, and
-    tree ``c_m``'s the reverse. So after every exchange each forest spans
-    exactly its color; a stage that exchanged drops the remainder's.
+    exactly their edges; each exchange roots and patches the ones it uses
+    (``_exchange_from``), and a stage that exchanged drops the remainder's.
     """
     t, colors = coloring, coloring.k
     if t.m != g.m:
@@ -260,17 +261,11 @@ def run_stage(
             return StageOutcome(t, certificate, exchanges)
         if exchanges >= cap:
             raise InternalInvariantError(f"exchange cap {cap} exceeded")
-        after, trace = _exchange_from(g, t, seq, forests)
-        forests[colors].swap(g.edges, trace.e, trace.e_prime)
-        forests[trace.c_m].swap(g.edges, trace.e_prime, trace.e)
+        event = _exchange_from(g, t, seq, forests)
         exchanges += 1
         if on_exchange is not None:
-            on_exchange(
-                ExchangeEvent(
-                    colors=colors, before=t, after=after, sequence=seq, trace=trace
-                )
-            )
-        t = after
+            on_exchange(event)
+        t = event.after
 
 
 def greedy_spanning_tree(
@@ -343,8 +338,7 @@ def pack(
     ValueError). Loops can never enter a tree and simply stay in the
     remainder. A negative cap is a ValueError.
     """
-    if type(k) is not int or k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    _check_tree_count(k)
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if seedtree_order not in ("asc", "desc"):

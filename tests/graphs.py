@@ -200,7 +200,7 @@ def prefix_violations(g: MultiGraph, event: ExchangeEvent, where: str) -> list[s
     """What breaks the prefix property of one exchange: the sequences before
     and after it agree in their partitions through index ``j`` and in their
     splitters through ``j - 1``."""
-    before, after, j = event.sequence, build_sequence(g, event.after), event.trace.j
+    before, after, j = event.sequence, build_sequence(g, event.after), event.j
     violations = []
     if any(before.partition_at(i) != after.partition_at(i) for i in range(j + 1)):
         violations.append(f"{where}: partitions differ at or before j = {j}")

@@ -94,17 +94,16 @@ class _ExchangeChecker:
     def __call__(self, event: ExchangeEvent) -> None:
         self.count += 1
         g = self.g
-        trace = event.trace
         if not precedes(event.before, event.after, g):
             self._flag("precedes")
-        if not trace.j < trace.m:
+        if not event.j < event.m:
             self._flag("level_descent")
-        if not 1 <= trace.c_m <= event.colors - 1:
+        if not 1 <= event.c_m <= event.colors - 1:
             self._flag("splitter_is_tree_color")
-        inside = set(trace.class_q)
+        inside = set(event.class_q)
         if any(
             g.edges[eid][0] not in inside or g.edges[eid][1] not in inside
-            for eid in trace.cycle
+            for eid in event.cycle
         ):
             self._flag("cycle_inside_class_q")
         seq_before = event.sequence
@@ -112,12 +111,12 @@ class _ExchangeChecker:
         agreed = all(
             seq_before.partition_at(i) == seq_after.partition_at(i)
             and seq_before.splitter_at(i) == seq_after.splitter_at(i)
-            for i in range(trace.m + 1)
+            for i in range(event.m + 1)
         )
         if not agreed:
             self._flag("prefix_agreement_through_m")
-        if not seq_before.partition_at(trace.m + 1).strictly_refines(
-            seq_after.partition_at(trace.m + 1)
+        if not seq_before.partition_at(event.m + 1).strictly_refines(
+            seq_after.partition_at(event.m + 1)
         ):
             self._flag("strict_refinement_after_m")
         for color in range(1, event.colors):

@@ -268,16 +268,16 @@ def _reference_record(event: ExchangeEvent) -> dict:
     def classes(p: Partition) -> list[list[int]]:
         return [[v + 1 for v in members] for members in p.classes]
 
-    trace, sequence = event.trace, event.sequence
+    sequence = event.sequence
     return {
-        "e": trace.e,
-        "m": trace.m,
-        "class_p": [v + 1 for v in trace.class_p],
-        "c_m": trace.c_m,
-        "cycle": list(trace.cycle),
-        "e_prime": trace.e_prime,
-        "j": trace.j,
-        "class_q": [v + 1 for v in trace.class_q],
+        "e": event.e,
+        "m": event.m,
+        "class_p": [v + 1 for v in event.class_p],
+        "c_m": event.c_m,
+        "cycle": list(event.cycle),
+        "e_prime": event.e_prime,
+        "j": event.j,
+        "class_q": [v + 1 for v in event.class_q],
         "sequence": {
             "steps": [
                 {"classes": classes(step.partition), "splitter": step.splitter}
@@ -516,8 +516,9 @@ def test_cmd_oracle_k4(tmp_path, capsys):
 
 def test_cmd_oracle_rejects_large_n(tmp_path, capsys):
     graph = _write(tmp_path, "big.gr", "p 13 0\n")
-    code, _, _ = _run(capsys, ["oracle", graph, "1"])
+    code, _, err = _run(capsys, ["oracle", graph, "1"])
     assert code == EXIT_INPUT_ERROR
+    assert "1..12" in err
 
 
 # dot -------------------------------------------------------------------------------

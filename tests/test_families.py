@@ -102,20 +102,19 @@ def _exchange_violations(g: MultiGraph, k: int) -> tuple[int, list[str]]:
         nonlocal exchanges
         exchanges += 1
         where = f"exchange {exchanges}"
-        trace = event.trace
-        if not trace.j < trace.m:
-            violations.append(f"{where}: j = {trace.j} is not below m = {trace.m}")
-        if not 1 <= trace.c_m < event.colors:
-            violations.append(f"{where}: c_m = {trace.c_m} is not a tree color")
-        inside = set(trace.class_q)
-        if any(not inside.issuperset(g.edges[e]) for e in trace.cycle):
+        if not event.j < event.m:
+            violations.append(f"{where}: j = {event.j} is not below m = {event.m}")
+        if not 1 <= event.c_m < event.colors:
+            violations.append(f"{where}: c_m = {event.c_m} is not a tree color")
+        inside = set(event.class_q)
+        if any(not inside.issuperset(g.edges[e]) for e in event.cycle):
             violations.append(f"{where}: the cycle leaves class_q")
         levels = event.sequence.levels
         rest = event.before.edges_of_color(event.colors)
-        if trace.e != min(cycle_edges(g, rest), key=lambda e: (levels[e], e)):
-            violations.append(f"{where}: e = {trace.e} is not the least cycle edge")
-        if trace.e_prime != min(trace.cycle, key=lambda e: (levels[e], e)):
-            violations.append(f"{where}: e' = {trace.e_prime} is not the least on the cycle")
+        if event.e != min(cycle_edges(g, rest), key=lambda e: (levels[e], e)):
+            violations.append(f"{where}: e = {event.e} is not the least cycle edge")
+        if event.e_prime != min(event.cycle, key=lambda e: (levels[e], e)):
+            violations.append(f"{where}: e' = {event.e_prime} is not the least on the cycle")
         if not precedes(event.before, event.after, g):
             violations.append(f"{where}: no strict improvement")
         for color in range(1, event.colors):

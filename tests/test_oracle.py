@@ -14,7 +14,7 @@ from treepack import (
     verify_packing,
 )
 
-from graphs import complete_graph, path_graph, random_multigraph
+from graphs import complete_graph, cycle_graph, path_graph, random_multigraph
 
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -53,7 +53,7 @@ def test_enumeration_range_errors():
         list(enumerate_partitions(0))
     with pytest.raises(ValueError):
         list(enumerate_partitions(13))
-    with pytest.raises(ValueError, match="k must be nonnegative"):
+    with pytest.raises(ValueError, match="k must be a nonnegative integer"):
         density_margin(path_graph(3), -1)
     with pytest.raises(ValueError, match="vertex count must be in 1..12"):
         density_margin(MultiGraph(13, ()), 1)
@@ -178,6 +178,24 @@ def test_exhaustive_search_agrees_with_density_condition():
     assert checked >= 40
 
 
+@pytest.mark.parametrize("k", [True, False, 1.0, 1.5, -1, "1"], ids=repr)
+def test_checkers_take_k_by_packs_rule(k):
+    # On the triangle, True and 1.0 once verified one tree, 1.5 asked for
+    # fewer than 3.0 crossing edges and scaled the margin, and the
+    # exhaustive search raised a bare TypeError on 1.0.
+    g = cycle_graph(3)
+    checks = [
+        lambda: verify_packing(g, [[0, 1]], k),
+        lambda: verify_certificate(g, Partition.singletons(3), k),
+        lambda: density_margin(g, k),
+        lambda: exists_packing_exhaustive(g, k),
+        lambda: pack(g, k),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+            check()
+
+
 def test_exhaustive_search_guards_its_size():
     with pytest.raises(ValueError):
         exists_packing_exhaustive(complete_graph(6), 3)
@@ -185,5 +203,5 @@ def test_exhaustive_search_guards_its_size():
 
 def test_exhaustive_search_on_k_zero_and_below():
     assert exists_packing_exhaustive(MultiGraph(3, ()), 0) is True  # vacuous, though disconnected
-    with pytest.raises(ValueError, match="k must be nonnegative"):
+    with pytest.raises(ValueError, match="k must be a nonnegative integer"):
         exists_packing_exhaustive(path_graph(3), -1)

@@ -125,6 +125,35 @@ def test_density_check_guards_match_their_definition():
     assert min(outcomes.values()) > 1000, outcomes
 
 
+def test_density_check_counts_crossing_edges_by_their_labels():
+    # density_check counts the remainder edges of finite level; here they
+    # are counted by the terminal labels of their ends, on random and
+    # planted colorings and on the colorings pack exchanges from.
+    outcomes = {"certificate": 0, "exchange": 0}
+    for seed in range(1000):
+        sparse, dense = random_multigraph(seed, max_n=8), random_multigraph(seed, max_n=8, max_m=20)
+        cases = []
+        for k in range(1, 5):
+            cases += [(sparse, random_coloring(4 * seed + k, sparse, k))]
+            cases += [(dense, planted_coloring(4 * seed + k, dense, k))]
+        events: list[ExchangeEvent] = []
+        for k in (2, 3, 4):
+            pack(dense, k, on_exchange=events.append)
+        cases += [(dense, event.before) for event in events]
+        for g, t in cases:
+            seq = build_sequence(g, t)
+            labels = seq.terminal.class_of
+            rest = t.edges_of_color(t.k)
+            crossing = sum(labels[g.edges[e][0]] != labels[g.edges[e][1]] for e in rest)
+            assert crossing == sum(seq.levels[e] != INFINITE_LEVEL for e in rest), (seed, t)
+            if _guards_fail(g, t):
+                continue
+            certified = crossing < seq.terminal.num_classes - 1
+            assert density_check(g, t, seq) == (seq.terminal if certified else None), (seed, t)
+            outcomes["certificate" if certified else "exchange"] += 1
+    assert outcomes["certificate"] > 1000 and outcomes["exchange"] > 150, outcomes
+
+
 @pytest.mark.parametrize(
     "edges, colors",
     [
@@ -144,19 +173,35 @@ def test_density_check_rejects_tree_color_that_is_not_a_tree(edges, colors):
 
 # exchange_step -----------------------------------------------------------------
 
+def test_package_root_exports_one_exchange_type():
+    # ExchangeTrace folded into ExchangeEvent; every other name stays.
+    assert sorted(treepack.__all__) == sorted([
+        "DensityReport", "ExchangeEvent", "INFINITE_LEVEL", "InternalInvariantError",
+        "KPartition", "MultiGraph", "NoCycleError", "PackResult", "Partition",
+        "PartitionSequence", "SequenceStep", "StageOutcome", "build_sequence",
+        "components", "cycle_edges", "density_check", "density_margin", "edge_levels",
+        "enumerate_partitions", "exchange_step", "exists_packing_exhaustive",
+        "fundamental_cycle", "greedy_spanning_tree", "pack", "precedes", "quotient",
+        "restrict_components", "run_stage", "stp_number", "verify_certificate",
+        "verify_packing",
+    ])
+    assert not hasattr(treepack, "ExchangeTrace")
+    assert not hasattr(treepack.packer, "ExchangeTrace")
+
+
 def test_exchange_picks_lower_id_member_of_crossing_parallel_pair():
     g, t = parallel_pair_instance()
-    after, trace = exchange_step(g, t)
-    assert trace.e == 6  # the lower-id copy of the doubled (1,2)
-    assert trace.m == 1
-    assert trace.c_m == 1
-    assert trace.class_p == (0, 1, 2, 3)
-    assert set(trace.cycle) == {1, 2, 6}
-    assert trace.e_prime == 1
-    assert trace.j == 0
-    assert trace.class_q == (0, 1, 2, 3, 4)
-    assert after.color_of[6] == 1 and after.color_of[1] == 2
-    assert _is_spanning_tree(g, after.edges_of_color(1))
+    event = exchange_step(g, t)
+    assert event.e == 6  # the lower-id copy of the doubled (1,2)
+    assert event.m == 1
+    assert event.c_m == 1
+    assert event.class_p == (0, 1, 2, 3)
+    assert set(event.cycle) == {1, 2, 6}
+    assert event.e_prime == 1
+    assert event.j == 0
+    assert event.class_q == (0, 1, 2, 3, 4)
+    assert event.after.color_of[6] == 1 and event.after.color_of[1] == 2
+    assert _is_spanning_tree(g, event.after.edges_of_color(1))
 
 
 def test_least_by_level_is_the_least_id_of_least_level():
@@ -182,13 +227,13 @@ def test_least_by_level_is_the_least_id_of_least_level():
 
 def test_exchange_improves_two_step_instance():
     g, t = two_step_exchange_instance()
-    after, trace = exchange_step(g, t)
-    assert trace.m == 1
-    assert trace.j == 0
-    assert trace.e == 10  # remainder edge (4,5)
-    assert trace.e_prime == 3  # star edge (0,4)
-    assert precedes(t, after, g)
-    assert _is_spanning_tree(g, after.edges_of_color(1))
+    event = exchange_step(g, t)
+    assert event.m == 1
+    assert event.j == 0
+    assert event.e == 10  # remainder edge (4,5)
+    assert event.e_prime == 3  # star edge (0,4)
+    assert precedes(t, event.after, g)
+    assert _is_spanning_tree(g, event.after.edges_of_color(1))
 
 
 def test_exchange_trace_invariants_on_random_runs():
@@ -198,30 +243,29 @@ def test_exchange_trace_invariants_on_random_runs():
         for k in (1, 2, 3):
             pack(g, k, on_exchange=events.append)
         for event in events:
-            trace = event.trace
-            assert trace.j < trace.m
-            assert 1 <= trace.c_m <= event.colors - 1
-            inside = set(trace.class_q)
-            for eid in trace.cycle:
+            assert event.j < event.m
+            assert 1 <= event.c_m <= event.colors - 1
+            inside = set(event.class_q)
+            for eid in event.cycle:
                 u, v = g.edges[eid]
                 assert u in inside and v in inside
-            assert trace.e in trace.cycle
+            assert event.e in event.cycle
             # class_p and class_q are the classes of e at m and of e' at j
             for cls, i, e in (
-                (trace.class_p, trace.m, trace.e),
-                (trace.class_q, trace.j, trace.e_prime),
+                (event.class_p, event.m, event.e),
+                (event.class_q, event.j, event.e_prime),
             ):
                 labels = event.sequence.partition_at(i).class_of
                 label = labels[g.edges[e][0]]
                 assert cls == tuple(w for w in range(g.n) if labels[w] == label)
             # the swap moved exactly those two edges
             before, after = event.before, event.after
-            assert after.color_of[trace.e] == trace.c_m
-            assert after.color_of[trace.e_prime] == event.colors
+            assert after.color_of[event.e] == event.c_m
+            assert after.color_of[event.e_prime] == event.colors
             unchanged = [
                 e
                 for e in range(g.m)
-                if e not in (trace.e, trace.e_prime)
+                if e not in (event.e, event.e_prime)
             ]
             assert all(before.color_of[e] == after.color_of[e] for e in unchanged)
 
@@ -247,7 +291,7 @@ def test_sequences_agree_up_to_the_exchanged_out_level():
         for event in events:
             seq_before = event.sequence
             seq_after = build_sequence(g, event.after)
-            j = event.trace.j
+            j = event.j
             for i in range(j + 1):
                 assert seq_before.partition_at(i) == seq_after.partition_at(i)
             for i in range(j):
@@ -265,8 +309,7 @@ def test_exchange_can_improve_below_the_selected_level():
     assert result.verdict == "packing"
     assert len(events) == 1
     event = events[0]
-    trace = event.trace
-    assert (trace.m, trace.j) == (1, 0)
+    assert (event.m, event.j) == (1, 0)
     seq_before = event.sequence
     seq_after = build_sequence(g, event.after)
     assert precedes(event.before, event.after, g)
@@ -274,7 +317,7 @@ def test_exchange_can_improve_below_the_selected_level():
     agreed = all(
         seq_before.partition_at(i) == seq_after.partition_at(i)
         and seq_before.splitter_at(i) == seq_after.splitter_at(i)
-        for i in range(trace.m + 1)
+        for i in range(event.m + 1)
     )
     assert not agreed
 
@@ -319,16 +362,16 @@ def test_deep_exchange_keeps_full_prefix_agreement():
     g = complete_graph(8)
     events: list[ExchangeEvent] = []
     pack(g, 4, on_exchange=events.append)
-    deep = [event for event in events if event.trace.j >= 1]
+    deep = [event for event in events if event.j >= 1]
     assert deep
     for event in deep:
         seq_before = event.sequence
         seq_after = build_sequence(g, event.after)
-        for i in range(event.trace.m + 1):
+        for i in range(event.m + 1):
             assert seq_before.partition_at(i) == seq_after.partition_at(i)
             assert seq_before.splitter_at(i) == seq_after.splitter_at(i)
-        assert seq_before.partition_at(event.trace.m + 1).strictly_refines(
-            seq_after.partition_at(event.trace.m + 1)
+        assert seq_before.partition_at(event.m + 1).strictly_refines(
+            seq_after.partition_at(event.m + 1)
         )
 
 

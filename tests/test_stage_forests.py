@@ -1,17 +1,21 @@
 """The stage's rooted forests against the per-call kernels.
 
 ``run_stage`` keeps a forest for the remainder, and for each tree color an
-exchange uses, each rooted by one search at its first use, and patches
-both colors an exchange changes with one ``RootedForest.swap`` each, right
-after the exchange. The tree forests outlive the stage: ``pack`` and
-``stp_number`` carry them, with the coloring, into the next one. Here every
+exchange uses, each rooted by one search at its first use; the exchange
+(``packer._exchange_from``) patches both colors it changes with one
+``RootedForest.swap`` each, right after the recoloring. The tree forests
+outlive the stage: ``pack`` and ``stp_number`` carry them, with the
+coloring, into the next one. Here every
 forest call of a stage is held to the per-call result, every forest to its
 color after each exchange, the carried forests to their colors and to a run
 that carries none, the search, the climb and each swap are checked on
-their own, and a corrupt forest must fail loudly instead of looping.
+their own, ``exchange_step`` is held to a stage's first event, and a
+corrupt forest must fail loudly instead of looping.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -24,6 +28,7 @@ from treepack import (
     MultiGraph,
     NoCycleError,
     components,
+    exchange_step,
     greedy_spanning_tree,
     pack,
     run_stage,
@@ -158,7 +163,7 @@ def test_stage_forests_agree_with_per_call_kernels_on_random_stages(checked_kern
 
 def _assert_forests_match(g: MultiGraph, forests, event: ExchangeEvent) -> None:
     """Every forest of the stage's dict spans exactly its color after the exchange."""
-    assert {event.colors, event.trace.c_m} <= set(forests)
+    assert {event.colors, event.c_m} <= set(forests)
     for color, forest in forests.items():
         _assert_rooted(g, forest, event.after.edges_of_color(color))
 
@@ -229,7 +234,7 @@ def test_each_stage_roots_each_color_it_uses_once(monkeypatch):
             assert ids == event.before.edges_of_color(color)
             stages[-1]["rooted"].append(color)
         pending.clear()
-        stages[-1]["used"].update({event.colors, event.trace.c_m})
+        stages[-1]["used"].update({event.colors, event.c_m})
 
     monkeypatch.setattr(treepack.packer, "run_stage", counted_stage)
     monkeypatch.setattr(treepack.packer, "root_forest", counted_root)
@@ -243,6 +248,47 @@ def test_each_stage_roots_each_color_it_uses_once(monkeypatch):
         assert sorted(s["rooted"]) == sorted(first_uses | (s["used"] & {remainder}))
         used_as_tree |= s["used"] - {remainder}
     assert [len(s["rooted"]) for s in stages] == [0, 2, 2]
+
+
+def _first_stage_event(g: MultiGraph, t: KPartition) -> ExchangeEvent | None:
+    """The first exchange ``run_stage`` reports from ``t`` with fresh forests."""
+    events: list[ExchangeEvent] = []
+    run_stage(g, t, forests={}, cap=max(1, t.k * g.n * g.m), on_exchange=events.append)
+    return events[0] if events else None
+
+
+def _assert_same_event(g: MultiGraph, t: KPartition, where: str) -> bool:
+    """``exchange_step(g, t)`` is, field by field, the stage's first event;
+    False when the stage makes no exchange."""
+    expected = _first_stage_event(g, t)
+    if expected is None:
+        return False
+    event = exchange_step(g, t)
+    assert type(event) is ExchangeEvent, where
+    for field in dataclasses.fields(ExchangeEvent):
+        assert getattr(event, field.name) == getattr(expected, field.name), (where, field.name)
+    return True
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_exchange_step_is_the_first_event_of_its_stage_on_random_stages(k):
+    compared = 0
+    for seed in range(250):
+        case = _random_stage(seed, k)
+        if case is not None:
+            g, trees, rest = case
+            t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
+            compared += _assert_same_event(g, t, f"seed {seed}")
+    assert compared >= 60, compared
+
+
+def test_exchange_step_is_the_first_event_of_its_stage_on_a_family():
+    # The coloring the last stage of Q6 at k = 3 starts its exchanges from.
+    g = hypercube(6)
+    events: list[ExchangeEvent] = []
+    pack(g, 3, on_exchange=events.append)
+    t = next(event.before for event in events if event.colors == 3)
+    assert _assert_same_event(g, t, "Q6, stage 3")
 
 
 def _checked_stages(monkeypatch):
