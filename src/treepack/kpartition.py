@@ -14,7 +14,7 @@ The builder keeps each color's non-loop edges still inside a class and
 splits only through ``restrict_components``, which returns the partition
 itself when nothing splits; a caller that knows which colors are forests
 (the packer's tree colors) can say so. A coloring builds its per-color
-edge lists once, on first use, and a recoloring carries them over and
+edge lists when it is constructed, and a recoloring carries them over and
 checks only the colors it changes.
 """
 
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Container, Iterable, Mapping, NamedTuple
 
 from .multigraph import EdgeId, MultiGraph, restrict_components
@@ -38,10 +37,14 @@ LevelMap = tuple[Level, ...]
 
 @dataclass(frozen=True)
 class KPartition:
-    """A total assignment of edge ids to colors ``1..k``."""
+    """A total assignment of edge ids to colors ``1..k``.
+
+    Each color's ids, increasing, are listed once the constructor's checks pass.
+    """
 
     k: int
     color_of: tuple[int, ...]
+    _edges_by_color: tuple[tuple[EdgeId, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_k(self.k)
@@ -51,6 +54,10 @@ class KPartition:
         # named like any other; the per-entry rule only names the least bad edge.
         if not set(map(type, color_of)) <= {int} or not set(color_of) <= set(range(1, self.k + 1)):
             raise ValueError(_first_error(enumerate(color_of), self.m, self.k))
+        lists: list[list[EdgeId]] = [[] for _ in range(self.k + 1)]
+        for e, c in enumerate(color_of):
+            lists[c].append(e)
+        object.__setattr__(self, "_edges_by_color", tuple(map(tuple, lists)))
 
     @classmethod
     def from_edge_sets(
@@ -79,20 +86,12 @@ class KPartition:
     def m(self) -> int:
         return len(self.color_of)
 
-    @cached_property
-    def _edges_by_color(self) -> tuple[tuple[EdgeId, ...], ...]:
-        """Every color's edge ids in increasing order, from one pass; index 0 is empty."""
-        lists: list[list[EdgeId]] = [[] for _ in range(self.k + 1)]
-        for e, c in enumerate(self.color_of):
-            lists[c].append(e)
-        return tuple(map(tuple, lists))
-
     def edges_of_color(self, color: int) -> tuple[EdgeId, ...]:
         """All edge ids of one color, in increasing id order; ``()`` outside ``1..k``."""
         return self._edges_by_color[color] if 1 <= color <= self.k else ()
 
     def recolor(self, changes: Mapping[EdgeId, int]) -> "KPartition":
-        """A copy with some edges recolored, carrying over built edge lists.
+        """A copy with some edges recolored, carrying over the edge lists.
 
         Only the changes are checked, by the rule the constructor applies to
         every edge: the parent's colors were checked when it was built.
@@ -100,20 +99,15 @@ class KPartition:
         m, k = self.m, self.k
         if any(_entry_error(e, color, m, k) for e, color in changes.items()):
             raise ValueError(_first_error(changes.items(), m, k))
-        colors = list(self.color_of)
+        colors, lists = list(self.color_of), list(self._edges_by_color)
         for e, color in changes.items():
-            colors[e] = color
+            old, colors[e] = colors[e], color
+            if old != color:  # only a color that gains or loses an edge
+                i, j = bisect_left(lists[old], e), bisect_left(lists[color], e)
+                lists[old] = lists[old][:i] + lists[old][i + 1 :]
+                lists[color] = lists[color][:j] + (e,) + lists[color][j:]
         after = object.__new__(KPartition)
-        vars(after).update(k=k, color_of=tuple(colors))
-        if "_edges_by_color" in vars(self):
-            lists = list(self._edges_by_color)
-            for e, color in changes.items():
-                old = self.color_of[e]
-                if old != color:  # only a color that gains or loses an edge
-                    i, j = bisect_left(lists[old], e), bisect_left(lists[color], e)
-                    lists[old] = lists[old][:i] + lists[old][i + 1 :]
-                    lists[color] = lists[color][:j] + (e,) + lists[color][j:]
-            vars(after)["_edges_by_color"] = tuple(lists)
+        vars(after).update(k=k, color_of=tuple(colors), _edges_by_color=tuple(lists))
         return after
 
 
@@ -165,19 +159,15 @@ class PartitionSequence:
     always holds the one-class partition. ``terminal`` is the first
     partition on which every color is connected within every class. Past
     the recorded steps the sequence is constant by convention: partitions
-    equal ``terminal`` and splitters equal the ``k + 1`` sentinel.
-    ``levels[e]`` is the level of edge ``e``, recorded while the sequence
-    was built (see ``edge_levels``).
+    equal ``terminal`` and splitters the ``k + 1`` sentinel, as
+    ``partition_at`` and ``splitter_at`` say. ``levels[e]`` is the level of
+    edge ``e``, recorded while the sequence was built (see ``edge_levels``).
     """
 
     k: int
     steps: tuple[SequenceStep, ...]
     terminal: Partition
     levels: LevelMap
-
-    @property
-    def terminal_splitter(self) -> int:
-        return self.k + 1
 
     def partition_at(self, i: int) -> Partition:
         if i < len(self.steps):
@@ -187,7 +177,7 @@ class PartitionSequence:
     def splitter_at(self, i: int) -> int:
         if i < len(self.steps):
             return self.steps[i].splitter
-        return self.terminal_splitter
+        return self.k + 1
 
 
 def build_sequence(

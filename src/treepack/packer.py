@@ -116,7 +116,7 @@ def density_check(
     finite level: loops and edges inside a class of ``P`` keep none.
     """
     k = t.k
-    splitter = seq.steps[0].splitter if seq.steps else k + 1
+    splitter = seq.splitter_at(0)
     for color in range(1, k):
         if color == splitter or len(t.edges_of_color(color)) != g.n - 1:
             raise InternalInvariantError(f"color {color} is not a spanning tree")
@@ -127,6 +127,14 @@ def density_check(
     if crossing < terminal.num_classes - 1:
         return terminal
     return None
+
+
+def _check_cap(cap: object) -> None:
+    """The one rule for an exchange cap: exactly an ``int``, ``>= 0``; else ValueError."""
+    if type(cap) is not int:
+        raise ValueError(f"exchange cap must be an int, not {cap!r}")
+    if cap < 0:
+        raise ValueError("exchange cap must be nonnegative")
 
 
 def _least_by_level(ids: Iterable[EdgeId], levels: LevelMap) -> EdgeId | None:
@@ -143,6 +151,8 @@ def _exchange_from(
 ) -> ExchangeEvent:
     """The exchange ``exchange_step`` describes, from ``t``'s sequence ``seq``.
 
+    Step ``m`` is read once, after the guard ``m < len(seq.steps)``, for
+    ``class_p`` and ``c_m``, and step ``j < m`` once for ``class_q``.
     ``forests`` holds the stage's forests by color, each spanning exactly
     its color; one a color lacks is rooted and kept there. Both forests the
     exchange uses take it (``RootedForest.swap``): the remainder's swaps
@@ -158,14 +168,13 @@ def _exchange_from(
     if e is None or levels[e] == INFINITE_LEVEL:
         raise InternalInvariantError("no finite-level cycle edge in the remainder")
     m = int(levels[e])
+    if m >= len(seq.steps):
+        raise InternalInvariantError("finite level beyond the last refinement step")
 
-    part_m = seq.partition_at(m)
+    part_m, c_m = seq.steps[m]
     u, v = g.edges[e]
     if part_m.class_of[u] != part_m.class_of[v]:
         raise InternalInvariantError("selected edge spans two classes at its level")
-    if m >= len(seq.steps):
-        raise InternalInvariantError("finite level beyond the last refinement step")
-    c_m = seq.steps[m].splitter
     if not 1 <= c_m <= k - 1:
         raise InternalInvariantError(f"splitter at the selected level is {c_m}, not a tree color")
 
@@ -178,7 +187,7 @@ def _exchange_from(
         raise InternalInvariantError("fundamental cycle has no edge below the selected level")
     j = int(levels[e_prime])
 
-    part_j = seq.partition_at(j)
+    part_j = seq.steps[j].partition
     x, y = g.edges[e_prime]
     if part_j.class_of[x] != part_j.class_of[y]:
         raise InternalInvariantError("exchanged-out edge spans two classes at its level")
@@ -202,7 +211,7 @@ def _exchange_from(
         m=m,
         class_p=class_p,
         c_m=c_m,
-        cycle=tuple(cycle),
+        cycle=cycle,
         e_prime=e_prime,
         j=j,
         class_q=class_q,
@@ -234,14 +243,15 @@ def run_stage(
     Colors ``1..k-1`` of ``coloring`` are the spanning trees fixed so far
     and color ``k`` the remainder; the stage ends once it is connected
     (``components`` before any exchange, a sequence with no steps after
-    one). ``cap`` is a safety bound on exchanges; exceeding it raises
-    InternalInvariantError. Before its first exchange a stage checks each
-    tree once: an exchange keeps them trees (``e`` enters ``c_m``, ``e'``
-    leaves the cycle ``e`` closes there), so each sequence build takes them
-    as forests unchecked. ``forests`` maps colors to rooted forests of
+    one). ``cap`` is a safety bound on exchanges, checked by ``_check_cap``;
+    exceeding it raises InternalInvariantError. Before its first exchange a
+    stage checks each tree once: an exchange keeps them trees (``e`` enters
+    ``c_m``, ``e'`` leaves the cycle ``e`` closes there), so each sequence
+    build takes them as forests unchecked. ``forests`` maps colors to rooted forests of
     exactly their edges; each exchange roots and patches the ones it uses
     (``_exchange_from``), and a stage that exchanged drops the remainder's.
     """
+    _check_cap(cap)
     t, colors = coloring, coloring.k
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
@@ -336,15 +346,15 @@ def pack(
     gets that certificate. ``k = 0`` and single-vertex graphs succeed
     vacuously, for any ``k`` a tuple can hold (a larger one is a
     ValueError). Loops can never enter a tree and simply stay in the
-    remainder. A negative cap is a ValueError.
+    remainder. A cap other than None is checked by ``_check_cap``.
     """
     _check_tree_count(k)
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if seedtree_order not in ("asc", "desc"):
         raise ValueError("seedtree_order must be 'asc' or 'desc'")
-    if cap is not None and cap < 0:
-        raise ValueError("exchange cap must be nonnegative")
+    if cap is not None:
+        _check_cap(cap)
     if g.n == 1 or k == 0:
         if k > sys.maxsize:
             raise ValueError(f"input too large: k must be at most {sys.maxsize} on one vertex")
@@ -363,13 +373,13 @@ def stp_number(g: MultiGraph, *, cap: int | None = None) -> tuple[int, Partition
 
     Runs the stages of ``_stages`` to the first certificate, with the caps
     they have in ``pack``: a certificate at stage ``s`` yields
-    ``(s - 1, certificate)``. A negative cap is a ValueError. Graphs with
+    ``(s - 1, certificate)``; the cap is checked as in ``pack``. Graphs with
     fewer than two vertices pack every k vacuously and are rejected.
     """
     if g.n <= 1:
         raise ValueError("packing number is unbounded for graphs with n <= 1")
-    if cap is not None and cap < 0:
-        raise ValueError("exchange cap must be nonnegative")
+    if cap is not None:
+        _check_cap(cap)
     for k_max, last in enumerate(_stages(g, cap, "asc", None)):
         pass  # the stages end at their certificate
     return k_max, last.certificate

@@ -84,9 +84,6 @@ class Partition:
             members[index].append(v)
         return tuple(map(tuple, members))
 
-    def members(self, index: int) -> tuple[int, ...]:
-        return self.classes[index]
-
     def refines(self, other: "Partition") -> bool:
         """True if every class of ``self`` is a subset of a class of ``other``."""
         if self.n != other.n:

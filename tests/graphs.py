@@ -46,21 +46,49 @@ def _shuffle(rng: SplitMix64, items: list) -> None:
         items[i], items[j] = items[j], items[i]
 
 
+def _random_tree(rng: SplitMix64, n: int) -> list[tuple[int, int]]:
+    """A random spanning tree on ``0..n-1``: the vertices of a random order
+    attach one by one to a random earlier vertex."""
+    order = list(range(n))
+    _shuffle(rng, order)
+    return [(order[i], order[rng.below(i)]) for i in range(1, n)]
+
+
 def union_of_spanning_trees(seed: int, n: int, k: int) -> MultiGraph:
     """k random spanning trees on n vertices, edge ids shuffled.
 
-    Each tree attaches the vertices of a random order one by one to a
-    random earlier vertex. Shuffling the ids keeps greedy extraction from
-    recovering the trees directly, so packing needs exchanges.
+    Shuffling the ids keeps greedy extraction from recovering the trees
+    directly, so packing needs exchanges.
+    """
+    rng = SplitMix64(seed)
+    edges = [edge for _ in range(k) for edge in _random_tree(rng, n)]
+    _shuffle(rng, edges)
+    return MultiGraph(n, tuple(edges))
+
+
+def planted_cut(seed: int, r: int, b: int, k: int, x: int) -> MultiGraph:
+    """``r`` blobs of ``b >= 2`` vertices that pack exactly ``k`` trees.
+
+    Blob ``i`` is the vertices ``i*b .. i*b + b - 1``: ``k + 1`` random
+    spanning trees plus ``x >= 1`` random non-loop edges. The blobs are
+    joined by ``k + 1`` random spanning trees on ``r`` blob-vertices minus
+    one edge, each joining edge between random vertices of its two blobs;
+    edge ids are shuffled. Each blob and the joining edges hold ``k``
+    trees, and the blob partition has ``(k+1)(r-1) - 1`` crossing edges,
+    one too few for ``k + 1`` (Nash-Williams, Tutte): ``stp = k``. With
+    ``m = (k+1)(n-1) + r*x - 1``, counting edges alone does not refute ``k + 1``.
     """
     rng = SplitMix64(seed)
     edges = []
-    for _ in range(k):
-        order = list(range(n))
-        _shuffle(rng, order)
-        edges.extend((order[i], order[rng.below(i)]) for i in range(1, n))
+    for base in range(0, r * b, b):
+        edges += [(base + u, base + v) for _ in range(k + 1) for u, v in _random_tree(rng, b)]
+        for _ in range(x):
+            u = rng.below(b)
+            edges.append((base + u, base + (u + 1 + rng.below(b - 1)) % b))
+    joins = [pair for _ in range(k + 1) for pair in _random_tree(rng, r)][:-1]
+    edges += [(p * b + rng.below(b), q * b + rng.below(b)) for p, q in joins]
     _shuffle(rng, edges)
-    return MultiGraph(n, tuple(edges))
+    return MultiGraph(r * b, tuple(edges))
 
 
 def bowtie() -> MultiGraph:

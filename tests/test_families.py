@@ -23,7 +23,13 @@ from treepack import (
     verify_packing,
 )
 
-from graphs import complete_graph, hypercube, prefix_violations, union_of_spanning_trees
+from graphs import (
+    complete_graph,
+    hypercube,
+    planted_cut,
+    prefix_violations,
+    union_of_spanning_trees,
+)
 
 # Some seeds certify the union minus an edge before any exchange (2009 and
 # 2010 do); 2008 makes exchanges in both instances.
@@ -80,8 +86,10 @@ def test_complete_graph_packs_half_its_order(n):
     assert ok, detail
 
 
-def _exchange_violations(g: MultiGraph, k: int) -> tuple[int, list[str]]:
-    """Pack ``k`` trees and check eight properties on every exchange.
+def _exchange_violations(
+    g: MultiGraph, k: int, verdict: str = "packing"
+) -> tuple[int, list[str]]:
+    """Pack ``k`` trees, expecting ``verdict``, and check eight properties on every exchange.
 
     The trace has ``j < m``, a tree color ``c_m`` and a cycle inside
     ``class_q``; ``e`` is the least ``(level, id)`` remainder edge on a
@@ -128,7 +136,7 @@ def _exchange_violations(g: MultiGraph, k: int) -> tuple[int, list[str]]:
         violations.extend(prefix_violations(g, event, where))
 
     result = pack(g, k, on_exchange=check)
-    assert result.verdict == "packing"
+    assert result.verdict == verdict
     return exchanges, violations
 
 
@@ -143,5 +151,32 @@ def _exchange_violations(g: MultiGraph, k: int) -> tuple[int, list[str]]:
 )
 def test_every_exchange_improves_keeps_trees_and_agrees_through_j(g, k):
     exchanges, violations = _exchange_violations(g, k)
+    assert exchanges >= 1
+    assert violations == [], violations[:5]
+
+
+# (seed, r, b, k, x): r blobs of b vertices, stp = k; n = r * b.
+PLANTED_CUTS = [(1, 10, 100, 2, 1), (3, 8, 125, 3, 1), (4, 25, 40, 1, 3)]
+
+
+@pytest.mark.parametrize("seed, r, b, k, x", PLANTED_CUTS)
+def test_planted_cut_is_certified_by_a_coarse_partition(seed, r, b, k, x):
+    # One edge too few crosses the blobs for k + 1 trees, though the graph
+    # has enough edges for them; the certificate found need not be the
+    # blobs, but it is neither the one class nor the singletons.
+    g = planted_cut(seed, r, b, k, x)
+    assert g.n == 1000 and g.m == (k + 1) * (g.n - 1) + r * x - 1
+    k_max, certificate = stp_number(g)
+    assert k_max == k
+    ok, detail = verify_certificate(g, certificate, k + 1)
+    assert ok, detail
+    assert 1 < certificate.num_classes < g.n
+
+
+def test_every_exchange_of_a_planted_cut_certificate_stage_is_sound():
+    # n = 400 keeps the per-exchange checks (three sequence builds each)
+    # within a second; stage k + 1 ends at a coarse certificate.
+    g = planted_cut(5, 10, 40, 1, 2)
+    exchanges, violations = _exchange_violations(g, 2, verdict="certificate")
     assert exchanges >= 1
     assert violations == [], violations[:5]

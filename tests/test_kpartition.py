@@ -171,18 +171,18 @@ def test_edges_of_color_and_recolor():
 
 
 def test_recolor_carries_the_edge_lists_of_a_fresh_coloring():
-    # Changes are random, may keep an edge's color, and may come before or
-    # after the parent's lists are built.
+    # Changes are random and may keep an edge's color; a coloring lists its
+    # edges when it is constructed, and recolor carries the lists over.
     for seed in range(300):
         rng = SplitMix64(seed)
         m, k = 1 + rng.below(20), 1 + rng.below(4)
         t = KPartition(k, tuple(1 + rng.below(k) for _ in range(m)))
         if seed % 3:
-            t.edges_of_color(1)  # builds the lists
+            t.edges_of_color(1)  # reading the lists leaves them as built
         changes = {rng.below(m): 1 + rng.below(k) for _ in range(rng.below(4))}
         changes[0] = t.color_of[0]
         after = t.recolor(changes)
-        assert ("_edges_by_color" in vars(after)) == ("_edges_by_color" in vars(t))
+        assert "_edges_by_color" in vars(t) and "_edges_by_color" in vars(after)
         # recolor builds its child without the constructor's full scan.
         fresh = KPartition(k, after.color_of)
         assert type(after.color_of) is tuple

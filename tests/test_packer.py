@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import pytest
 
 import treepack.packer
@@ -234,6 +237,73 @@ def test_exchange_improves_two_step_instance():
     assert event.e_prime == 3  # star edge (0,4)
     assert precedes(t, event.after, g)
     assert _is_spanning_tree(g, event.after.edges_of_color(1))
+
+
+def test_exchange_from_finds_no_cycle_in_a_forest_remainder():
+    # K4 minus two edges: tree 0-1, 0-2, 0-3 and the remainder edge 2-3 alone.
+    g = MultiGraph(4, ((0, 1), (0, 2), (0, 3), (2, 3)))
+    t = KPartition.from_edge_sets(2, [[0, 1, 2], [3]], g.m)
+    with pytest.raises(InternalInvariantError, match="^no finite-level cycle edge in the remainder$"):
+        exchange_step(g, t)
+
+
+def _with_step(seq, i, **changes):
+    """``seq`` with fields of step ``i`` replaced."""
+    steps = list(seq.steps)
+    steps[i] = steps[i]._replace(**changes)
+    return replace(seq, steps=tuple(steps))
+
+
+# Forgeries of the real sequence of K4 with tree 0-1, 0-2, 0-3 (edges 0-2)
+# and remainder 1-2, 1-3, 2-3 (edges 3-5). Its steps are the one-class
+# partition (splitter 2) and {0}, {1, 2, 3} (splitter 1); the exchange
+# takes e = 3 at m = 1 into tree 1, and e' = 0 (the edge 0-1) at j = 0
+# leaves the cycle 0, 1, 3 on the vertices 0, 1, 2.
+_FORGED_SEQUENCES = [
+    pytest.param(
+        # From m = 2 on the sequence stays at its terminal singletons, which
+        # split e = 1-2 too; the bound is checked before any step is read.
+        lambda seq: replace(seq, levels=(2,) * 6),
+        "finite level beyond the last refinement step",
+        id="level-past-the-last-step",
+    ),
+    pytest.param(
+        lambda seq: _with_step(seq, 1, partition=Partition.singletons(4)),
+        "selected edge spans two classes at its level",
+        id="step-m-splits-e",
+    ),
+    pytest.param(
+        lambda seq: _with_step(seq, 1, splitter=2),
+        "splitter at the selected level is 2, not a tree color",
+        id="remainder-splits-step-m",
+    ),
+    pytest.param(
+        lambda seq: replace(seq, levels=(INFINITE_LEVEL,) * 3 + (1,) * 3),
+        "fundamental cycle has no edge below the selected level",
+        id="tree-edges-never-separated",
+    ),
+    pytest.param(
+        lambda seq: _with_step(seq, 0, partition=Partition.singletons(4)),
+        "exchanged-out edge spans two classes at its level",
+        id="step-j-splits-e-prime",
+    ),
+    pytest.param(
+        lambda seq: _with_step(seq, 0, partition=Partition.from_classes([[0, 1], [2, 3]])),
+        "fundamental cycle leaves its low-level class",
+        id="step-j-cuts-the-cycle",
+    ),
+]
+
+
+@pytest.mark.parametrize("forge, message", _FORGED_SEQUENCES)
+def test_exchange_from_guards_a_forged_sequence(forge, message):
+    g = complete_graph(4)
+    t = KPartition.from_edge_sets(2, [[0, 1, 2], [3, 4, 5]], g.m)
+    seq = build_sequence(g, t)
+    event = treepack.packer._exchange_from(g, t, seq, {})
+    assert (event.e, event.m, event.c_m, event.e_prime, event.j) == (3, 1, 1, 0, 0)
+    with pytest.raises(InternalInvariantError, match=f"^{message}$"):
+        treepack.packer._exchange_from(g, t, forge(seq), {})
 
 
 def test_exchange_trace_invariants_on_random_runs():
@@ -682,6 +752,32 @@ def test_negative_cap_is_rejected_before_any_stage(monkeypatch):
                  lambda: stp_number(g, cap=-1)):
         with pytest.raises(ValueError, match="cap"):
             call()
+
+
+@pytest.mark.parametrize("cap", [True, False, 2.5, 3.0, "3", [3]], ids=repr)
+def test_cap_must_be_an_int_before_any_stage(monkeypatch, cap):
+    g = complete_graph(4)
+    message = f"^exchange cap must be an int, not {re.escape(repr(cap))}$"
+    with pytest.raises(ValueError, match=message):
+        run_stage(g, _stage_coloring(g, [], range(g.m)), forests={}, cap=cap)
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(treepack.packer, "run_stage", no_stage)
+    for call in (lambda: pack(g, 2, cap=cap), lambda: pack(g, 0, cap=cap),
+                 lambda: stp_number(g, cap=cap)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_run_stage_takes_a_negative_cap_as_an_input_error():
+    g = complete_graph(4)
+    t = _stage_coloring(g, [], range(g.m))
+    with pytest.raises(ValueError, match="^exchange cap must be nonnegative$"):
+        run_stage(g, t, forests={}, cap=-1)
+    # Zero is a cap: K4's first stage is connected and needs no exchange.
+    assert run_stage(g, t, forests={}, cap=0) == StageOutcome(t, None, 0)
 
 
 def test_pack_seedtree_order_changes_tree_choice_not_verdict():

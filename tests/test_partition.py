@@ -70,12 +70,19 @@ def test_strictly_refines():
 
 def test_class_containing():
     singles = Partition.singletons(5)
-    assert singles.members(singles.class_of[3]) == (3,)
+    assert singles.classes[singles.class_of[3]] == (3,)
     trivial = Partition.trivial(5)
     assert trivial.class_of[4] == 0
     p = Partition.from_classes([[0, 2], [1]])
-    assert p.members(p.class_of[2]) == (0, 2)
-    assert all(v in p.members(p.class_of[v]) for v in range(p.n))
+    assert p.classes[p.class_of[2]] == (0, 2)
+    assert all(v in p.classes[p.class_of[v]] for v in range(p.n))
+
+
+def test_str_lists_the_classes_in_canonical_order():
+    assert str(Partition.from_classes([[3, 1], [2, 0]])) == "{{0, 2}, {1, 3}}"
+    assert str(Partition.singletons(3)) == "{{0}, {1}, {2}}"
+    assert str(Partition.trivial(1)) == "{{0}}"
+    assert str(Partition.trivial(0)) == "{}"
 
 
 def _random_partitions(count: int, n: int) -> list[Partition]:
