@@ -155,7 +155,7 @@ def _mismatch(claimed: dict, derived: dict, same: Callable[[object, object], boo
 def _check_certificate(g: MultiGraph, doc: dict) -> tuple[bool, str]:
     p = _document_classes(g, doc)
     k = _document_k(doc)
-    crossing = quotient(g, p).m
+    crossing = sum(p.class_of[u] != p.class_of[v] for u, v in g.edges)
     bound = k * (p.num_classes - 1)
     if not _same_json(doc.get("crossing_edges"), crossing):
         return False, f"document says {doc.get('crossing_edges')} crossing edges, graph has {crossing}"

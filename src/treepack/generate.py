@@ -7,6 +7,9 @@ import sys
 from .multigraph import MultiGraph
 
 
+_MASK = (1 << 64) - 1
+
+
 class SplitMix64:
     """SplitMix64 generator: 64-bit state, the usual published constants.
 
@@ -14,16 +17,13 @@ class SplitMix64:
     algorithm, which makes generated instances reproducible bit for bit.
     """
 
-    _MASK = (1 << 64) - 1
-
     def __init__(self, seed: int):
-        self._state = seed & self._MASK
+        self._state = seed & _MASK
 
     def next_word(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        self._state = z = (self._state + 0x9E3779B97F4A7C15) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:

@@ -10,12 +10,15 @@ the last index at which its endpoints still share a class; the sequence
 builder records it in the round whose split separates them. The sequence,
 compared lexicographically by (partition, splitter), induces the strict
 improvement order used to prove that edge exchanges terminate.
-The builder keeps each color's non-loop edges still inside a class and
-splits only through ``restrict_components``, which returns the partition
-itself when nothing splits; a caller that knows which colors are forests
-(the packer's tree colors) can say so. A coloring builds its per-color
-edge lists when it is constructed, and a recoloring carries them over and
-checks only the colors it changes.
+The builder keeps each color's edges still inside a class, loops included
+(a loop joins and splits nothing), and splits only through
+``restrict_components``, which returns the partition itself when nothing
+splits; a caller that knows which colors are forests (the packer's tree
+colors) can say so. With trees as colors ``1..k-1``, ``P_1`` is the
+remainder's components: an exchange's ``e``, on a cycle, splits none and
+``e'`` merges two iff ``j == 0``, so one is left iff also ``|P_1| == 2``.
+A coloring builds its per-color edge lists when it is constructed, and a
+recoloring carries them over and checks only the colors it changes.
 """
 
 from __future__ import annotations
@@ -186,29 +189,27 @@ def build_sequence(
     """Compute the partition sequence of ``t`` and the level of every edge.
 
     Each round takes the least color disconnected inside some class as the
-    splitter and replaces every class by its components within it, so
-    there are at most ``n - 1`` steps. Every color keeps the list of its
-    non-loop edges still inside a class of ``P``, and each round's
-    union-finds read only those lists; a forest's starts as its edge tuple,
-    since a forest holds no loop. Every color goes through
-    ``restrict_components``, which returns ``P`` itself when it splits no
-    class, but a forest whose list has ``n - |P|`` edges splits none and
-    is skipped. After the split at index ``i``, one pass over each other
-    color's list gives level ``i`` to the edges the split separates and
-    drops them (the splitter's edges all stay inside its components).
-    ``forests`` names colors the caller knows to be forests, trusted as
-    such; the flag only skips work, so any set of true forests, the
-    default none included, gives the same sequence.
+    splitter and replaces every class by its components within it, so there are
+    at most ``n - 1`` steps. Every color keeps the list of its edges still
+    inside a class of ``P``, from its edge tuple on, and each round's
+    union-finds read only those lists; a loop joins nothing and no split drops
+    it, and only forests, which hold none, skip by list length. Every color
+    goes through ``restrict_components``, which returns ``P`` itself when it
+    splits no class, but a forest whose list has ``n - |P|`` edges splits none
+    and is skipped. After the split at index ``i``, one pass over each other
+    color's list gives level ``i`` to the edges the split separates and drops
+    them (the splitter's edges all stay inside its components). ``forests``
+    names colors the caller knows to be forests, trusted as such; the flag only
+    skips work, so any set of true forests, the default none included, gives
+    the same sequence. With trees as colors ``1..k-1``, an exchange leaves no
+    steps iff ``j == 0`` and ``|P_1| == 2``: ``e`` splits no remainder
+    component (``P_1``), and ``e'`` joins two iff ``j == 0``.
     """
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
     n, k, edges = g.n, t.k, g.edges
-    colors = [t.edges_of_color(c) for c in range(k + 1)]
     forest = [c in forests for c in range(k + 1)]
-    inside = [
-        ids if forest[c] else [e for e in ids if edges[e][0] != edges[e][1]]
-        for c, ids in enumerate(colors)
-    ]
+    inside = [t.edges_of_color(c) for c in range(k + 1)]
     levels: list[Level] = [INFINITE_LEVEL] * g.m
     current, size = Partition.trivial(n), 1
     steps: list[SequenceStep] = []
@@ -261,8 +262,11 @@ def precedes(a: KPartition, b: KPartition, g: MultiGraph) -> bool:
         raise ValueError("colorings use different numbers of colors")
     if a.m != g.m or b.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
-    seq_a = build_sequence(g, a)
-    seq_b = build_sequence(g, b)
+    return _sequence_precedes(build_sequence(g, a), build_sequence(g, b))
+
+
+def _sequence_precedes(seq_a: PartitionSequence, seq_b: PartitionSequence) -> bool:
+    """``precedes`` on the two colorings' built sequences."""
     last = max(len(seq_a.steps), len(seq_b.steps))
     for i in range(last + 1):
         pa, pb = seq_a.partition_at(i), seq_b.partition_at(i)

@@ -33,7 +33,7 @@ from .multigraph import (
     _check_edge_ids,
     _check_tree_count,
     _union_within,
-    components,
+    components,  # unused here, but perfbench's span self-test reads packer.components
     cycle_edges,
     fundamental_cycle,
     root_forest,
@@ -108,12 +108,13 @@ def density_check(
     returned as a certificate; otherwise None is returned and a finite-level
     remainder edge on a cycle is guaranteed to exist.
 
-    The guards come from the sequence's first round, whose splitter is the
-    least color disconnected on the whole graph (no round: all connected),
-    and from the coloring's edge lists: connected with ``n - 1`` edges is a tree.
-    ``run_stage``'s builds take tree colors as forests; it checks them per stage.
-    A remainder edge crosses ``P`` exactly when the sequence gave it a
-    finite level: loops and edges inside a class of ``P`` keep none.
+    The guards read the first splitter, the least color disconnected on the
+    whole graph, and the edge lists: connected with ``n - 1`` edges is a tree.
+    ``run_stage`` checks its trees once and ends at the exchange with ``j == 0``
+    and ``|P_1| == 2``: ``e``, on a cycle, splits no remainder component
+    (``P_1``), and ``e'`` joins two iff ``j == 0``, so "already connected" is
+    a missed exit. A remainder edge crosses ``P`` exactly when the sequence
+    gave it a finite level: loops and edges inside a class of ``P`` keep none.
     """
     k = t.k
     splitter = seq.splitter_at(0)
@@ -240,35 +241,30 @@ def run_stage(
 ) -> StageOutcome:
     """Exchange until the remainder color is connected or a certificate appears.
 
-    Colors ``1..k-1`` of ``coloring`` are the spanning trees fixed so far
-    and color ``k`` the remainder; the stage ends once it is connected
-    (``components`` before any exchange, a sequence with no steps after
-    one). ``cap`` is a safety bound on exchanges, checked by ``_check_cap``;
-    exceeding it raises InternalInvariantError. Before its first exchange a
-    stage checks each tree once: an exchange keeps them trees (``e`` enters
-    ``c_m``, ``e'`` leaves the cycle ``e`` closes there), so each sequence
-    build takes them as forests unchecked. ``forests`` maps colors to rooted forests of
-    exactly their edges; each exchange roots and patches the ones it uses
-    (``_exchange_from``), and a stage that exchanged drops the remainder's.
+    Colors ``1..k-1`` of ``coloring`` are the spanning trees fixed so far and
+    color ``k`` the remainder. A first sequence with no steps means all are
+    connected; else each tree is checked once, and exchanges keep them trees
+    (``e`` enters ``c_m``, ``e'`` leaves the cycle it closes there), so builds
+    take them as forests. The exchange with ``j == 0`` and ``|P_1| == 2`` ends
+    the stage: ``e``, on a cycle, splits no remainder component (``P_1``), and
+    ``e'`` joins two iff ``j == 0``. ``cap`` bounds exchanges (``_check_cap``);
+    exceeding it raises InternalInvariantError. ``forests`` maps colors to
+    rooted forests of exactly their edges; each exchange roots and patches
+    those it uses (``_exchange_from``); the remainder's is dropped.
     """
     _check_cap(cap)
     t, colors = coloring, coloring.k
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
-    if components(g, t.edges_of_color(colors)).num_classes <= 1:
-        return StageOutcome(t, None, 0)
-    for c in range(1, colors):
+    seq, exchanges, certificate = build_sequence(g, t, forests=range(1, colors)), 0, None
+    for c in range(1, colors if seq.steps else 1):
         ids = t.edges_of_color(c)
         if len(ids) != g.n - 1 or len(_union_within(g, ids, [0] * g.n)[1]) != g.n - 1:
             raise InternalInvariantError(f"color {c} is not a spanning tree")
-
-    exchanges = 0
-    while True:
-        seq = build_sequence(g, t, forests=range(1, colors))
-        certificate = density_check(g, t, seq) if seq.steps else None
-        if certificate is not None or not seq.steps:
-            forests.pop(colors, None)
-            return StageOutcome(t, certificate, exchanges)
+    while seq.steps:
+        certificate = density_check(g, t, seq)
+        if certificate is not None:
+            break
         if exchanges >= cap:
             raise InternalInvariantError(f"exchange cap {cap} exceeded")
         event = _exchange_from(g, t, seq, forests)
@@ -276,6 +272,11 @@ def run_stage(
         if on_exchange is not None:
             on_exchange(event)
         t = event.after
+        if event.j == 0 and seq.partition_at(1).num_classes == 2:
+            break  # e' joined the remainder's only two components
+        seq = build_sequence(g, t, forests=range(1, colors))
+    forests.pop(colors, None)
+    return StageOutcome(t, certificate, exchanges)
 
 
 def greedy_spanning_tree(

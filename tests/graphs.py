@@ -11,7 +11,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from treepack import ExchangeEvent, KPartition, MultiGraph, build_sequence
+from treepack import (
+    ExchangeEvent,
+    KPartition,
+    MultiGraph,
+    PartitionSequence,
+    components,
+    greedy_spanning_tree,
+)
 from treepack.generate import SplitMix64
 from treepack.multigraph import NoCycleError, _union_within, fundamental_cycle
 
@@ -89,6 +96,33 @@ def planted_cut(seed: int, r: int, b: int, k: int, x: int) -> MultiGraph:
     edges += [(p * b + rng.below(b), q * b + rng.below(b)) for p, q in joins]
     _shuffle(rng, edges)
     return MultiGraph(r * b, tuple(edges))
+
+
+def random_stage(seed: int, k: int):
+    """k random spanning trees on up to 14 vertices plus loops and parallel
+    copies, ids shuffled; k - 1 trees taken greedily, and the remainder with
+    some ids repeated. None when the extraction fails."""
+    rng = SplitMix64(seed)
+    n = 2 + rng.below(13)
+    edges = list(union_of_spanning_trees(seed, n, k).edges)
+    for _ in range(rng.below(6)):
+        if rng.below(2):
+            v = rng.below(n)
+            edges.append((v, v))
+        else:
+            edges.append(edges[rng.below(len(edges))][::-1])
+    _shuffle(rng, edges)
+    g = MultiGraph(n, tuple(edges))
+    trees, rest = [], list(range(g.m))
+    for _ in range(k - 1):
+        if components(g, rest).num_classes > 1:
+            return None
+        tree = greedy_spanning_tree(g, rest)
+        trees.append(tree)
+        rest = [e for e in rest if e not in tree]
+    rest += [rest[rng.below(len(rest))] for _ in range(rng.below(4))] if rest else []
+    _shuffle(rng, rest)
+    return g, trees, rest
 
 
 def bowtie() -> MultiGraph:
@@ -224,11 +258,11 @@ def random_partition_labels(seed: int, n: int) -> list[int]:
     return [rng.below(n) for _ in range(n)]
 
 
-def prefix_violations(g: MultiGraph, event: ExchangeEvent, where: str) -> list[str]:
-    """What breaks the prefix property of one exchange: the sequences before
-    and after it agree in their partitions through index ``j`` and in their
-    splitters through ``j - 1``."""
-    before, after, j = event.sequence, build_sequence(g, event.after), event.j
+def prefix_violations(event: ExchangeEvent, after: PartitionSequence, where: str) -> list[str]:
+    """What breaks the prefix property of one exchange, given the sequence
+    ``after`` of ``event.after``: the sequences before and after it agree in
+    their partitions through index ``j`` and in their splitters through ``j - 1``."""
+    before, j = event.sequence, event.j
     violations = []
     if any(before.partition_at(i) != after.partition_at(i) for i in range(j + 1)):
         violations.append(f"{where}: partitions differ at or before j = {j}")

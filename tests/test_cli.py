@@ -115,6 +115,25 @@ def test_splitmix64_reference_stream():
     assert [rng.next_word() for _ in range(5)] == reference(42, 5)
 
 
+def test_splitmix64_known_answers():
+    # The first words of the published algorithm's streams, as other
+    # implementations print them; a seed is taken modulo 2**64.
+    rng = SplitMix64(0)
+    assert [rng.next_word() for _ in range(3)] == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+    ]
+    for seed in (1234567, 1234567 + 2**64):
+        rng = SplitMix64(seed)
+        assert [rng.next_word(), rng.next_word()] == [6457827717110365317, 3203168211198807973]
+    rng = SplitMix64(1234567)
+    assert [rng.below(10**9) for _ in range(2)] == [
+        6457827717110365317 % 10**9,
+        3203168211198807973 % 10**9,
+    ]
+
+
 def test_gen_is_reproducible_and_well_formed(tmp_path, capsys):
     code_a, out_a, _ = _run(capsys, ["gen", "4", "6", "1"])
     code_b, out_b, _ = _run(capsys, ["gen", "4", "6", "1"])

@@ -14,14 +14,15 @@ import pytest
 from treepack import (
     ExchangeEvent,
     MultiGraph,
+    build_sequence,
     components,
     cycle_edges,
     pack,
-    precedes,
     stp_number,
     verify_certificate,
     verify_packing,
 )
+from treepack.kpartition import _sequence_precedes
 
 from graphs import (
     complete_graph,
@@ -123,7 +124,8 @@ def _exchange_violations(
             violations.append(f"{where}: e = {event.e} is not the least cycle edge")
         if event.e_prime != min(event.cycle, key=lambda e: (levels[e], e)):
             violations.append(f"{where}: e' = {event.e_prime} is not the least on the cycle")
-        if not precedes(event.before, event.after, g):
+        after = build_sequence(g, event.after)
+        if not _sequence_precedes(event.sequence, after):
             violations.append(f"{where}: no strict improvement")
         for color in range(1, event.colors):
             ids = event.after.edges_of_color(color)
@@ -133,7 +135,7 @@ def _exchange_violations(
                 or components(g, ids).num_classes > 1
             ):
                 violations.append(f"{where}: color {color} is not a spanning tree")
-        violations.extend(prefix_violations(g, event, where))
+        violations.extend(prefix_violations(event, after, where))
 
     result = pack(g, k, on_exchange=check)
     assert result.verdict == verdict
@@ -174,9 +176,9 @@ def test_planted_cut_is_certified_by_a_coarse_partition(seed, r, b, k, x):
 
 
 def test_every_exchange_of_a_planted_cut_certificate_stage_is_sound():
-    # n = 400 keeps the per-exchange checks (three sequence builds each)
-    # within a second; stage k + 1 ends at a coarse certificate.
-    g = planted_cut(5, 10, 40, 1, 2)
+    # One new sequence build per exchange keeps the checks at n = 1,000
+    # within about a second; stage k + 1 ends at a coarse certificate.
+    g = planted_cut(5, 10, 100, 1, 2)
     exchanges, violations = _exchange_violations(g, 2, verdict="certificate")
     assert exchanges >= 1
     assert violations == [], violations[:5]

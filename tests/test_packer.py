@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -38,8 +39,10 @@ from graphs import (
     parallel_pair_instance,
     path_graph,
     planted_coloring,
+    planted_cut,
     random_coloring,
     random_multigraph,
+    random_stage,
     star_graph,
     two_step_exchange_instance,
     union_of_spanning_trees,
@@ -452,9 +455,9 @@ def _stage_coloring(g: MultiGraph, trees, rest) -> KPartition:
     return KPartition.from_edge_sets(len(trees) + 1, [*trees, rest], g.m)
 
 
-def _run_stage(g: MultiGraph, t: KPartition) -> StageOutcome:
+def _run_stage(g: MultiGraph, t: KPartition, on_exchange=None) -> StageOutcome:
     """``run_stage`` with no forests carried in and the cap ``_stages`` gives stage ``t.k``."""
-    return run_stage(g, t, forests={}, cap=max(1, t.k * g.n * g.m))
+    return run_stage(g, t, forests={}, cap=max(1, t.k * g.n * g.m), on_exchange=on_exchange)
 
 
 def test_run_stage_requires_a_cap_and_forests():
@@ -548,6 +551,101 @@ def test_run_stage_returns_a_connected_remainder_unchecked():
     outcome = _run_stage(g, t)
     assert outcome == StageOutcome(t, None, 0)
     assert [outcome.coloring.edges_of_color(c) for c in (1, 2)] == [(0, 1, 3), (2, 4, 5)]
+
+
+def test_run_stage_rejects_a_short_tree_color_beside_a_connected_remainder():
+    # Color 1 has n - 2 edges, so the stage's first sequence has steps.
+    g = complete_graph(4)
+    t = _stage_coloring(g, [[0, 1]], [2, 3, 4, 5])
+    assert components(g, t.edges_of_color(2)).num_classes == 1
+    with pytest.raises(InternalInvariantError, match="^color 1 is not a spanning tree$"):
+        _run_stage(g, t)
+
+
+@pytest.fixture
+def stage_log(monkeypatch):
+    """The colorings the packer builds sequences of, in order; a test may
+    append its events to the same list to see where each build falls."""
+    log: list = []
+    build = treepack.packer.build_sequence
+
+    def logged(g, t, **kwargs):
+        log.append(t)
+        return build(g, t, **kwargs)
+
+    monkeypatch.setattr(treepack.packer, "build_sequence", logged)
+    return log
+
+
+def _exit_rule_violations(g: MultiGraph, log: list, run) -> tuple[int, list[str]]:
+    """Run ``run(on_exchange=...)`` and check every exchange it makes on ``g``.
+
+    The exit rule (``j == 0`` and two classes at index 1) must hold exactly
+    when a fresh sequence of ``after`` has no steps, and the stage must
+    build ``after``'s sequence exactly when the rule does not hold.
+    """
+    start = len(log)
+    run(on_exchange=log.append)
+    entries, violations, exchanges = log[start:], [], 0
+    for i, event in enumerate(entries):
+        if not isinstance(event, ExchangeEvent):
+            continue
+        exchanges += 1
+        exits = event.j == 0 and event.sequence.partition_at(1).num_classes == 2
+        if exits != (not build_sequence(g, event.after).steps):
+            violations.append(f"exchange {exchanges}: the exit rule says {exits}")
+        rebuilt = i + 1 < len(entries) and entries[i + 1] is event.after
+        if rebuilt == exits:
+            violations.append(f"exchange {exchanges}: rebuilt {rebuilt}, exit rule {exits}")
+    return exchanges, violations
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_stage_exit_rule_on_random_stages(stage_log, k):
+    exchanges, violations = 0, []
+    for seed in range(250):
+        case = random_stage(seed, k)
+        if case is not None:
+            g, trees, rest = case
+            t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
+            made, found = _exit_rule_violations(g, stage_log, partial(_run_stage, g, t))
+            exchanges += made
+            violations += [f"seed {seed}, {v}" for v in found]
+    assert exchanges >= 100
+    assert violations == [], violations[:5]
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [
+        pytest.param(hypercube(6), 3, id="Q6"),
+        pytest.param(hypercube(8), 4, id="Q8"),
+        pytest.param(complete_graph(16), 8, id="K16"),
+        pytest.param(planted_cut(5, 10, 40, 2, 1), 3, id="planted-cut-n400"),
+    ],
+)
+def test_stage_exit_rule_on_families(stage_log, g, k):
+    exchanges, violations = _exit_rule_violations(g, stage_log, partial(pack, g, k))
+    assert exchanges >= 1
+    assert violations == [], violations[:5]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_stage_ending_connected_builds_one_sequence_per_exchange(stage_log, k):
+    # The first build is before the first exchange; the last exchange
+    # connects the remainder, and no build follows it.
+    stages = 0
+    for seed in range(250):
+        case = random_stage(seed, k)
+        if case is not None:
+            g, trees, rest = case
+            t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
+            stage_log.clear()
+            outcome = _run_stage(g, t)
+            if outcome.certificate is None and outcome.exchanges >= 1:
+                assert len(stage_log) == outcome.exchanges, seed
+                stages += 1
+    assert stages >= 30, stages
 
 
 def test_stage_sequences_equal_the_tested_sequences():

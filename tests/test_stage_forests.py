@@ -27,23 +27,22 @@ from treepack import (
     KPartition,
     MultiGraph,
     NoCycleError,
+    build_sequence,
     components,
     exchange_step,
-    greedy_spanning_tree,
     pack,
     run_stage,
     stp_number,
 )
-from treepack.generate import SplitMix64
 from treepack.multigraph import RootedForest, cycle_edges, fundamental_cycle, root_forest
 
 from graphs import (
-    _shuffle,
     complete_graph,
     deadline,
     hypercube,
     prefix_violations,
     random_multigraph,
+    random_stage,
     union_of_spanning_trees,
 )
 
@@ -112,33 +111,6 @@ def test_stage_forests_agree_with_per_call_kernels_on_families(checked_kernels, 
     assert checked_kernels == {"cycle_edges": result.exchanges, "fundamental_cycle": result.exchanges}
 
 
-def _random_stage(seed: int, k: int):
-    """k random spanning trees on up to 14 vertices plus loops and parallel
-    copies, ids shuffled; k - 1 trees taken greedily, and the remainder with
-    some ids repeated. None when the extraction fails."""
-    rng = SplitMix64(seed)
-    n = 2 + rng.below(13)
-    edges = list(union_of_spanning_trees(seed, n, k).edges)
-    for _ in range(rng.below(6)):
-        if rng.below(2):
-            v = rng.below(n)
-            edges.append((v, v))
-        else:
-            edges.append(edges[rng.below(len(edges))][::-1])
-    _shuffle(rng, edges)
-    g = MultiGraph(n, tuple(edges))
-    trees, rest = [], list(range(g.m))
-    for _ in range(k - 1):
-        if components(g, rest).num_classes > 1:
-            return None
-        tree = greedy_spanning_tree(g, rest)
-        trees.append(tree)
-        rest = [e for e in rest if e not in tree]
-    rest += [rest[rng.below(len(rest))] for _ in range(rng.below(4))] if rest else []
-    _shuffle(rng, rest)
-    return g, trees, rest
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_stage_forests_agree_with_per_call_kernels_on_random_stages(checked_kernels, k):
     # Every exchange also keeps the prefix property, as in the families.
@@ -147,10 +119,11 @@ def test_stage_forests_agree_with_per_call_kernels_on_random_stages(checked_kern
     def check(event: ExchangeEvent) -> None:
         nonlocal checked
         checked += 1
-        violations.extend(prefix_violations(g, event, f"seed {seed}, exchange {checked}"))
+        after = build_sequence(g, event.after)
+        violations.extend(prefix_violations(event, after, f"seed {seed}, exchange {checked}"))
 
     for seed in range(250):
-        case = _random_stage(seed, k)
+        case = random_stage(seed, k)
         if case is not None:
             g, trees, rest = case
             t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
@@ -179,7 +152,7 @@ def test_every_forest_matches_its_color_after_each_exchange_on_random_stages(k):
         checked += 1
 
     for seed in range(250):
-        case = _random_stage(seed, k)
+        case = random_stage(seed, k)
         if case is not None:
             g, trees, rest = case
             forests: dict[int, RootedForest] = {}
@@ -274,7 +247,7 @@ def _assert_same_event(g: MultiGraph, t: KPartition, where: str) -> bool:
 def test_exchange_step_is_the_first_event_of_its_stage_on_random_stages(k):
     compared = 0
     for seed in range(250):
-        case = _random_stage(seed, k)
+        case = random_stage(seed, k)
         if case is not None:
             g, trees, rest = case
             t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
@@ -373,7 +346,7 @@ def test_root_forest_spans_every_vertex_from_its_least_vertex():
     _assert_rooted(g, forest, ids)
     assert [forest.climb(v)[-1] for v in range(g.n)] == [0, 1, 2, 0, 4, 0, 1]
     for seed in range(60):
-        case = _random_stage(seed, 2)
+        case = random_stage(seed, 2)
         if case is not None:
             g, _, rest = case
             forest = root_forest(g, rest)
