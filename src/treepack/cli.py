@@ -40,11 +40,20 @@ class GraphFileError(ValueError):
     """Malformed graph file; the message names the offending line."""
 
 
+def _integer(token: str) -> int:
+    """``token`` as an int if it is ASCII ``-?[0-9]+`` (``int`` takes ``1_0``, ``３``)."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_graph(text: str) -> MultiGraph:
     """Parse a graph file; raises GraphFileError with a line number."""
     n: int | None = None
     m: int | None = None
     edges: list[tuple[int, int]] = []
+    # On ASCII text with no "_" or "+", int takes exactly -?[0-9]+ already.
+    integer = int if text.isascii() and "_" not in text and "+" not in text else _integer
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -56,7 +65,7 @@ def parse_graph(text: str) -> MultiGraph:
             if len(fields) != 3:
                 raise GraphFileError(f"line {lineno}: header must be 'p <n> <m>'")
             try:
-                n, m = int(fields[1]), int(fields[2])
+                n, m = integer(fields[1]), integer(fields[2])
             except ValueError:
                 raise GraphFileError(f"line {lineno}: header counts must be integers")
             if n < 1 or m < 0:
@@ -67,7 +76,7 @@ def parse_graph(text: str) -> MultiGraph:
             if len(fields) != 3:
                 raise GraphFileError(f"line {lineno}: edge must be 'e <u> <v>'")
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = integer(fields[1]), integer(fields[2])
             except ValueError:
                 raise GraphFileError(f"line {lineno}: endpoints must be integers")
             if not (1 <= u <= n and 1 <= v <= n):

@@ -14,11 +14,9 @@ The builder keeps each color's edges still inside a class, loops included
 (a loop joins and splits nothing), and splits only through
 ``restrict_components``, which returns the partition itself when nothing
 splits; a caller that knows which colors are forests (the packer's tree
-colors) can say so. With trees as colors ``1..k-1``, ``P_1`` is the
-remainder's components: an exchange's ``e``, on a cycle, splits none and
-``e'`` merges two iff ``j == 0``, so one is left iff also ``|P_1| == 2``.
-A coloring builds its per-color edge lists when it is constructed, and a
-recoloring carries them over and checks only the colors it changes.
+colors) can say so. A coloring builds its per-color edge lists when it is
+constructed, and a recoloring carries them over and checks only the colors
+it changes.
 """
 
 from __future__ import annotations
@@ -201,9 +199,7 @@ def build_sequence(
     them (the splitter's edges all stay inside its components). ``forests``
     names colors the caller knows to be forests, trusted as such; the flag only
     skips work, so any set of true forests, the default none included, gives
-    the same sequence. With trees as colors ``1..k-1``, an exchange leaves no
-    steps iff ``j == 0`` and ``|P_1| == 2``: ``e`` splits no remainder
-    component (``P_1``), and ``e'`` joins two iff ``j == 0``.
+    the same sequence.
     """
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
@@ -260,8 +256,6 @@ def precedes(a: KPartition, b: KPartition, g: MultiGraph) -> bool:
     """
     if a.k != b.k:
         raise ValueError("colorings use different numbers of colors")
-    if a.m != g.m or b.m != g.m:
-        raise ValueError("coloring does not match the graph's edge count")
     return _sequence_precedes(build_sequence(g, a), build_sequence(g, b))
 
 

@@ -100,11 +100,12 @@ def verify_packing(
     used: dict[EdgeId, int] = {}
     m = g.m
     for index, ids in enumerate(tree_lists):
-        if len(set(ids)) != len(ids):
-            return False, f"tree {index} repeats an edge id"
         for e in ids:
             if type(e) is not int or not 0 <= e < m:
                 return False, f"tree {index} uses unknown edge id {e}"
+        if len(set(ids)) != len(ids):
+            return False, f"tree {index} repeats an edge id"
+        for e in ids:
             if e in used:
                 return False, f"trees {used[e]} and {index} share edge {e}"
             used[e] = index

@@ -110,11 +110,10 @@ def density_check(
 
     The guards read the first splitter, the least color disconnected on the
     whole graph, and the edge lists: connected with ``n - 1`` edges is a tree.
-    ``run_stage`` checks its trees once and ends at the exchange with ``j == 0``
-    and ``|P_1| == 2``: ``e``, on a cycle, splits no remainder component
-    (``P_1``), and ``e'`` joins two iff ``j == 0``, so "already connected" is
-    a missed exit. A remainder edge crosses ``P`` exactly when the sequence
-    gave it a finite level: loops and edges inside a class of ``P`` keep none.
+    ``run_stage`` checks its trees once and ends at the exchange that connects
+    its remainder, so "already connected" is a missed exit. A remainder edge
+    crosses ``P`` exactly when the sequence gave it a finite level: loops and
+    edges inside a class of ``P`` keep none.
     """
     k = t.k
     splitter = seq.splitter_at(0)
@@ -154,8 +153,8 @@ def _exchange_from(
 
     Step ``m`` is read once, after the guard ``m < len(seq.steps)``, for
     ``class_p`` and ``c_m``, and step ``j < m`` once for ``class_q``.
-    ``forests`` holds the stage's forests by color, each spanning exactly
-    its color; one a color lacks is rooted and kept there. Both forests the
+    ``forests`` is the stage's own dict of forests by color, each spanning
+    exactly its color, a color rooted at its first use. Both forests the
     exchange uses take it (``RootedForest.swap``): the remainder's swaps
     ``e`` out and ``e'`` in, its ``cover`` the one ``cycle_edges`` just
     left, and tree ``c_m``'s the reverse. So each still spans its color.
@@ -232,12 +231,7 @@ def exchange_step(g: MultiGraph, t: KPartition) -> ExchangeEvent:
 
 
 def run_stage(
-    g: MultiGraph,
-    coloring: KPartition,
-    *,
-    forests: dict[int, RootedForest],
-    cap: int,
-    on_exchange: OnExchange | None = None,
+    g: MultiGraph, coloring: KPartition, *, cap: int, on_exchange: OnExchange | None = None
 ) -> StageOutcome:
     """Exchange until the remainder color is connected or a certificate appears.
 
@@ -248,14 +242,13 @@ def run_stage(
     take them as forests. The exchange with ``j == 0`` and ``|P_1| == 2`` ends
     the stage: ``e``, on a cycle, splits no remainder component (``P_1``), and
     ``e'`` joins two iff ``j == 0``. ``cap`` bounds exchanges (``_check_cap``);
-    exceeding it raises InternalInvariantError. ``forests`` maps colors to
-    rooted forests of exactly their edges; each exchange roots and patches
-    those it uses (``_exchange_from``); the remainder's is dropped.
+    exceeding it raises InternalInvariantError. The stage owns its forests,
+    each rooted at its first use and patched by the exchanges that use it
+    (``_exchange_from``). A tree has one rooting, at its least vertex, which
+    ``swap`` never moves, so no later stage needs this stage's forests.
     """
     _check_cap(cap)
-    t, colors = coloring, coloring.k
-    if t.m != g.m:
-        raise ValueError("coloring does not match the graph's edge count")
+    t, colors, forests = coloring, coloring.k, {}
     seq, exchanges, certificate = build_sequence(g, t, forests=range(1, colors)), 0, None
     for c in range(1, colors if seq.steps else 1):
         ids = t.edges_of_color(c)
@@ -275,7 +268,6 @@ def run_stage(
         if event.j == 0 and seq.partition_at(1).num_classes == 2:
             break  # e' joined the remainder's only two components
         seq = build_sequence(g, t, forests=range(1, colors))
-    forests.pop(colors, None)
     return StageOutcome(t, certificate, exchanges)
 
 
@@ -303,19 +295,19 @@ def _stages(
 ) -> Iterator[StageOutcome]:
     """Outcomes of stages 1, 2, ..., each stage run once; ends at a certificate.
 
-    One coloring and one dict of tree forests run through every stage. A
-    connected stage ``s`` is yielded with the next stage's coloring: the
-    tree taken greedily from color ``s`` keeps it, and the rest moves to
-    color ``s + 1``. Stage ``s`` gets the exchange cap ``cap``, or
+    Only the coloring runs through the stages, which each root their own
+    forests. A connected stage ``s`` is yielded with the next stage's
+    coloring: the tree taken greedily from color ``s`` keeps it, and the
+    rest moves to color ``s + 1``. Stage ``s`` gets the exchange cap ``cap``, or
     ``max(1, s * n * m)`` when ``cap`` is None. A certificate comes by
     stage ``m // (n - 1) + 1``, where ``s * (n - 1) > m`` and the one-vertex
     classes alone violate the count; asking for a stage past it raises
     InternalInvariantError. Needs ``n >= 2``.
     """
-    t, forests = KPartition(1, (1,) * g.m), {}
+    t = KPartition(1, (1,) * g.m)
     for stage in range(1, g.m // (g.n - 1) + 2):
         limit = cap if cap is not None else max(1, stage * g.n * g.m)
-        outcome = run_stage(g, t, forests=forests, cap=limit, on_exchange=on_exchange)
+        outcome = run_stage(g, t, cap=limit, on_exchange=on_exchange)
         if outcome.certificate is not None:
             yield outcome
             return

@@ -48,8 +48,11 @@ class Partition:
     def from_classes(
         cls, classes: Iterable[Iterable[int]], n: int | None = None
     ) -> "Partition":
-        """Build a partition from a family of vertex sets, in any order."""
-        groups = [sorted(set(c)) for c in classes]
+        """Build a partition from vertex sets in any order, each vertex exactly an ``int``."""
+        groups = [list(c) for c in classes]
+        if any(type(v) is not int for group in groups for v in group):
+            raise ValueError("classes must partition a dense vertex range")
+        groups = [sorted(set(group)) for group in groups]
         total = sum(len(c) for c in groups)
         if n is not None and total != n:
             raise ValueError(f"classes cover {total} vertices, expected {n}")

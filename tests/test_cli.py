@@ -65,6 +65,9 @@ def test_parse_single_vertex_no_edges():
 def test_parse_parallel_pair_and_comments():
     g = parse_graph("c header comment\n\np 2 2\ne 1 2\nc again\ne 1 2\n")
     assert g.edges == ((0, 1), (0, 1))
+    # A comment with "_", "+" or a non-ASCII letter sends every token through
+    # the per-token check, which takes the same counts and endpoints.
+    assert parse_graph("c n_1 + ünïcode\np 2 2\ne 1 2\ne 01 2\n") == g
 
 
 @pytest.mark.parametrize(
@@ -82,6 +85,14 @@ def test_parse_parallel_pair_and_comments():
         ("p 2 1\ne 1\n", "edge must be"),
         ("p 2 1\ne 1 x\n", "endpoints must be integers"),
         ("c no header\n", "missing 'p"),
+        # Only ASCII -?[0-9]+: int() alone reads "1_0" as 10 and a full-width 3 as 3.
+        ("p 1_0 0\n", "line 1: header counts must be integers"),
+        ("p \uff13 0\n", "line 1: header counts must be integers"),
+        ("p +3 0\n", "line 1: header counts must be integers"),
+        ("c\np 2 1\ne 1 0_2\n", "line 3: endpoints must be integers"),
+        ("p 2 1\ne \u0661 2\n", "line 2: endpoints must be integers"),
+        ("p 2 -1\n", "line 1: need n >= 1 and m >= 0"),
+        ("c +\np 2 -1\n", "line 2: need n >= 1 and m >= 0"),
     ],
 )
 def test_parse_errors_carry_context(text, fragment):
@@ -206,6 +217,9 @@ def test_cmd_pack_input_errors(tmp_path, capsys):
     bad = _write(tmp_path, "bad.gr", "p 2 9\ne 1 2\n")
     code, _, err = _run(capsys, ["pack", bad, "2"])
     assert code == EXIT_INPUT_ERROR and "error" in err
+    wide = _write(tmp_path, "wide.gr", "p \uff13 0\n")
+    code, _, err = _run(capsys, ["pack", wide, "2"])
+    assert (code, err) == (EXIT_INPUT_ERROR, "error: line 1: header counts must be integers\n")
     k4 = _write(tmp_path, "k4.gr", K4_TEXT)
     code, _, _ = _run(capsys, ["pack", k4, "-1"])
     assert code == EXIT_INPUT_ERROR

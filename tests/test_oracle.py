@@ -131,9 +131,10 @@ def test_verify_packing_rejections():
         assert verify_packing(g, [[0, 1, e]], 1) == (False, f"tree 0 uses unknown edge id {e}")
 
 
-@pytest.mark.parametrize("e", [True, 1.0, False, 0.0])
+@pytest.mark.parametrize("e", [True, 1.0, False, 0.0, [0], {}], ids=repr)
 def test_verify_packing_rejects_an_edge_id_that_is_not_an_int(e):
-    # On the triangle a bool id once passed as edge 1 and a float one raised TypeError.
+    # On the triangle a bool id once passed as edge 1, and a float one raised
+    # TypeError; an unhashable one did too, in the repeat check.
     g = MultiGraph(3, ((0, 1), (1, 2), (0, 2)))
     other = 2 if e else 1
     assert verify_packing(g, [[e, other]], 1) == (False, f"tree 0 uses unknown edge id {e}")

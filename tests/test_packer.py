@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import replace
 from functools import partial
@@ -456,17 +457,20 @@ def _stage_coloring(g: MultiGraph, trees, rest) -> KPartition:
 
 
 def _run_stage(g: MultiGraph, t: KPartition, on_exchange=None) -> StageOutcome:
-    """``run_stage`` with no forests carried in and the cap ``_stages`` gives stage ``t.k``."""
-    return run_stage(g, t, forests={}, cap=max(1, t.k * g.n * g.m), on_exchange=on_exchange)
+    """``run_stage`` with the cap ``_stages`` gives stage ``t.k``."""
+    return run_stage(g, t, cap=max(1, t.k * g.n * g.m), on_exchange=on_exchange)
 
 
-def test_run_stage_requires_a_cap_and_forests():
+def test_run_stage_requires_a_cap_and_takes_no_forests():
+    # A stage owns its forests: there is no dict to pass in, or to get wrong.
     g = complete_graph(4)
     t = _stage_coloring(g, [], range(g.m))
+    keywords = inspect.signature(run_stage).parameters.values()
+    assert [p.name for p in keywords if p.kind is p.KEYWORD_ONLY] == ["cap", "on_exchange"]
     with pytest.raises(TypeError, match="'cap'"):
-        run_stage(g, t, forests={})
+        run_stage(g, t)
     with pytest.raises(TypeError, match="'forests'"):
-        run_stage(g, t, cap=1)
+        run_stage(g, t, cap=1, forests={})
 
 
 def test_run_stage_returns_connected_rest_immediately():
@@ -857,7 +861,7 @@ def test_cap_must_be_an_int_before_any_stage(monkeypatch, cap):
     g = complete_graph(4)
     message = f"^exchange cap must be an int, not {re.escape(repr(cap))}$"
     with pytest.raises(ValueError, match=message):
-        run_stage(g, _stage_coloring(g, [], range(g.m)), forests={}, cap=cap)
+        run_stage(g, _stage_coloring(g, [], range(g.m)), cap=cap)
 
     def no_stage(*args, **kwargs):
         raise AssertionError("a stage ran")
@@ -873,9 +877,9 @@ def test_run_stage_takes_a_negative_cap_as_an_input_error():
     g = complete_graph(4)
     t = _stage_coloring(g, [], range(g.m))
     with pytest.raises(ValueError, match="^exchange cap must be nonnegative$"):
-        run_stage(g, t, forests={}, cap=-1)
+        run_stage(g, t, cap=-1)
     # Zero is a cap: K4's first stage is connected and needs no exchange.
-    assert run_stage(g, t, forests={}, cap=0) == StageOutcome(t, None, 0)
+    assert run_stage(g, t, cap=0) == StageOutcome(t, None, 0)
 
 
 def test_pack_seedtree_order_changes_tree_choice_not_verdict():

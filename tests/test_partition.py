@@ -34,6 +34,11 @@ def test_invalid_partitions_are_rejected():
         Partition((1, 0))  # labels not in first-occurrence order
     with pytest.raises(ValueError):
         Partition((0, 2))  # a label skipped
+    # A vertex is exactly an int: True once passed as vertex 1, and 1.0 raised TypeError.
+    for classes in ([[0], [True]], [[0], [1.0]], [[0], ["1"]], [[0], [[1]]], [[0, 1], [True]]):
+        for n in (None, 2):
+            with pytest.raises(ValueError, match="^classes must partition a dense vertex range$"):
+                Partition.from_classes(classes, n)
 
 
 def test_trivial_and_singletons():

@@ -1,16 +1,15 @@
 """The stage's rooted forests against the per-call kernels.
 
-``run_stage`` keeps a forest for the remainder, and for each tree color an
-exchange uses, each rooted by one search at its first use; the exchange
-(``packer._exchange_from``) patches both colors it changes with one
-``RootedForest.swap`` each, right after the recoloring. The tree forests
-outlive the stage: ``pack`` and ``stp_number`` carry them, with the
-coloring, into the next one. Here every
-forest call of a stage is held to the per-call result, every forest to its
-color after each exchange, the carried forests to their colors and to a run
-that carries none, the search, the climb and each swap are checked on
-their own, ``exchange_step`` is held to a stage's first event, and a
-corrupt forest must fail loudly instead of looping.
+``run_stage`` owns a dict of forests: one for the remainder, and one for
+each tree color an exchange uses, each rooted by one search at its first
+use in the stage; the exchange (``packer._exchange_from``) patches both
+colors it changes with one ``RootedForest.swap`` each, right after the
+recoloring. The dict goes when the stage returns. Here every forest call
+of a stage is held to the per-call result, every forest to its color after
+each exchange, each tree forest to its color rooted afresh, the search, the
+climb and each swap are checked on their own, ``exchange_step`` is held to
+a stage's first event, and a corrupt forest must fail loudly instead of
+looping.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from treepack import (
     exchange_step,
     pack,
     run_stage,
-    stp_number,
 )
 from treepack.multigraph import RootedForest, cycle_edges, fundamental_cycle, root_forest
 
@@ -41,7 +39,6 @@ from graphs import (
     deadline,
     hypercube,
     prefix_violations,
-    random_multigraph,
     random_stage,
     union_of_spanning_trees,
 )
@@ -128,10 +125,35 @@ def test_stage_forests_agree_with_per_call_kernels_on_random_stages(checked_kern
             g, trees, rest = case
             t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
             cap = max(1, k * g.n * g.m)
-            exchanges += run_stage(g, t, forests={}, cap=cap, on_exchange=check).exchanges
+            exchanges += run_stage(g, t, cap=cap, on_exchange=check).exchanges
     assert checked_kernels == {"cycle_edges": exchanges, "fundamental_cycle": exchanges}
     assert checked == exchanges >= 100
     assert violations == [], violations[:5]
+
+
+def _checked_exchanges(monkeypatch, check) -> None:
+    """Rebind ``packer._exchange_from`` so that ``check(g, forests, event)``
+    sees the stage's dict of forests right after each exchange."""
+    exchange = treepack.packer._exchange_from
+
+    def checked_exchange(g, t, seq, forests):
+        event = exchange(g, t, seq, forests)
+        check(g, forests, event)
+        return event
+
+    monkeypatch.setattr(treepack.packer, "_exchange_from", checked_exchange)
+
+
+def _random_stage_exchanges(k: int) -> int:
+    """Run the stage of every random case with ``k`` colors; the exchange count."""
+    exchanges = 0
+    for seed in range(250):
+        case = random_stage(seed, k)
+        if case is not None:
+            g, trees, rest = case
+            t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
+            exchanges += run_stage(g, t, cap=max(1, k * g.n * g.m)).exchanges
+    return exchanges
 
 
 def _assert_forests_match(g: MultiGraph, forests, event: ExchangeEvent) -> None:
@@ -142,59 +164,85 @@ def _assert_forests_match(g: MultiGraph, forests, event: ExchangeEvent) -> None:
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_every_forest_matches_its_color_after_each_exchange_on_random_stages(k):
-    # Both colors an exchange changes are patched before the callback runs.
-    exchanges = checked = 0
+def test_every_forest_matches_its_color_after_each_exchange_on_random_stages(monkeypatch, k):
+    # Both colors an exchange changes are patched before the callback runs;
+    # each stage's dict is its own.
+    dicts: list[dict] = []
+    checked: list[ExchangeEvent] = []
 
-    def check(event: ExchangeEvent) -> None:
-        nonlocal checked
+    def check(g, forests, event: ExchangeEvent) -> None:
         _assert_forests_match(g, forests, event)
-        checked += 1
+        if not dicts or dicts[-1] is not forests:
+            assert all(d is not forests for d in dicts), "a dict of forests outlived its stage"
+            dicts.append(forests)
+        checked.append(event)
 
-    for seed in range(250):
-        case = random_stage(seed, k)
-        if case is not None:
-            g, trees, rest = case
-            forests: dict[int, RootedForest] = {}
-            t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
-            cap = max(1, k * g.n * g.m)
-            exchanges += run_stage(g, t, forests=forests, cap=cap, on_exchange=check).exchanges
-    assert checked == exchanges >= 100
+    _checked_exchanges(monkeypatch, check)
+    assert _random_stage_exchanges(k) == len(checked) >= 100
 
 
 @pytest.mark.parametrize("g, k", FAMILIES)
 def test_every_forest_matches_its_color_after_each_exchange_on_families(monkeypatch, g, k):
-    stage = treepack.packer.run_stage
-    checked = 0
+    # Each stage of pack has its own dict of forests, seen in no other stage.
+    dicts: dict[int, dict] = {}
+    checked: list[ExchangeEvent] = []
 
-    def checked_stage(g, coloring, *, forests=None, on_exchange=None, **kwargs):
-        assert forests is not None, "the stage carries no forests"
+    def check(g, forests, event: ExchangeEvent) -> None:
+        _assert_forests_match(g, forests, event)
+        assert dicts.setdefault(event.colors, forests) is forests
+        checked.append(event)
 
-        def check(event: ExchangeEvent) -> None:
-            nonlocal checked
-            _assert_forests_match(g, forests, event)
-            checked += 1
-            if on_exchange is not None:
-                on_exchange(event)
-
-        return stage(g, coloring, forests=forests, on_exchange=check, **kwargs)
-
-    monkeypatch.setattr(treepack.packer, "run_stage", checked_stage)
-    assert pack(g, k).exchanges == checked >= 1
+    _checked_exchanges(monkeypatch, check)
+    assert pack(g, k).exchanges == len(checked) >= 1
+    assert len({id(d) for d in dicts.values()}) == len(dicts)
 
 
-def test_each_stage_roots_each_color_it_uses_once(monkeypatch):
-    # The remainder is rooted once in each stage that exchanges; a tree
-    # color at most once in the whole run, at its first use after it became
-    # a tree. Never again per exchange, and never by the per-call fallback
-    # inside cycle_edges or fundamental_cycle.
+def _assert_tree_forest_rooted_afresh(g: MultiGraph, forests, event: ExchangeEvent) -> None:
+    """Tree ``c_m``'s patched forest is, field by field, its color rooted afresh."""
+    fresh = root_forest(g, event.after.edges_of_color(event.c_m))
+    for field in dataclasses.fields(RootedForest):
+        assert getattr(forests[event.c_m], field.name) == getattr(fresh, field.name), field.name
+
+
+@pytest.mark.parametrize("g, k", FAMILIES)
+def test_each_tree_forest_is_its_color_rooted_afresh_on_families(monkeypatch, g, k):
+    # A spanning tree has one rooting at its least vertex, and swap never
+    # moves that root, so a forest carried to the next stage would be the
+    # one that stage roots.
+    events: list[ExchangeEvent] = []
+
+    def check(g, forests, event: ExchangeEvent) -> None:
+        _assert_tree_forest_rooted_afresh(g, forests, event)
+        events.append(event)
+
+    _checked_exchanges(monkeypatch, check)
+    assert pack(g, k).exchanges == len(events) >= 1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_each_tree_forest_is_its_color_rooted_afresh_on_random_stages(monkeypatch, k):
+    events: list[ExchangeEvent] = []
+
+    def check(g, forests, event: ExchangeEvent) -> None:
+        _assert_tree_forest_rooted_afresh(g, forests, event)
+        events.append(event)
+
+    _checked_exchanges(monkeypatch, check)
+    assert _random_stage_exchanges(k) == len(events) >= 100
+
+
+def test_each_stage_roots_each_color_it_uses_exactly_once(monkeypatch):
+    # Each stage roots the remainder and every tree color it exchanges with
+    # once, at its first use there: never again per exchange, never from an
+    # earlier stage's forest, and never by the per-call fallback inside
+    # cycle_edges or fundamental_cycle.
     g = union_of_spanning_trees(2008, 200, 3)
     stages: list[dict] = []
     pending: list[tuple[int, ...]] = []
     stage, root = treepack.packer.run_stage, root_forest
 
     def counted_stage(g, coloring, **kwargs):
-        stages.append({"remainder": coloring.k, "rooted": [], "used": set()})
+        stages.append({"rooted": [], "used": set()})
         return stage(g, coloring, **kwargs)
 
     def counted_root(g, ids):
@@ -214,19 +262,15 @@ def test_each_stage_roots_each_color_it_uses_once(monkeypatch):
     monkeypatch.setattr(treepack.multigraph, "root_forest", counted_root)
     assert pack(g, 3, on_exchange=record).exchanges >= 1
     assert pending == []
-    used_as_tree: set[int] = set()
     for s in stages:
-        remainder = s["remainder"]
-        first_uses = s["used"] - {remainder} - used_as_tree
-        assert sorted(s["rooted"]) == sorted(first_uses | (s["used"] & {remainder}))
-        used_as_tree |= s["used"] - {remainder}
-    assert [len(s["rooted"]) for s in stages] == [0, 2, 2]
+        assert sorted(s["rooted"]) == sorted(s["used"])
+    assert [len(s["rooted"]) for s in stages] == [0, 2, 3]
 
 
 def _first_stage_event(g: MultiGraph, t: KPartition) -> ExchangeEvent | None:
-    """The first exchange ``run_stage`` reports from ``t`` with fresh forests."""
+    """The first exchange ``run_stage`` reports from ``t``."""
     events: list[ExchangeEvent] = []
-    run_stage(g, t, forests={}, cap=max(1, t.k * g.n * g.m), on_exchange=events.append)
+    run_stage(g, t, cap=max(1, t.k * g.n * g.m), on_exchange=events.append)
     return events[0] if events else None
 
 
@@ -262,75 +306,6 @@ def test_exchange_step_is_the_first_event_of_its_stage_on_a_family():
     pack(g, 3, on_exchange=events.append)
     t = next(event.before for event in events if event.colors == 3)
     assert _assert_same_event(g, t, "Q6, stage 3")
-
-
-def _checked_stages(monkeypatch):
-    """Rebind ``run_stage`` so that the forests carried into and out of
-    every stage are checked against its coloring."""
-    stage = treepack.packer.run_stage
-    checked = []
-
-    def check(g, coloring, forests) -> None:
-        assert set(forests) <= set(range(1, coloring.k)), "a remainder forest was carried"
-        for color, forest in forests.items():
-            _assert_rooted(g, forest, coloring.edges_of_color(color))
-        checked.append(len(forests))
-
-    def checked_stage(g, coloring, *, forests=None, **kwargs):
-        assert forests is not None, "the stage carries no forests"
-        check(g, coloring, forests)
-        outcome = stage(g, coloring, forests=forests, **kwargs)
-        check(g, outcome.coloring, forests)
-        return outcome
-
-    monkeypatch.setattr(treepack.packer, "run_stage", checked_stage)
-    return checked
-
-
-def _fresh_stages(monkeypatch):
-    """Rebind ``run_stage`` so that every stage starts from a coloring built
-    by ``from_edge_sets`` and with no forest carried in."""
-    stage = treepack.packer.run_stage
-
-    def fresh_stage(g, coloring, *, forests=None, **kwargs):
-        sets = [coloring.edges_of_color(c) for c in range(1, coloring.k + 1)]
-        return stage(g, KPartition.from_edge_sets(coloring.k, sets, g.m), forests={}, **kwargs)
-
-    monkeypatch.setattr(treepack.packer, "run_stage", fresh_stage)
-
-
-def _run(g, k):
-    events: list[ExchangeEvent] = []
-    return pack(g, k, on_exchange=events.append), events, stp_number(g)
-
-
-def _carried_forest_cases():
-    cases = [(hypercube(6), 3), (hypercube(8), 4), (complete_graph(16), 8)]
-    cases += [(union_of_spanning_trees(2008, 200, 3), 3)]
-    for seed in range(60):
-        g = random_multigraph(seed, max_m=24)
-        if g.n >= 2:
-            cases.append((g, g.m // (g.n - 1) + 1))
-    return cases
-
-
-def test_carried_forests_match_their_colors_and_a_run_that_carries_none(monkeypatch):
-    cases = _carried_forest_cases()
-    loops = parallels = carried = exchanges = 0
-    for g, k in cases:
-        with monkeypatch.context() as m:
-            checked = _checked_stages(m)
-            carrying = _run(g, k)
-        with monkeypatch.context() as m:
-            _fresh_stages(m)
-            fresh = _run(g, k)
-        assert carrying == fresh, g
-        carried += sum(checked)
-        exchanges += carrying[0].exchanges
-        loops += any(u == v for u, v in g.edges)
-        parallels += len({tuple(sorted(e)) for e in g.edges}) < g.m
-    assert loops >= 40 and parallels >= 40, (loops, parallels)
-    assert carried >= 120 and exchanges >= 300, (carried, exchanges)
 
 
 # A path 0-1-2-3 whose closing edge is (0, 3).
