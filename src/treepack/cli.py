@@ -52,8 +52,6 @@ def parse_graph(text: str) -> MultiGraph:
     n: int | None = None
     m: int | None = None
     edges: list[tuple[int, int]] = []
-    # On ASCII text with no "_" or "+", int takes exactly -?[0-9]+ already.
-    integer = int if text.isascii() and "_" not in text and "+" not in text else _integer
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -65,7 +63,7 @@ def parse_graph(text: str) -> MultiGraph:
             if len(fields) != 3:
                 raise GraphFileError(f"line {lineno}: header must be 'p <n> <m>'")
             try:
-                n, m = integer(fields[1]), integer(fields[2])
+                n, m = _integer(fields[1]), _integer(fields[2])
             except ValueError:
                 raise GraphFileError(f"line {lineno}: header counts must be integers")
             if n < 1 or m < 0:
@@ -76,7 +74,7 @@ def parse_graph(text: str) -> MultiGraph:
             if len(fields) != 3:
                 raise GraphFileError(f"line {lineno}: edge must be 'e <u> <v>'")
             try:
-                u, v = integer(fields[1]), integer(fields[2])
+                u, v = _integer(fields[1]), _integer(fields[2])
             except ValueError:
                 raise GraphFileError(f"line {lineno}: endpoints must be integers")
             if not (1 <= u <= n and 1 <= v <= n):

@@ -231,7 +231,11 @@ def exchange_step(g: MultiGraph, t: KPartition) -> ExchangeEvent:
 
 
 def run_stage(
-    g: MultiGraph, coloring: KPartition, *, cap: int, on_exchange: OnExchange | None = None
+    g: MultiGraph,
+    coloring: KPartition,
+    *,
+    cap: int,
+    on_exchange: OnExchange | None = None,
 ) -> StageOutcome:
     """Exchange until the remainder color is connected or a certificate appears.
 

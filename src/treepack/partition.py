@@ -50,9 +50,6 @@ class Partition:
     ) -> "Partition":
         """Build a partition from vertex sets in any order, each vertex exactly an ``int``."""
         groups = [list(c) for c in classes]
-        if any(type(v) is not int for group in groups for v in group):
-            raise ValueError("classes must partition a dense vertex range")
-        groups = [sorted(set(group)) for group in groups]
         total = sum(len(c) for c in groups)
         if n is not None and total != n:
             raise ValueError(f"classes cover {total} vertices, expected {n}")
@@ -60,7 +57,7 @@ class Partition:
         seen: set[int] = set()
         for index, group in enumerate(groups):
             for v in group:
-                if not 0 <= v < total or v in seen:
+                if type(v) is not int or not 0 <= v < total or v in seen:
                     raise ValueError("classes must partition a dense vertex range")
                 seen.add(v)
                 labels[v] = index

@@ -35,10 +35,17 @@ def test_invalid_partitions_are_rejected():
     with pytest.raises(ValueError):
         Partition((0, 2))  # a label skipped
     # A vertex is exactly an int: True once passed as vertex 1, and 1.0 raised TypeError.
-    for classes in ([[0], [True]], [[0], [1.0]], [[0], ["1"]], [[0], [[1]]], [[0, 1], [True]]):
+    dense = "^classes must partition a dense vertex range$"
+    for classes in ([[0], [True]], [[0], [1.0]], [[0], ["1"]], [[0], [[1]]]):
         for n in (None, 2):
-            with pytest.raises(ValueError, match="^classes must partition a dense vertex range$"):
+            with pytest.raises(ValueError, match=dense):
                 Partition.from_classes(classes, n)
+    # A vertex is listed once: a repeat inside one class was silently dropped.
+    for classes in ([[0, 0], [1]], [[0, 1], [True]]):
+        with pytest.raises(ValueError, match=dense):
+            Partition.from_classes(classes)
+        with pytest.raises(ValueError, match="^classes cover 3 vertices, expected 2$"):
+            Partition.from_classes(classes, 2)
 
 
 def test_trivial_and_singletons():

@@ -6,9 +6,9 @@ use in the stage; the exchange (``packer._exchange_from``) patches both
 colors it changes with one ``RootedForest.swap`` each, right after the
 recoloring. The dict goes when the stage returns. Here every forest call
 of a stage is held to the per-call result, every forest to its color after
-each exchange, each tree forest to its color rooted afresh, the search, the
-climb and each swap are checked on their own, ``exchange_step`` is held to
-a stage's first event, and a corrupt forest must fail loudly instead of
+each exchange (a tree's to its color rooted afresh), the search, the climb
+and each swap are checked on their own, ``exchange_step`` is held to a
+stage's first event, and a corrupt forest must fail loudly instead of
 looping.
 """
 
@@ -157,10 +157,16 @@ def _random_stage_exchanges(k: int) -> int:
 
 
 def _assert_forests_match(g: MultiGraph, forests, event: ExchangeEvent) -> None:
-    """Every forest of the stage's dict spans exactly its color after the exchange."""
+    """Every forest of the stage's dict spans exactly its color after the
+    exchange, and tree ``c_m``'s is, field by field, its color rooted afresh:
+    a spanning tree has one rooting at its least vertex, which ``swap`` never
+    moves, so a forest carried to the next stage would be the one it roots."""
     assert {event.colors, event.c_m} <= set(forests)
     for color, forest in forests.items():
         _assert_rooted(g, forest, event.after.edges_of_color(color))
+    fresh = root_forest(g, event.after.edges_of_color(event.c_m))
+    for field in dataclasses.fields(RootedForest):
+        assert getattr(forests[event.c_m], field.name) == getattr(fresh, field.name), field.name
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -195,40 +201,6 @@ def test_every_forest_matches_its_color_after_each_exchange_on_families(monkeypa
     _checked_exchanges(monkeypatch, check)
     assert pack(g, k).exchanges == len(checked) >= 1
     assert len({id(d) for d in dicts.values()}) == len(dicts)
-
-
-def _assert_tree_forest_rooted_afresh(g: MultiGraph, forests, event: ExchangeEvent) -> None:
-    """Tree ``c_m``'s patched forest is, field by field, its color rooted afresh."""
-    fresh = root_forest(g, event.after.edges_of_color(event.c_m))
-    for field in dataclasses.fields(RootedForest):
-        assert getattr(forests[event.c_m], field.name) == getattr(fresh, field.name), field.name
-
-
-@pytest.mark.parametrize("g, k", FAMILIES)
-def test_each_tree_forest_is_its_color_rooted_afresh_on_families(monkeypatch, g, k):
-    # A spanning tree has one rooting at its least vertex, and swap never
-    # moves that root, so a forest carried to the next stage would be the
-    # one that stage roots.
-    events: list[ExchangeEvent] = []
-
-    def check(g, forests, event: ExchangeEvent) -> None:
-        _assert_tree_forest_rooted_afresh(g, forests, event)
-        events.append(event)
-
-    _checked_exchanges(monkeypatch, check)
-    assert pack(g, k).exchanges == len(events) >= 1
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_each_tree_forest_is_its_color_rooted_afresh_on_random_stages(monkeypatch, k):
-    events: list[ExchangeEvent] = []
-
-    def check(g, forests, event: ExchangeEvent) -> None:
-        _assert_tree_forest_rooted_afresh(g, forests, event)
-        events.append(event)
-
-    _checked_exchanges(monkeypatch, check)
-    assert _random_stage_exchanges(k) == len(events) >= 100
 
 
 def test_each_stage_roots_each_color_it_uses_exactly_once(monkeypatch):
