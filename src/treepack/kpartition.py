@@ -194,12 +194,13 @@ def build_sequence(
     it, and only forests, which hold none, skip by list length. Every color
     goes through ``restrict_components``, which returns ``P`` itself when it
     splits no class, but a forest whose list has ``n - |P|`` edges splits none
-    and is skipped. After the split at index ``i``, one pass over each other
-    color's list gives level ``i`` to the edges the split separates and drops
-    them (the splitter's edges all stay inside its components). ``forests``
-    names colors the caller knows to be forests, trusted as such; the flag only
-    skips work, so any set of true forests, the default none included, gives
-    the same sequence.
+    and is skipped, and so is the last round's splitter: the classes that round
+    made are the components of its inside edges, so it cannot split them. After
+    the split at index ``i``, one pass over each other color's list gives level
+    ``i`` to the edges the split separates and drops them (the splitter's edges
+    all stay inside its components). ``forests`` names colors the caller knows
+    to be forests, trusted as such; the flag only skips work, so any set of
+    true forests, the default none included, gives the same sequence.
     """
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
@@ -207,12 +208,12 @@ def build_sequence(
     forest = [c in forests for c in range(k + 1)]
     inside = [t.edges_of_color(c) for c in range(k + 1)]
     levels: list[Level] = [INFINITE_LEVEL] * g.m
-    current, size = Partition.trivial(n), 1
+    current, size, last = Partition.trivial(n), 1, 0
     steps: list[SequenceStep] = []
     while True:
         for c in range(1, k + 1):
-            if forest[c] and len(inside[c]) >= n - size:
-                continue  # a forest with n - |P| inside edges splits no class
+            if c == last or forest[c] and len(inside[c]) >= n - size:
+                continue  # splits no class
             refined = restrict_components(g, inside[c], current)
             if refined is not current:
                 break
@@ -220,7 +221,7 @@ def build_sequence(
             return PartitionSequence(k, tuple(steps), current, tuple(levels))
         level = len(steps)
         steps.append(SequenceStep(current, c))
-        current, size = refined, refined.num_classes
+        current, size, last = refined, refined.num_classes, c
         class_of = current.class_of
         for d, ids in enumerate(inside):
             if d == c:

@@ -57,10 +57,13 @@ class MultiGraph:
 
 
 def _check_edge_ids(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> list[EdgeId]:
-    ids = sorted(edge_ids)
-    if ids and not (0 <= ids[0] and ids[-1] < g.m):
-        raise ValueError("edge id out of range")
-    return ids
+    """The ids, sorted, each exactly an ``int`` in ``0..m-1``: a bool or float is not one."""
+    ids = list(edge_ids)
+    if set(map(type, ids)) <= {int}:
+        ids.sort()
+        if not ids or 0 <= ids[0] and ids[-1] < g.m:
+            return ids
+    raise ValueError("edge id out of range")
 
 
 def _check_tree_count(k: int) -> None:
@@ -333,7 +336,7 @@ def fundamental_cycle(
     when the forest's parent links form a cycle, and ValueError on the
     other precondition violations.
     """
-    if not 0 <= e < g.m:
+    if type(e) is not int or not 0 <= e < g.m:
         raise ValueError("edge id out of range")
     u, v = g.edges[e]
     if u == v:

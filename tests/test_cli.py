@@ -452,7 +452,7 @@ def test_cmd_verify_trace_integers_must_be_json_integers(tmp_path, capsys, field
     result = _write(tmp_path, "result.json", json.dumps(doc))
     code, _, err = _run(capsys, ["verify", graph, result])
     assert code == EXIT_VERIFY_FAILED
-    assert f"field {field!r}" in err
+    assert f"field {field!r} is {json.dumps(value)}, expected" in err  # values as JSON
 
 
 def _forge_bool(doc: dict, where: str) -> None:
@@ -480,15 +480,18 @@ def test_cmd_verify_rejects_bool_for_integer(tmp_path, capsys, k, where):
 
 
 def test_cmd_verify_certificate_counts_must_be_json_integers(tmp_path, capsys):
+    # The counts are compared as JSON, by the rule and message of a trace field.
     graph = _write(tmp_path, "k4.gr", K4_TEXT)
     _, out, _ = _run(capsys, ["pack", graph, "3"])
     for field in ("crossing_edges", "bound"):
-        doc = json.loads(out)
-        doc[field] = float(doc[field])
-        result = _write(tmp_path, "result.json", json.dumps(doc))
-        code, _, err = _run(capsys, ["verify", graph, result])
-        assert code == EXIT_VERIFY_FAILED, field
-        assert field.split("_")[0] in err
+        for forge in (float, lambda count: count + 1):
+            doc = json.loads(out)
+            derived = doc[field]
+            doc[field] = forge(derived)
+            result = _write(tmp_path, "result.json", json.dumps(doc))
+            code, _, err = _run(capsys, ["verify", graph, result])
+            assert code == EXIT_VERIFY_FAILED, field
+            assert f"field {field!r} is {json.dumps(doc[field])}, expected {derived}" in err
 
 
 def test_cmd_verify_malformed_documents(tmp_path, capsys):

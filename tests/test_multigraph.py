@@ -12,6 +12,7 @@ from treepack import (
     components,
     cycle_edges,
     fundamental_cycle,
+    greedy_spanning_tree,
     pack,
     quotient,
     restrict_components,
@@ -123,6 +124,25 @@ def test_components_two_pairs():
 def test_components_rejects_bad_edge_ids():
     with pytest.raises(ValueError):
         components(MultiGraph(2, ((0, 1),)), (1,))
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.5, "1", None])
+def test_edge_ids_must_be_exact_ints(bad):
+    # An edge id is exactly an int, as in KPartition: True was taken as
+    # edge 1 (fundamental_cycle(g, [0, 2], True) returned (0, 2, True)),
+    # and a float or a string raised TypeError.
+    g = MultiGraph(3, ((0, 1), (1, 2), (0, 2)))
+    calls = [
+        lambda: components(g, [bad]),
+        lambda: restrict_components(g, [bad], Partition.trivial(3)),
+        lambda: greedy_spanning_tree(g, [bad, 0]),
+        lambda: cycle_edges(g, [bad, 0, 2]),
+        lambda: fundamental_cycle(g, [bad, 0], 2),
+        lambda: fundamental_cycle(g, [0, 2], bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^edge id out of range$"):
+            call()
 
 
 # restrict_components --------------------------------------------------------

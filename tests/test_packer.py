@@ -7,6 +7,7 @@ from functools import partial
 
 import pytest
 
+import treepack.kpartition
 import treepack.packer
 from treepack import (
     INFINITE_LEVEL,
@@ -650,6 +651,38 @@ def test_a_stage_ending_connected_builds_one_sequence_per_exchange(stage_log, k)
                 assert len(stage_log) == outcome.exchanges, seed
                 stages += 1
     assert stages >= 30, stages
+
+
+def test_a_stage_build_does_not_recheck_its_last_splitter(monkeypatch):
+    # A round's classes are the components of its splitter's inside edges,
+    # so the next round skips that color as it skips a connected tree: each
+    # round that splits runs one union-find, and the last round runs the
+    # remainder's unless the remainder made the last split.
+    restricted, builds = [], []
+    restrict, build = treepack.kpartition.restrict_components, treepack.packer.build_sequence
+
+    def counted_restrict(*args):
+        restricted.append(args)
+        return restrict(*args)
+
+    def counted_build(g, t, **kwargs):
+        before = len(restricted)
+        seq = build(g, t, **kwargs)
+        builds.append((seq, t.k, len(restricted) - before))
+        return seq
+
+    monkeypatch.setattr(treepack.kpartition, "restrict_components", counted_restrict)
+    monkeypatch.setattr(treepack.packer, "build_sequence", counted_build)
+    for seed in range(4):
+        g = union_of_spanning_trees(seed, 40, 3)
+        pack(g, 3)
+        pack(g, 4)
+    by_remainder = 0
+    for seq, k, calls in builds:
+        last_by_remainder = bool(seq.steps) and seq.steps[-1].splitter == k
+        by_remainder += last_by_remainder
+        assert calls == len(seq.steps) + (not last_by_remainder), (seq, k, calls)
+    assert by_remainder >= 50, by_remainder
 
 
 def test_stage_sequences_equal_the_tested_sequences():
