@@ -53,22 +53,11 @@ def parse_graph(text: str) -> MultiGraph:
     m: int | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()  # also drops leading and trailing whitespace
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise GraphFileError(f"line {lineno}: duplicate header")
-            if len(fields) != 3:
-                raise GraphFileError(f"line {lineno}: header must be 'p <n> <m>'")
-            try:
-                n, m = _integer(fields[1]), _integer(fields[2])
-            except ValueError:
-                raise GraphFileError(f"line {lineno}: header counts must be integers")
-            if n < 1 or m < 0:
-                raise GraphFileError(f"line {lineno}: need n >= 1 and m >= 0")
-        elif fields[0] == "e":
+        head = fields[0]
+        if head == "e":
             if n is None or m is None:
                 raise GraphFileError(f"line {lineno}: edge before 'p' header")
             if len(fields) != 3:
@@ -82,8 +71,21 @@ def parse_graph(text: str) -> MultiGraph:
             if len(edges) >= m:
                 raise GraphFileError(f"line {lineno}: more than {m} edge lines")
             edges.append((u - 1, v - 1))
+        elif head[0] == "c":
+            continue
+        elif head == "p":
+            if n is not None:
+                raise GraphFileError(f"line {lineno}: duplicate header")
+            if len(fields) != 3:
+                raise GraphFileError(f"line {lineno}: header must be 'p <n> <m>'")
+            try:
+                n, m = _integer(fields[1]), _integer(fields[2])
+            except ValueError:
+                raise GraphFileError(f"line {lineno}: header counts must be integers")
+            if n < 1 or m < 0:
+                raise GraphFileError(f"line {lineno}: need n >= 1 and m >= 0")
         else:
-            raise GraphFileError(f"line {lineno}: unrecognized line {fields[0]!r}")
+            raise GraphFileError(f"line {lineno}: unrecognized line {head!r}")
     if n is None or m is None:
         raise GraphFileError("missing 'p <n> <m>' header")
     if len(edges) != m:

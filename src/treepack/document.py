@@ -102,6 +102,8 @@ def load_document(path: str) -> dict:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ResultDocumentError(f"result document is not valid JSON: {exc}")
+        except RecursionError:
+            raise ResultDocumentError("result document is nested too deeply to read")
     if not isinstance(doc, dict):
         raise ResultDocumentError("result document must be a JSON object")
     return doc

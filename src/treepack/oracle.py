@@ -66,22 +66,64 @@ def density_margin(g: MultiGraph, k: int) -> DensityReport:
 
     A negative margin means the witness certifies that no k packing
     exists. Ties keep the first partition in enumeration order.
+
+    The partitions are walked depth first in ``enumerate_partitions``'
+    order, one vertex per level, carrying the prefix's crossing count: a
+    vertex tallies the labels of its lower-numbered neighbours once, and
+    each label choice then adds the edges to the other classes. The last
+    vertex's choices are scored in one flat loop, so a partition costs
+    O(1), not a scan of every edge.
     """
-    if not 1 <= g.n <= MAX_ENUMERATION_N:
+    n = g.n
+    if not 1 <= n <= MAX_ENUMERATION_N:
         raise ValueError(f"vertex count must be in 1..{MAX_ENUMERATION_N}")
     _check_tree_count(k)
-    best_margin: int | None = None
-    best_labels: list[int] | None = None
-    for labels in _restricted_growth_strings(g.n):
-        crossing = 0
-        for u, v in g.edges:
-            if labels[u] != labels[v]:
-                crossing += 1
-        margin = crossing - k * max(labels)
-        if best_margin is None or margin < best_margin:
-            best_margin = margin
+    # lower[v]: the endpoints below v of v's edges, one entry per parallel
+    # copy; loops never cross, so they are left out.
+    lower: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        if u < v:
+            lower[v].append(u)
+        elif v < u:
+            lower[u].append(v)
+    labels = [0] * n
+    last = n - 1
+    # The one-class partition comes first and has margin 0.
+    best_margin = 0
+    best_labels = list(labels)
+
+    def walk(i: int, crossing: int, top: int) -> None:
+        """Every labelling of ``i..n-1`` after ``labels[:i]``, which uses
+        classes ``0..top-1`` and has ``crossing`` crossing edges."""
+        nonlocal best_margin, best_labels
+        same = [0] * (top + 1)
+        for j in lower[i]:
+            same[labels[j]] += 1
+        crossing += len(lower[i])  # every lower edge crosses, less same[label]
+        if i < last:
+            for c in range(top):
+                labels[i] = c
+                walk(i + 1, crossing - same[c], top)
+            labels[i] = top
+            walk(i + 1, crossing, top + 1)
+            return
+        # Label c < top scores crossing - same[c] - k * (top - 1), so it
+        # beats the best so far exactly when same[c] exceeds the threshold.
+        threshold = crossing - k * (top - 1) - best_margin
+        for s in same:
+            if s > threshold:
+                most = max(same)
+                best_margin = crossing - most - k * (top - 1)
+                labels[i] = same.index(most)
+                best_labels = list(labels)
+                break
+        if crossing - k * top < best_margin:  # the new class, scored last
+            best_margin = crossing - k * top
+            labels[i] = top
             best_labels = list(labels)
-    assert best_margin is not None and best_labels is not None
+
+    if n > 1:
+        walk(1, 0, 1)
     return DensityReport(best_margin, Partition.from_class_map(best_labels))
 
 

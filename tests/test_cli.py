@@ -516,6 +516,17 @@ def test_cmd_verify_malformed_documents(tmp_path, capsys):
         assert fragment in err, (text, err)
 
 
+@pytest.mark.parametrize("command", ["verify", "dot"])
+def test_cmd_deeply_nested_document_is_input_error(tmp_path, capsys, command):
+    # json.load raised RecursionError here, which left main as a traceback
+    # and exit 1, the code of a failed verification.
+    graph = _write(tmp_path, "k4.gr", K4_TEXT)
+    result = _write(tmp_path, "deep.json", "[" * 200_000)
+    code, out, err = _run(capsys, [command, graph, result])
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err == "error: result document is nested too deeply to read\n"
+
+
 # stp / oracle --------------------------------------------------------------------
 
 def test_cmd_stp_on_k6(tmp_path, capsys):

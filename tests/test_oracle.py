@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from treepack import (
@@ -10,11 +12,21 @@ from treepack import (
     enumerate_partitions,
     exists_packing_exhaustive,
     pack,
+    stp_number,
     verify_certificate,
     verify_packing,
 )
 
-from graphs import complete_graph, cycle_graph, path_graph, random_multigraph
+from treepack.generate import SplitMix64
+
+from graphs import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_multigraph,
+    union_of_spanning_trees,
+)
+from references import edge_scan_density_margin
 
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -76,16 +88,20 @@ def test_margin_k4_for_two_trees():
     assert report.margin == 0
 
 
-def test_margin_matches_explicit_enumeration():
-    for seed in (3, 17, 29):
-        g = random_multigraph(seed)
-        k = 1 + seed % 3
-        expected = min(
-            sum(1 for u, v in g.edges if p.class_of[u] != p.class_of[v])
-            - k * (p.num_classes - 1)
-            for p in enumerate_partitions(g.n)
-        )
-        assert density_margin(g, k).margin == expected
+def test_margin_and_witness_match_the_edge_scan_reference():
+    # 25 multigraphs at each n in 1..9, with loops and parallel edges; the
+    # walk must find the reference's margin and its first minimizer.
+    rng = SplitMix64(0x0_7AC1E)
+    ks = (0, 1, 2, 3, 4, 5, 10**20)
+    loops = parallels = 0
+    for i in range(225):
+        n = 1 + i % 9
+        edges = tuple((rng.below(n), rng.below(n)) for _ in range(rng.below(3 * n + 1)))
+        g, k = MultiGraph(n, edges), ks[rng.below(len(ks))]
+        assert density_margin(g, k) == edge_scan_density_margin(g, k), (g, k)
+        loops += any(u == v for u, v in edges)
+        parallels += len({frozenset(e) for e in edges}) < len(edges)
+    assert loops >= 100 and parallels >= 100
 
 
 def test_negative_margin_at_one_iff_disconnected():
@@ -93,6 +109,38 @@ def test_negative_margin_at_one_iff_disconnected():
         g = random_multigraph(seed)
         disconnected = components(g, range(g.m)).num_classes > 1
         assert (density_margin(g, 1).margin < 0) == disconnected
+
+
+# the packer against the oracle at n = 9..11 -----------------------------------------
+
+def _near_packable(rng: SplitMix64, n: int, k: int) -> MultiGraph:
+    """k random spanning trees with up to three edges rewired at random
+    (loops allowed), then one edge dropped or up to two added: m stays
+    within two of k(n - 1), so some graphs pack k trees and some do not."""
+    edges = list(union_of_spanning_trees(rng.next_word(), n, k).edges)
+    for _ in range(rng.below(4)):
+        edges[rng.below(len(edges))] = (rng.below(n), rng.below(n))
+    if rng.below(2):
+        del edges[rng.below(len(edges))]
+    else:
+        edges += [(rng.below(n), rng.below(n)) for _ in range(rng.below(3))]
+    return MultiGraph(n, tuple(edges))
+
+
+def test_packer_agrees_with_the_oracle_at_n_9_to_11():
+    # The acceptance corpus stops at n = 6; these reach the oracle's larger sizes.
+    rng = SplitMix64(0x9_11)
+    verdicts = set()
+    for n, count in ((9, 12), (10, 8), (11, 4)):
+        for i in range(count):
+            g, k = _near_packable(rng, n, 2 + i % 2), 2 + i % 2
+            margin = functools.cache(lambda j: density_margin(g, j).margin)
+            verdict = pack(g, k).verdict
+            assert (verdict == "packing") == (margin(k) >= 0), (g, k)
+            s, _ = stp_number(g)
+            assert margin(s) >= 0 > margin(s + 1), (g, s)
+            verdicts.add(verdict)
+    assert verdicts == {"packing", "certificate"}
 
 
 # verify_packing -----------------------------------------------------------------

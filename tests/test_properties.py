@@ -3,7 +3,8 @@
 Each graph is a union of random spanning trees on one vertex block or two
 (``union_of_spanning_trees`` with a drawn seed), with up to two bridges
 between the blocks (none leaves it disconnected), loops and parallel
-copies, its vertices relabelled and its edge ids permuted. The root
+copies, its vertices relabelled and its edge ids permuted. The last
+property mutates a few bytes of such a graph's file. The root
 ``conftest.py`` derandomizes the search, so every run checks the same
 examples.
 """
@@ -19,9 +20,10 @@ from pathlib import Path
 from hypothesis import given, strategies as st
 
 from treepack import MultiGraph, pack, stp_number, verify_certificate, verify_packing
-from treepack.cli import EXIT_OK, main, serialize_graph
+from treepack.cli import EXIT_INPUT_ERROR, EXIT_OK, main, parse_graph, serialize_graph
 
 from graphs import union_of_spanning_trees
+from references import line_strip_parse_graph
 
 
 @st.composite
@@ -95,3 +97,51 @@ def test_cli_traced_pack_verifies(instance):
         result.write_text(out)
         code, _, err = _main(["verify", str(graph), str(result)])
         assert code == EXIT_OK, (g, k, err)
+
+
+# Whitespace that str.split drops, a space test might not, and splitlines
+# may end a line at; bytes the graph-file format gives meaning to; look-alike
+# digits; invalid UTF-8 and any other byte.
+_MUTATION_BYTES = st.one_of(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x85",
+                     "\x85".encode(), "\xa0".encode(), "\u2028".encode(), "\u3000".encode()]),
+    st.sampled_from([*(bytes([b]) for b in b"0123456789-+_cpe"), "\uff13".encode(), b"\x00"]),
+    st.binary(min_size=1, max_size=1),
+)
+
+
+@st.composite
+def mutated_graph_files(draw) -> bytes:
+    """A serialized multigraph with one to four bytes replaced, inserted or deleted."""
+    data = bytearray(serialize_graph(draw(multigraphs())).encode())
+    for _ in range(draw(st.integers(1, 4))):
+        op, at = draw(st.sampled_from("rid")), draw(st.integers(0, len(data)))
+        if op == "i":
+            data[at:at] = draw(_MUTATION_BYTES)
+        elif at < len(data):
+            data[at:at + 1] = draw(_MUTATION_BYTES) if op == "r" else b""
+    return bytes(data)
+
+
+def _parsed(parse, text: str):
+    """``parse(text)``'s graph, or the type and message of its ValueError."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(mutated_graph_files(), st.integers(0, 5))
+def test_byte_mutated_graph_file_reads_as_the_line_strip_reader_and_packs_or_exits_2(data, k):
+    text = data.decode("utf-8", "replace")
+    parsed = _parsed(parse_graph, text)
+    assert parsed == _parsed(line_strip_parse_graph, text), data
+    with tempfile.TemporaryDirectory() as work:
+        graph = Path(work, "g.gr")
+        graph.write_bytes(data)
+        code, out, err = _main(["pack", str(graph), str(k)])
+    if isinstance(parsed, MultiGraph) and text.encode() == data:
+        assert (code, err) == (EXIT_OK, ""), (data, k, err)
+    else:
+        assert (code, out) == (EXIT_INPUT_ERROR, ""), (data, k, err)
+        assert err.startswith("error: "), (data, k, err)
