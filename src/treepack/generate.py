@@ -35,9 +35,13 @@ def random_graph(n: int, m: int, seed: int) -> MultiGraph:
 
     Each endpoint is ``(next SplitMix64 word) % n``, drawn in order (u then
     v per edge), so the graph is a pure function of (n, m, seed). An ``n``
-    or ``m`` that no index can address is a ValueError, raised before any
-    edge is drawn.
+    or ``m`` that no index can address, or an ``n``, ``m`` or ``seed`` that
+    is not exactly an ``int`` (a bool is not one), is a ValueError, raised
+    before any edge is drawn.
     """
+    for name, value in (("n", n), ("m", m), ("seed", seed)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, not {value!r}")
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     if max(n, m) > sys.maxsize:

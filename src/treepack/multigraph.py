@@ -281,8 +281,6 @@ def cycle_edges(
     taken = set(forest.via)
     closing = [e for e in edge_ids if e not in taken]
     forest.cover = cover = {}
-    if not closing:
-        return frozenset()
     edges, above, via, climb = g.edges, forest.above, forest.via, forest.climb
     known: set[VertexId] = set()  # the vertices whose depth is set, with their ancestors
     depth = [0] * g.n  # read for known vertices, and for roots, whose depth is 0

@@ -29,6 +29,7 @@ class Partition:
     num_classes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "class_of", tuple(self.class_of))
         first_seen = list(dict.fromkeys(self.class_of))
         if first_seen != list(range(len(first_seen))):
             raise ValueError("labels must be numbered 0, 1, ... by first occurrence")
@@ -48,8 +49,10 @@ class Partition:
     def from_classes(
         cls, classes: Iterable[Iterable[int]], n: int | None = None
     ) -> "Partition":
-        """Build a partition from vertex sets in any order, each vertex exactly an ``int``."""
+        """Build a partition from nonempty vertex sets in any order, each vertex exactly an ``int``."""
         groups = [list(c) for c in classes]
+        if not all(groups):
+            raise ValueError("classes must partition a dense vertex range")
         total = sum(len(c) for c in groups)
         if n is not None and total != n:
             raise ValueError(f"classes cover {total} vertices, expected {n}")

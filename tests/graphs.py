@@ -1,4 +1,4 @@
-"""Instance builders, the exchange's prefix check and a deadline, shared across the test suite.
+"""Instance builders, the exchange checker and a deadline, shared across the test suite.
 
 Random instances are drawn from the package's own SplitMix64 generator so
 every test run sees exactly the same corpus.
@@ -16,10 +16,13 @@ from treepack import (
     KPartition,
     MultiGraph,
     PartitionSequence,
+    build_sequence,
     components,
+    cycle_edges,
     greedy_spanning_tree,
 )
 from treepack.generate import SplitMix64
+from treepack.kpartition import _sequence_precedes
 from treepack.multigraph import NoCycleError, _union_within, fundamental_cycle
 
 
@@ -258,17 +261,84 @@ def random_partition_labels(seed: int, n: int) -> list[int]:
     return [rng.below(n) for _ in range(n)]
 
 
-def prefix_violations(event: ExchangeEvent, after: PartitionSequence, where: str) -> list[str]:
-    """What breaks the prefix property of one exchange, given the sequence
-    ``after`` of ``event.after``: the sequences before and after it agree in
-    their partitions through index ``j`` and in their splitters through ``j - 1``."""
-    before, j = event.sequence, event.j
-    violations = []
-    if any(before.partition_at(i) != after.partition_at(i) for i in range(j + 1)):
-        violations.append(f"{where}: partitions differ at or before j = {j}")
-    if any(before.splitter_at(i) != after.splitter_at(i) for i in range(j)):
-        violations.append(f"{where}: splitters differ before j = {j}")
-    return violations
+def is_spanning_tree(g: MultiGraph, ids) -> bool:
+    ids = list(ids)
+    return (
+        len(ids) == g.n - 1
+        and not any(g.is_loop(e) for e in ids)
+        and components(g, ids).num_classes == 1
+    )
+
+
+def exchange_violations(g: MultiGraph, event: ExchangeEvent, after: PartitionSequence) -> list[str]:
+    """The names of the checks of the exchange argument that ``event`` fails.
+
+    ``after`` is the built sequence of ``event.after``; ``event.sequence``
+    stands for ``event.before``'s. The checks, in this order:
+
+    - ``level_descent``: ``j < m``;
+    - ``splitter_is_tree_color``: ``1 <= c_m < colors``;
+    - ``cycle_inside_class_q``: every cycle edge has both ends in ``class_q``;
+    - ``least_cycle_edge``: ``e`` is the least ``(level, id)`` cycle edge of
+      ``before``'s remainder, by a per-call ``cycle_edges``;
+    - ``least_on_cycle``: the cycle runs through ``e``, and ``e'`` is its
+      least ``(level, id)`` edge;
+    - ``classes_at_levels``: ``class_p`` is the class of ``e`` at ``m`` and
+      ``class_q`` that of ``e'`` at ``j``;
+    - ``moves_two_edges``: ``after`` is ``before`` with ``e`` moved to
+      ``c_m`` and ``e'`` to the remainder;
+    - ``precedes``: the coloring strictly improves;
+    - ``tree_preservation``: every tree color is still a spanning tree;
+    - ``prefix_through_j``: the sequences agree in their partitions through
+      index ``j`` and in their splitters through ``j - 1`` (proved in
+      README's "Acceptance suite").
+    """
+    before, seq, colors, j = event.before, event.sequence, event.colors, event.j
+    levels = seq.levels
+
+    def least(ids):
+        return min(ids, key=lambda e: (levels[e], e), default=None)
+
+    def class_at(i: int, e: int) -> tuple[int, ...]:
+        labels = seq.partition_at(i).class_of
+        return tuple(v for v in range(g.n) if labels[v] == labels[g.edges[e][0]])
+
+    moved = list(before.color_of)
+    moved[event.e], moved[event.e_prime] = event.c_m, colors
+    inside = set(event.class_q)
+    checks = {
+        "level_descent": j < event.m,
+        "splitter_is_tree_color": 1 <= event.c_m < colors,
+        "cycle_inside_class_q": all(inside.issuperset(g.edges[e]) for e in event.cycle),
+        "least_cycle_edge": event.e == least(cycle_edges(g, before.edges_of_color(colors))),
+        "least_on_cycle": event.e in event.cycle and event.e_prime == least(event.cycle),
+        "classes_at_levels": (event.class_p, event.class_q)
+        == (class_at(event.m, event.e), class_at(j, event.e_prime)),
+        "moves_two_edges": event.after.color_of == tuple(moved),
+        "precedes": _sequence_precedes(seq, after),
+        "tree_preservation": all(
+            is_spanning_tree(g, event.after.edges_of_color(color)) for color in range(1, colors)
+        ),
+        "prefix_through_j": all(seq.partition_at(i) == after.partition_at(i) for i in range(j + 1))
+        and all(seq.splitter_at(i) == after.splitter_at(i) for i in range(j)),
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
+class ExchangeLog:
+    """An ``on_exchange`` callback that runs ``exchange_violations`` on every
+    exchange of ``g``: ``count`` exchanges, and ``violations`` as
+    ``"exchange <count>: <check>"``."""
+
+    def __init__(self, g: MultiGraph):
+        self.g, self.count, self.violations = g, 0, []
+
+    def __call__(self, event: ExchangeEvent) -> None:
+        self.count += 1
+        after = build_sequence(self.g, event.after)
+        self.violations += [
+            f"exchange {self.count}: {name}" for name in exchange_violations(self.g, event, after)
+        ]
 
 
 @contextmanager

@@ -22,10 +22,8 @@ from treepack import (
     MultiGraph,
     Partition,
     build_sequence,
-    components,
     density_margin,
     pack,
-    precedes,
     verify_certificate,
     verify_packing,
 )
@@ -35,6 +33,7 @@ from treepack.cli import serialize_graph
 from graphs import (
     complete_graph,
     early_improvement_graph,
+    exchange_violations,
     path_graph,
     random_multigraph,
     random_tree,
@@ -44,16 +43,6 @@ from graphs import (
 CORPUS_SEED = 0x5EED_2026
 CORPUS_SIZE = 520
 KS = (1, 2, 3)
-
-CHECKS = (
-    "precedes",
-    "level_descent",
-    "splitter_is_tree_color",
-    "cycle_inside_class_q",
-    "prefix_agreement_through_m",
-    "strict_refinement_after_m",
-    "tree_preservation",
-)
 
 
 @dataclass
@@ -87,46 +76,24 @@ class _ExchangeChecker:
         self.summary = summary
         self.count = 0
 
-    def _flag(self, check: str) -> None:
-        self.summary.violations[check] += 1
-        self.summary.violation_samples.setdefault(check, self.label)
-
     def __call__(self, event: ExchangeEvent) -> None:
+        """Flag ``exchange_violations``' checks and criterion 3's two checks at ``m``."""
         self.count += 1
-        g = self.g
-        if not precedes(event.before, event.after, g):
-            self._flag("precedes")
-        if not event.j < event.m:
-            self._flag("level_descent")
-        if not 1 <= event.c_m <= event.colors - 1:
-            self._flag("splitter_is_tree_color")
-        inside = set(event.class_q)
-        if any(
-            g.edges[eid][0] not in inside or g.edges[eid][1] not in inside
-            for eid in event.cycle
-        ):
-            self._flag("cycle_inside_class_q")
-        seq_before = event.sequence
-        seq_after = build_sequence(g, event.after)
-        agreed = all(
+        seq_before, seq_after = event.sequence, build_sequence(self.g, event.after)
+        failed = exchange_violations(self.g, event, seq_after)
+        if not all(
             seq_before.partition_at(i) == seq_after.partition_at(i)
             and seq_before.splitter_at(i) == seq_after.splitter_at(i)
             for i in range(event.m + 1)
-        )
-        if not agreed:
-            self._flag("prefix_agreement_through_m")
+        ):
+            failed.append("prefix_agreement_through_m")
         if not seq_before.partition_at(event.m + 1).strictly_refines(
             seq_after.partition_at(event.m + 1)
         ):
-            self._flag("strict_refinement_after_m")
-        for color in range(1, event.colors):
-            ids = event.after.edges_of_color(color)
-            if (
-                len(ids) != g.n - 1
-                or any(g.is_loop(e) for e in ids)
-                or components(g, ids).num_classes > 1
-            ):
-                self._flag("tree_preservation")
+            failed.append("strict_refinement_after_m")
+        for check in failed:
+            self.summary.violations[check] += 1
+            self.summary.violation_samples.setdefault(check, self.label)
 
 
 @pytest.fixture(scope="session")

@@ -155,6 +155,13 @@ def test_gen_is_reproducible_and_well_formed(tmp_path, capsys):
     assert _run(capsys, ["gen", "0", "5", "1"])[:2] == (EXIT_INPUT_ERROR, "")
 
 
+def test_random_graph_takes_exact_ints():
+    # Each raised a bare TypeError; a bool is not an int either.
+    for args in ((3, 2.5, 1), (3, 3, 1.5), ("3", 3, 1), (True, 3, 1), (3, 3, False)):
+        with pytest.raises(ValueError, match="^(n|m|seed) must be an int, not "):
+            random_graph(*args)
+
+
 def test_gen_writes_files_identically(tmp_path, capsys):
     first = tmp_path / "a.gr"
     second = tmp_path / "b.gr"
@@ -514,6 +521,18 @@ def test_cmd_verify_malformed_documents(tmp_path, capsys):
         code, _, err = _run(capsys, ["verify", graph, result])
         assert code == EXIT_INPUT_ERROR, text
         assert fragment in err, (text, err)
+
+
+@pytest.mark.parametrize("command", ["verify", "dot"])
+def test_cmd_certificate_with_an_empty_class_is_input_error(tmp_path, capsys, command):
+    # verify failed on the bound (exit 1) and dot drew the one-class partition (exit 0).
+    graph = _write(tmp_path, "k4.gr", K4_TEXT)
+    doc = {"verdict": "certificate", "k": 1, "classes": [[1, 2, 3, 4], []],
+           "crossing_edges": 0, "bound": 1}
+    result = _write(tmp_path, "result.json", json.dumps(doc))
+    code, out, err = _run(capsys, [command, graph, result])
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith("error: classes do not partition the vertex set: "), err
 
 
 @pytest.mark.parametrize("command", ["verify", "dot"])

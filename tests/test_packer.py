@@ -32,12 +32,15 @@ from treepack import (
 )
 
 from graphs import (
+    ExchangeLog,
     bowtie,
     complete_graph,
     cycle_graph,
     doubled_triangle,
     early_improvement_graph,
+    exchange_violations,
     hypercube,
+    is_spanning_tree,
     parallel_pair_instance,
     path_graph,
     planted_coloring,
@@ -50,15 +53,6 @@ from graphs import (
     union_of_spanning_trees,
 )
 from treepack.generate import SplitMix64
-
-
-def _is_spanning_tree(g: MultiGraph, ids) -> bool:
-    ids = list(ids)
-    return (
-        len(ids) == g.n - 1
-        and not any(g.is_loop(e) for e in ids)
-        and components(g, ids).num_classes <= 1
-    )
 
 
 # density_check ----------------------------------------------------------------
@@ -112,7 +106,7 @@ def _density_check_raises(g: MultiGraph, t: KPartition) -> bool:
 
 
 def _guards_fail(g: MultiGraph, t: KPartition) -> bool:
-    trees_ok = all(_is_spanning_tree(g, t.edges_of_color(c)) for c in range(1, t.k))
+    trees_ok = all(is_spanning_tree(g, t.edges_of_color(c)) for c in range(1, t.k))
     return not trees_ok or components(g, t.edges_of_color(t.k)).num_classes <= 1
 
 
@@ -209,7 +203,7 @@ def test_exchange_picks_lower_id_member_of_crossing_parallel_pair():
     assert event.j == 0
     assert event.class_q == (0, 1, 2, 3, 4)
     assert event.after.color_of[6] == 1 and event.after.color_of[1] == 2
-    assert _is_spanning_tree(g, event.after.edges_of_color(1))
+    assert is_spanning_tree(g, event.after.edges_of_color(1))
 
 
 def test_least_by_level_is_the_least_id_of_least_level():
@@ -241,7 +235,7 @@ def test_exchange_improves_two_step_instance():
     assert event.e == 10  # remainder edge (4,5)
     assert event.e_prime == 3  # star edge (0,4)
     assert precedes(t, event.after, g)
-    assert _is_spanning_tree(g, event.after.edges_of_color(1))
+    assert is_spanning_tree(g, event.after.edges_of_color(1))
 
 
 def test_exchange_from_finds_no_cycle_in_a_forest_remainder():
@@ -311,66 +305,52 @@ def test_exchange_from_guards_a_forged_sequence(forge, message):
         treepack.packer._exchange_from(g, t, forge(seq), {})
 
 
-def test_exchange_trace_invariants_on_random_runs():
-    for seed in range(120):
+def test_exchange_violations_names_each_forged_field():
+    # The K4 exchange above passes every check of the shared checker, and
+    # each forgery of one field (or of the sequence after) fails its check.
+    g = complete_graph(4)
+    event = exchange_step(g, KPartition.from_edge_sets(2, [[0, 1, 2], [3, 4, 5]], g.m))
+    after = build_sequence(g, event.after)
+    assert exchange_violations(g, event, after) == []
+    cycle_in_tree = KPartition.from_edge_sets(2, [[0, 1, 3], [2, 4, 5]], g.m)
+    forgeries = {
+        "level_descent": (replace(event, j=1), after),
+        "splitter_is_tree_color": (replace(event, c_m=2), after),
+        "cycle_inside_class_q": (replace(event, class_q=(0, 1)), after),
+        "least_cycle_edge": (replace(event, e=4), after),
+        "least_on_cycle": (replace(event, e_prime=1), after),
+        "classes_at_levels": (replace(event, class_p=(0, 1, 2, 3)), after),
+        "moves_two_edges": (replace(event, after=event.before), after),
+        "precedes": (event, event.sequence),
+        "tree_preservation": (replace(event, after=cycle_in_tree), after),
+        "prefix_through_j": (event, replace(after, terminal=Partition.singletons(4))),
+    }
+    for name, (forged, forged_after) in forgeries.items():
+        assert name in exchange_violations(g, forged, forged_after), name
+
+
+def _assert_random_runs_keep_the_exchange_contract(seeds, ks) -> None:
+    """Every exchange of ``pack(g, k)`` on each random multigraph passes ``exchange_violations``."""
+    for seed in seeds:
         g = random_multigraph(seed)
-        events: list[ExchangeEvent] = []
-        for k in (1, 2, 3):
-            pack(g, k, on_exchange=events.append)
-        for event in events:
-            assert event.j < event.m
-            assert 1 <= event.c_m <= event.colors - 1
-            inside = set(event.class_q)
-            for eid in event.cycle:
-                u, v = g.edges[eid]
-                assert u in inside and v in inside
-            assert event.e in event.cycle
-            # class_p and class_q are the classes of e at m and of e' at j
-            for cls, i, e in (
-                (event.class_p, event.m, event.e),
-                (event.class_q, event.j, event.e_prime),
-            ):
-                labels = event.sequence.partition_at(i).class_of
-                label = labels[g.edges[e][0]]
-                assert cls == tuple(w for w in range(g.n) if labels[w] == label)
-            # the swap moved exactly those two edges
-            before, after = event.before, event.after
-            assert after.color_of[event.e] == event.c_m
-            assert after.color_of[event.e_prime] == event.colors
-            unchanged = [
-                e
-                for e in range(g.m)
-                if e not in (event.e, event.e_prime)
-            ]
-            assert all(before.color_of[e] == after.color_of[e] for e in unchanged)
+        log = ExchangeLog(g)
+        for k in ks:
+            pack(g, k, on_exchange=log)
+        assert log.violations == [], (seed, log.violations[:5])
+
+
+def test_exchange_trace_invariants_on_random_runs():
+    _assert_random_runs_keep_the_exchange_contract(range(120), (1, 2, 3))
 
 
 def test_every_exchange_strictly_improves():
-    for seed in range(60):
-        g = random_multigraph(seed)
-        events: list[ExchangeEvent] = []
-        for k in (2, 3):
-            pack(g, k, on_exchange=events.append)
-        for event in events:
-            assert precedes(event.before, event.after, g)
+    _assert_random_runs_keep_the_exchange_contract(range(60), (2, 3))
 
 
 def test_sequences_agree_up_to_the_exchanged_out_level():
     # below level j nothing changes: both colorings separate vertices the
     # same way, with the same splitters
-    for seed in range(60):
-        g = random_multigraph(seed)
-        events: list[ExchangeEvent] = []
-        for k in (2, 3):
-            pack(g, k, on_exchange=events.append)
-        for event in events:
-            seq_before = event.sequence
-            seq_after = build_sequence(g, event.after)
-            j = event.j
-            for i in range(j + 1):
-                assert seq_before.partition_at(i) == seq_after.partition_at(i)
-            for i in range(j):
-                assert seq_before.splitter_at(i) == seq_after.splitter_at(i)
+    _assert_random_runs_keep_the_exchange_contract(range(60), (2, 3))
 
 
 def test_exchange_can_improve_below_the_selected_level():
@@ -419,16 +399,13 @@ def test_dense_instances_need_several_exchanges_and_stay_sound():
         (_doubled(_grid(3, 3)), 3),
     ]
     for g, k in cases:
-        events: list[ExchangeEvent] = []
-        result = pack(g, k, on_exchange=events.append)
+        log = ExchangeLog(g)
+        result = pack(g, k, on_exchange=log)
         assert result.verdict == "packing"
         ok, detail = verify_packing(g, result.trees, k)
         assert ok, detail
-        assert len(events) >= 2
-        for event in events:
-            assert precedes(event.before, event.after, g)
-            for color in range(1, event.colors):
-                assert _is_spanning_tree(g, event.after.edges_of_color(color))
+        assert log.count >= 2
+        assert log.violations == [], log.violations[:5]
 
 
 def test_deep_exchange_keeps_full_prefix_agreement():
@@ -708,7 +685,7 @@ def test_run_stage_k4_second_stage():
     outcome = _run_stage(g, _stage_coloring(g, [first], frozenset(range(g.m)) - first))
     assert outcome.certificate is None
     trees = [outcome.coloring.edges_of_color(c) for c in (1, 2)]
-    assert all(_is_spanning_tree(g, tr) for tr in trees[:-1])
+    assert all(is_spanning_tree(g, tr) for tr in trees[:-1])
     assert components(g, trees[-1]).num_classes == 1
 
 
@@ -938,15 +915,7 @@ def test_pack_rejects_unknown_seedtree_order_before_any_stage(monkeypatch):
 
 
 def test_pack_tree_preservation_during_stages():
-    for seed in range(40):
-        g = random_multigraph(seed)
-
-        def check(event: ExchangeEvent) -> None:
-            for color in range(1, event.colors):
-                assert _is_spanning_tree(g, event.after.edges_of_color(color))
-
-        for k in (2, 3):
-            pack(g, k, on_exchange=check)
+    _assert_random_runs_keep_the_exchange_contract(range(40), (2, 3))
 
 
 # stp_number ----------------------------------------------------------------------

@@ -40,12 +40,23 @@ def test_invalid_partitions_are_rejected():
         for n in (None, 2):
             with pytest.raises(ValueError, match=dense):
                 Partition.from_classes(classes, n)
+    # An empty class was silently dropped, giving one class fewer.
+    for classes, n in (([[0, 1, 2, 3], []], 4), ([[], [0]], None), ([[0], [], [1]], 2)):
+        with pytest.raises(ValueError, match=dense):
+            Partition.from_classes(classes, n)
     # A vertex is listed once: a repeat inside one class was silently dropped.
     for classes in ([[0, 0], [1]], [[0, 1], [True]]):
         with pytest.raises(ValueError, match=dense):
             Partition.from_classes(classes)
         with pytest.raises(ValueError, match="^classes cover 3 vertices, expected 2$"):
             Partition.from_classes(classes, 2)
+
+
+def test_a_label_list_is_stored_as_a_tuple():
+    # A list was kept as given: unhashable, and unequal to the same labels as a tuple.
+    p = Partition([0, 1, 0])
+    assert p.class_of == (0, 1, 0) and type(p.class_of) is tuple
+    assert p == Partition((0, 1, 0)) and hash(p) == hash(Partition((0, 1, 0)))
 
 
 def test_trivial_and_singletons():

@@ -22,7 +22,7 @@ from hypothesis import given, strategies as st
 from treepack import MultiGraph, pack, stp_number, verify_certificate, verify_packing
 from treepack.cli import EXIT_INPUT_ERROR, EXIT_OK, main, parse_graph, serialize_graph
 
-from graphs import union_of_spanning_trees
+from graphs import ExchangeLog, union_of_spanning_trees
 from references import line_strip_parse_graph
 
 
@@ -55,8 +55,11 @@ def instances(draw) -> tuple[MultiGraph, int]:
 
 
 def _checked(g: MultiGraph, k: int) -> str:
-    """``pack(g, k)``'s verdict, after the oracle has accepted its evidence."""
-    result = pack(g, k)
+    """``pack(g, k)``'s verdict, after the oracle has accepted its evidence
+    and every exchange has passed ``exchange_violations``."""
+    log = ExchangeLog(g)
+    result = pack(g, k, on_exchange=log)
+    assert log.violations == [], (g, k, log.violations[:5])
     if result.trees is not None:
         ok, detail = verify_packing(g, result.trees, k)
     else:

@@ -26,7 +26,6 @@ from treepack import (
     KPartition,
     MultiGraph,
     NoCycleError,
-    build_sequence,
     components,
     exchange_step,
     pack,
@@ -35,10 +34,10 @@ from treepack import (
 from treepack.multigraph import RootedForest, cycle_edges, fundamental_cycle, root_forest
 
 from graphs import (
+    ExchangeLog,
     complete_graph,
     deadline,
     hypercube,
-    prefix_violations,
     random_stage,
     union_of_spanning_trees,
 )
@@ -110,22 +109,17 @@ def test_stage_forests_agree_with_per_call_kernels_on_families(checked_kernels, 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_stage_forests_agree_with_per_call_kernels_on_random_stages(checked_kernels, k):
-    # Every exchange also keeps the prefix property, as in the families.
+    # Every exchange also passes exchange_violations, as in the families.
     exchanges, checked, violations = 0, 0, []
-
-    def check(event: ExchangeEvent) -> None:
-        nonlocal checked
-        checked += 1
-        after = build_sequence(g, event.after)
-        violations.extend(prefix_violations(event, after, f"seed {seed}, exchange {checked}"))
-
     for seed in range(250):
         case = random_stage(seed, k)
         if case is not None:
             g, trees, rest = case
             t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
-            cap = max(1, k * g.n * g.m)
-            exchanges += run_stage(g, t, cap=cap, on_exchange=check).exchanges
+            log = ExchangeLog(g)
+            exchanges += run_stage(g, t, cap=max(1, k * g.n * g.m), on_exchange=log).exchanges
+            checked += log.count
+            violations += [f"seed {seed}, {violation}" for violation in log.violations]
     assert checked_kernels == {"cycle_edges": exchanges, "fundamental_cycle": exchanges}
     assert checked == exchanges >= 100
     assert violations == [], violations[:5]
