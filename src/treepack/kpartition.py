@@ -67,9 +67,12 @@ class KPartition:
         """Build a coloring from k edge-id sets that partition ``range(m)``.
 
         Each id and its set's color are checked by ``recolor``'s per-entry
-        rule, which names the least bad edge.
+        rule, which names the least bad edge. ``m`` is exactly an ``int``
+        ``>= 0``: a bool or float is not one.
         """
         _check_k(k)
+        if type(m) is not int or m < 0:
+            raise ValueError(f"edge count must be a nonnegative int, not {m!r}")
         entries = [(e, color) for color, ids in enumerate(edge_sets, start=1) for e in ids]
         if any(_entry_error(e, color, m, k) for e, color in entries):
             raise ValueError(_first_error(entries, m, k))

@@ -42,7 +42,10 @@ class MultiGraph:
             raise ValueError(f"vertex count must be an int, not {n!r}")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        try:
+            object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        except TypeError:
+            raise ValueError("edges must be an iterable of endpoint pairs") from None
         for eid, (u, v) in enumerate(self.edges):
             if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {eid} endpoint out of range: ({u}, {v})")
@@ -332,7 +335,9 @@ def fundamental_cycle(
     Raises NoCycleError when the endpoints are not connected in the tree
     edges (``v``'s climb reaches another root), InternalInvariantError
     when the forest's parent links form a cycle, and ValueError on the
-    other precondition violations.
+    other precondition violations. Without ``forest``, ids that hold a
+    cycle (a loop included) or hold ``e`` are among them: the rooted
+    forest then has fewer edges than there are distinct ids.
     """
     if type(e) is not int or not 0 <= e < g.m:
         raise ValueError("edge id out of range")
@@ -340,7 +345,10 @@ def fundamental_cycle(
     if u == v:
         raise ValueError("a loop has no fundamental cycle through a tree")
     if forest is None:
-        forest = root_forest(g, _check_edge_ids(g, tree_edge_ids))
+        ids = _check_edge_ids(g, tree_edge_ids)
+        forest = root_forest(g, ids)
+        if sum(x >= 0 for x in forest.via) != len(set(ids)):  # a closing edge: a cycle
+            raise ValueError("tree edge ids hold a cycle")
     via = forest.via
     if via[u] == e or via[v] == e:  # a tree edge between spanned ends is a forest edge
         raise ValueError("edge already belongs to the tree edge set")

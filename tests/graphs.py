@@ -1,4 +1,5 @@
-"""Instance builders, the exchange checker and a deadline, shared across the test suite.
+"""Instance builders, the family corpus, the random-stage source, the exchange
+checker, the white-box pass and a deadline, shared across the test suite.
 
 Random instances are drawn from the package's own SplitMix64 generator so
 every test run sees exactly the same corpus.
@@ -6,11 +7,15 @@ every test run sees exactly the same corpus.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import signal
+from collections.abc import Iterator
 from contextlib import contextmanager
 
 import pytest
 
+import treepack.packer
 from treepack import (
     ExchangeEvent,
     KPartition,
@@ -19,11 +24,17 @@ from treepack import (
     build_sequence,
     components,
     cycle_edges,
+    exchange_step,
     greedy_spanning_tree,
+    pack,
+    run_stage,
 )
 from treepack.generate import SplitMix64
 from treepack.kpartition import _sequence_precedes
-from treepack.multigraph import NoCycleError, _union_within, fundamental_cycle
+from treepack.multigraph import RootedForest, _union_within, fundamental_cycle, root_forest
+from treepack.packer import _exchange_from
+
+from references import cycle_edges_by_low_points
 
 
 def complete_graph(n: int) -> MultiGraph:
@@ -101,31 +112,53 @@ def planted_cut(seed: int, r: int, b: int, k: int, x: int) -> MultiGraph:
     return MultiGraph(r * b, tuple(edges))
 
 
-def random_stage(seed: int, k: int):
-    """k random spanning trees on up to 14 vertices plus loops and parallel
-    copies, ids shuffled; k - 1 trees taken greedily, and the remainder with
-    some ids repeated. None when the extraction fails."""
-    rng = SplitMix64(seed)
-    n = 2 + rng.below(13)
-    edges = list(union_of_spanning_trees(seed, n, k).edges)
-    for _ in range(rng.below(6)):
-        if rng.below(2):
-            v = rng.below(n)
-            edges.append((v, v))
+# The families every per-exchange test runs: graph and k by name, the name
+# also each test's id. Each makes at least one exchange; the planted cut
+# (stp = 2) ends at a certificate, the others at a packing. Some union seeds
+# certify the union minus an edge before any exchange (2009 and 2010 do);
+# 2008 makes exchanges in both instances.
+FAMILIES: dict[str, tuple[MultiGraph, int]] = {
+    "Q6": (hypercube(6), 3),
+    "Q8": (hypercube(8), 4),
+    "union-n200": (union_of_spanning_trees(2008, 200, 3), 3),
+    "K16": (complete_graph(16), 8),
+    "planted-cut-n400": (planted_cut(5, 10, 40, 2, 1), 3),
+}
+
+
+def stage_cap(g: MultiGraph, t: KPartition) -> int:
+    """The exchange cap ``pack`` gives the stage of ``t``: ``max(1, k * n * m)``."""
+    return max(1, t.k * g.n * g.m)
+
+
+def random_stages(k: int) -> Iterator[tuple[int, MultiGraph, KPartition]]:
+    """``(seed, g, coloring)`` for each seed in 0..249 that makes a stage of ``k`` colors.
+
+    ``g`` is k random spanning trees on up to 14 vertices plus loops and
+    parallel copies, ids shuffled; colors ``1..k-1`` are trees taken
+    greedily and color ``k`` the rest. A seed whose extraction fails is skipped.
+    """
+    for seed in range(250):
+        rng = SplitMix64(seed)
+        n = 2 + rng.below(13)
+        edges = list(union_of_spanning_trees(seed, n, k).edges)
+        for _ in range(rng.below(6)):
+            if rng.below(2):
+                v = rng.below(n)
+                edges.append((v, v))
+            else:
+                edges.append(edges[rng.below(len(edges))][::-1])
+        _shuffle(rng, edges)
+        g = MultiGraph(n, tuple(edges))
+        trees, rest = [], set(range(g.m))
+        for _ in range(k - 1):
+            if components(g, rest).num_classes > 1:
+                break
+            tree = greedy_spanning_tree(g, rest)
+            trees.append(tree)
+            rest -= tree
         else:
-            edges.append(edges[rng.below(len(edges))][::-1])
-    _shuffle(rng, edges)
-    g = MultiGraph(n, tuple(edges))
-    trees, rest = [], list(range(g.m))
-    for _ in range(k - 1):
-        if components(g, rest).num_classes > 1:
-            return None
-        tree = greedy_spanning_tree(g, rest)
-        trees.append(tree)
-        rest = [e for e in rest if e not in tree]
-    rest += [rest[rng.below(len(rest))] for _ in range(rng.below(4))] if rest else []
-    _shuffle(rng, rest)
-    return g, trees, rest
+            yield seed, g, KPartition.from_edge_sets(k, [*trees, rest], g.m)
 
 
 def bowtie() -> MultiGraph:
@@ -231,10 +264,11 @@ def planted_coloring(seed: int, g: MultiGraph, k: int) -> KPartition:
 def broken_tree_coloring(seed: int, g: MultiGraph, k: int) -> KPartition | None:
     """A planted coloring whose color 1 has ``n - 1`` edges and a cycle.
 
-    Color 1 takes a non-loop edge of another color and hands that color a
-    tree edge off the cycle the taken edge closes. None when color 1 does
-    not have ``n - 1`` edges joining the taken edge's ends, or when every
-    one of them lies on that cycle.
+    Color 1 takes a non-loop edge of another color and hands that color an
+    edge off the path that joins the taken edge's ends in color 1's
+    breadth-first forest: the fundamental cycle's path when color 1 is a
+    tree. None when color 1 does not have ``n - 1`` edges joining those
+    ends, or when every one of them lies on that path.
     """
     colors = list(planted_coloring(seed, g, k).color_of)
     tree = [e for e in range(g.m) if colors[e] == 1]
@@ -245,11 +279,12 @@ def broken_tree_coloring(seed: int, g: MultiGraph, k: int) -> KPartition | None:
     if not others:
         return None
     e = others[rng.below(len(others))]
-    try:
-        cycle = fundamental_cycle(g, tree, e)
-    except NoCycleError:  # color 1 does not join e's ends
+    forest = root_forest(g, tree)  # color 1 may already hold a cycle
+    up, down = (forest.climb(v) for v in g.edges[e])
+    if up[-1] != down[-1]:  # color 1 does not join e's ends
         return None
-    off = [f for f in tree if f not in cycle]
+    path = {forest.via[v] for v in set(up) ^ set(down)}
+    off = [f for f in tree if f not in path]
     if not off:
         return None
     colors[e], colors[off[rng.below(len(off))]] = 1, colors[e]
@@ -339,6 +374,192 @@ class ExchangeLog:
         self.violations += [
             f"exchange {self.count}: {name}" for name in exchange_violations(self.g, event, after)
         ]
+
+
+def spans(g: MultiGraph, forest: RootedForest, ids) -> bool:
+    """``forest`` is a rooted spanning forest of the edge set ``ids``: each
+    parent link is its ``via`` edge, and those edges are distinct ids of the
+    set with as many components and no cycle, so the links climb to roots."""
+    taken = [e for e in forest.via if e >= 0]
+    for v in range(g.n):
+        up, e = forest.above[v], forest.via[v]
+        if (up == v) != (e == -1) or up != v and sorted(g.edges[e]) != sorted((v, up)):
+            return False
+    parts = components(g, ids).num_classes
+    return (
+        set(taken) <= set(ids)
+        and len(set(taken)) == len(taken) == g.n - parts
+        and components(g, taken).num_classes == parts
+    )
+
+
+class WhiteBoxPass:
+    """One run of a corpus with the calls the packer makes inside each
+    ``run_stage`` rebound and checked, and its findings by check:
+
+    - ``kernels``: each ``cycle_edges`` and ``fundamental_cycle`` call gets a
+      forest spanning exactly its ids, before and after, and returns what
+      the per-call kernel returns;
+    - ``low_points``: each ``cycle_edges`` call returns what
+      ``references.cycle_edges_by_low_points`` returns;
+    - ``forests``: after each exchange every forest of the stage's dict
+      spans its color and tree ``c_m``'s is its color rooted afresh (a
+      tree has one rooting, at its least vertex, which ``swap`` never
+      moves); each stage starts an empty dict of its own and keeps it;
+    - ``rootings``: a stage roots each color it exchanges with once, at its
+      first use, never from an earlier stage and never outside an exchange;
+    - ``exit_rule``: ``j == 0`` and two classes at index 1 hold exactly when
+      a fresh sequence of ``after`` has no steps, and the stage builds
+      ``after``'s sequence exactly when they do not;
+    - ``builds``: a stage that ends connected builds one sequence per exchange;
+    - ``first_event``: after the run, ``exchange_step`` from each stage's
+      first coloring is, field by field, the stage's first event;
+    - ``contract``: with ``contract``, every exchange passes
+      ``exchange_violations``.
+
+    ``violations`` maps each check to ``"<where>: <what>"`` lines; the
+    counts say how much was checked.
+    """
+
+    def __init__(self, contract: bool = False):
+        self.contract, self.label, self._where = contract, "", ""
+        self.violations: dict[str, list[str]] = {
+            name: [] for name in ("kernels", "low_points", "forests", "rootings",
+                                  "exit_rule", "builds", "first_event", "contract")
+        }
+        self.calls = {"cycle_edges": 0, "fundamental_cycle": 0}
+        self.exchanges = self.reported = self.first_events = self.connected = 0
+        self.rooted: list[int] = []  # root_forest calls of each stage
+        self._firsts: list[tuple[str, MultiGraph, ExchangeEvent]] = []
+        self._dicts: list[dict] = []  # each stage's dict of forests
+        self._log: list = []  # the stage's builds and exchanges, in order
+        self._dict: dict | None = None
+
+    def failures(self, *checks: str) -> list[str]:
+        """The violations of the named checks."""
+        return [line for check in checks for line in self.violations[check]]
+
+    def flag(self, check: str, ok: bool, what: str) -> None:
+        if not ok:
+            self.violations[check].append(f"{self._where}: {what}")
+
+    def report(self, event: ExchangeEvent) -> None:
+        """The ``on_exchange`` callback: counts the exchanges reported."""
+        self.reported += 1
+
+    @contextmanager
+    def rebound(self):
+        """Rebind the packer's calls for the block, then compare the first events."""
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("run_stage", "build_sequence", "root_forest", "_exchange_from",
+                         "cycle_edges", "fundamental_cycle"):
+                patch.setattr(treepack.packer, name, getattr(self, name))
+            yield self
+        for where, g, event in self._firsts:
+            self._where, step = where, exchange_step(g, event.before)
+            differ = [f.name for f in dataclasses.fields(ExchangeEvent)
+                      if getattr(step, f.name) != getattr(event, f.name)]
+            self.flag("first_event", differ == [], f"exchange_step differs in {differ}")
+            self.first_events += 1
+        self._firsts, self._dicts, self._log, self._dict = [], [], [], None  # held no longer
+
+    def run_stage(self, g, coloring, **kwargs):
+        self._where, self._log, self._dict = f"{self.label}stage {coloring.k}", [], None
+        self.rooted.append(0)
+        outcome = run_stage(g, coloring, **kwargs)
+        self.exchanges += outcome.exchanges
+        events = [i for i, entry in enumerate(self._log) if isinstance(entry, ExchangeEvent)]
+        self.flag("forests", len(events) == outcome.exchanges, "an exchange went unchecked")
+        self.flag("rootings", self.rooted[-1] == len(self._dict or {}),
+                  "a color rooted twice or outside an exchange")
+        if events:
+            self._firsts.append((self._where, g, self._log[events[0]]))
+        if events and outcome.certificate is None:
+            self.connected += 1
+            builds = len(self._log) - len(events)
+            self.flag("builds", builds == len(events), f"{builds} builds, {len(events)} exchanges")
+        for count, i in enumerate(events, start=1):
+            event = self._log[i]
+            after = build_sequence(g, event.after)
+            exits = event.j == 0 and event.sequence.partition_at(1).num_classes == 2
+            rebuilt = i + 1 < len(self._log) and self._log[i + 1] is event.after
+            self.flag("exit_rule", exits == (not after.steps) and rebuilt != exits,
+                      f"exchange {count}: exit rule {exits}, rebuilt {rebuilt}")
+            if self.contract:
+                for name in exchange_violations(g, event, after):
+                    self.flag("contract", False, f"exchange {count}: {name}")
+        return outcome
+
+    def build_sequence(self, g, t, **kwargs):
+        self._log.append(t)
+        return build_sequence(g, t, **kwargs)
+
+    def root_forest(self, g, ids):
+        self.rooted[-1] += 1
+        return root_forest(g, ids)
+
+    def _exchange_from(self, g, t, seq, forests):
+        colors, rooted = set(forests), self.rooted[-1]
+        event = _exchange_from(g, t, seq, forests)
+        self._log.append(event)
+        used, new = {event.colors, event.c_m}, set(forests) - colors
+        self.flag("rootings", self.rooted[-1] - rooted == len(new) and new <= used,
+                  f"rooted {new} for colors {used}")
+        if self._dict is None:
+            fresh = not colors and all(d is not forests for d in self._dicts)
+            self.flag("forests", fresh, "the stage began with another stage's forests")
+            self._dict = forests
+            self._dicts.append(forests)
+        self.flag("forests", forests is self._dict, "the stage changed its dict of forests")
+        tree = root_forest(g, event.after.edges_of_color(event.c_m))
+        self.flag(
+            "forests",
+            used <= set(forests)
+            and all(spans(g, f, event.after.edges_of_color(c)) for c, f in forests.items())
+            and all(getattr(forests[event.c_m], f.name) == getattr(tree, f.name)
+                    for f in dataclasses.fields(RootedForest)),
+            f"a forest does not span its color after {event.e} for {event.e_prime}",
+        )
+        return event
+
+    def cycle_edges(self, g, ids, *, forest=None):
+        self.calls["cycle_edges"] += 1
+        rooted = forest is not None and spans(g, forest, ids)
+        got = cycle_edges(g, ids, forest=forest)
+        self.flag("kernels", rooted and spans(g, forest, ids) and got == cycle_edges(g, ids),
+                  "cycle_edges")
+        self.flag("low_points", got == cycle_edges_by_low_points(g, ids), "cycle_edges")
+        return got
+
+    def fundamental_cycle(self, g, tree_ids, e, *, forest=None):
+        self.calls["fundamental_cycle"] += 1
+        rooted = forest is not None and spans(g, forest, tree_ids)
+        got = fundamental_cycle(g, tree_ids, e, forest=forest)
+        self.flag("kernels", rooted and spans(g, forest, tree_ids)
+                  and got == fundamental_cycle(g, tree_ids, e), f"fundamental_cycle of {e}")
+        return got
+
+
+@functools.cache
+def family_pass(family: str) -> WhiteBoxPass:
+    """The white-box pass of ``pack`` on one of ``FAMILIES``, run once."""
+    g, k = FAMILIES[family]
+    found = WhiteBoxPass()
+    with found.rebound():
+        pack(g, k, on_exchange=found.report)
+    return found
+
+
+@functools.cache
+def random_stage_pass(k: int) -> WhiteBoxPass:
+    """The white-box pass of every stage of ``random_stages(k)``, with the
+    exchange contract, run once."""
+    found = WhiteBoxPass(contract=True)
+    with found.rebound():
+        for seed, g, t in random_stages(k):
+            found.label = f"seed {seed}, "
+            found.run_stage(g, t, cap=stage_cap(g, t), on_exchange=found.report)
+    return found
 
 
 @contextmanager

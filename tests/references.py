@@ -29,6 +29,41 @@ def edge_scan_density_margin(g: MultiGraph, k: int) -> DensityReport:
     return DensityReport(best_margin, Partition.from_class_map(best_labels))
 
 
+def cycle_edges_by_low_points(g: MultiGraph, edge_ids) -> frozenset[int]:
+    """``cycle_edges`` by the bridge search it ran before its union-find: a
+    stack DFS recording preorder and entering edges, then low points in
+    reverse preorder; the entering edge of ``v`` is a bridge iff
+    ``low[v] == disc[v]``."""
+    ids = sorted(edge_ids)
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for e in ids:
+        u, v = g.edges[e]
+        if u != v:
+            adjacency[u].append((v, e))
+            adjacency[v].append((u, e))
+    disc, entering, order = [-1] * g.n, [-1] * g.n, []
+    for root in range(g.n):
+        if disc[root] != -1:
+            continue
+        stack = [(root, -1)]
+        while stack:
+            v, eid = stack.pop()
+            if disc[v] != -1:
+                continue
+            disc[v], entering[v] = len(order), eid
+            order.append(v)
+            stack.extend(adjacency[v])
+    low = disc[:]
+    for v in reversed(order):
+        skip, lowest = entering[v], low[v]
+        for w, eid in adjacency[v]:
+            if low[w] < lowest and eid != skip:
+                lowest = low[w]
+        low[v] = lowest
+    bridges = {entering[v] for v in order if low[v] == disc[v]}
+    return frozenset(e for e in ids if e not in bridges)
+
+
 def _integer(token: str) -> int:
     if not (token.isascii() and token.removeprefix("-").isdigit()):
         raise ValueError(f"not an integer: {token!r}")

@@ -25,12 +25,11 @@ from treepack.cli import (
 from treepack.generate import SplitMix64, random_graph
 
 from graphs import (
+    FAMILIES,
     complete_graph,
     deadline,
-    hypercube,
     path_graph,
     random_multigraph,
-    union_of_spanning_trees,
 )
 
 
@@ -326,8 +325,9 @@ def _reference_record(event: ExchangeEvent) -> dict:
 
 def test_result_document_matches_records_serialized_one_by_one():
     # Equal partitions share one serialization per document; the bytes do not change.
-    cases = [(hypercube(6), 3), (complete_graph(12), 6), (complete_graph(12), 7)]
-    cases += [(union_of_spanning_trees(2008, 200, 3), k) for k in (3, 4)]
+    union = FAMILIES["union-n200"][0]
+    cases = [FAMILIES["Q6"], (complete_graph(12), 6), (complete_graph(12), 7)]
+    cases += [(union, 3), (union, 4)]
     cases += [(random_multigraph(seed), 1 + seed % 3) for seed in range(300)]
     exchanges = 0
     for g, k in cases:

@@ -15,17 +15,12 @@ import pytest
 from treepack import MultiGraph, pack, stp_number, verify_certificate, verify_packing
 
 from graphs import (
+    FAMILIES,
     ExchangeLog,
     complete_graph,
     hypercube,
     planted_cut,
-    union_of_spanning_trees,
 )
-
-# Some seeds certify the union minus an edge before any exchange (2009 and
-# 2010 do); 2008 makes exchanges in both instances.
-UNION_SEED = 2008
-
 
 @pytest.mark.parametrize("d", [6, 8])
 def test_hypercube_packs_half_its_degree(d):
@@ -43,7 +38,7 @@ def test_hypercube_packs_half_its_degree(d):
 
 
 def test_union_of_three_trees_packs_three():
-    g = union_of_spanning_trees(UNION_SEED, 200, 3)
+    g = FAMILIES["union-n200"][0]
     assert g.m == 3 * (g.n - 1)
     result = pack(g, 3)
     assert result.verdict == "packing"
@@ -52,7 +47,7 @@ def test_union_of_three_trees_packs_three():
 
 
 def test_union_of_three_trees_minus_an_edge_is_certified():
-    full = union_of_spanning_trees(UNION_SEED, 200, 3)
+    full = FAMILIES["union-n200"][0]
     g = MultiGraph(full.n, full.edges[:-1])  # 3(n - 1) - 1 edges: too few
     result = pack(g, 3)
     assert result.verdict == "certificate"
@@ -77,21 +72,19 @@ def test_complete_graph_packs_half_its_order(n):
     assert ok, detail
 
 
-@pytest.mark.parametrize(
-    "g, k",
-    [
-        pytest.param(hypercube(6), 3, id="Q6"),
-        pytest.param(hypercube(8), 4, id="Q8"),
-        pytest.param(union_of_spanning_trees(UNION_SEED, 200, 3), 3, id="union-n200"),
-        pytest.param(complete_graph(16), 8, id="K16"),
-    ],
-)
-def test_every_exchange_improves_keeps_trees_and_agrees_through_j(g, k):
-    # Strict coarsening at m + 1, which criterion 3 also checks, is not
-    # asserted: it fails on 1 of Q6's 35 exchanges, 1 of Q8's 226, none of
-    # the union's 41 and 13 of K16's 42.
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_exchange_improves_keeps_trees_and_agrees_through_j(family):
+    # The black-box pass: only on_exchange watches the packer. Strict
+    # coarsening at m + 1, which criterion 3 also checks, is not asserted:
+    # it fails on 1 of Q6's 35 exchanges, 1 of Q8's 226, none of the
+    # union's 41 and 13 of K16's 42.
+    g, k = FAMILIES[family]
     log = ExchangeLog(g)
-    assert pack(g, k, on_exchange=log).verdict == "packing"
+    result = pack(g, k, on_exchange=log)
+    if result.trees is not None:
+        assert verify_packing(g, result.trees, k) == (True, "ok")
+    else:
+        assert verify_certificate(g, result.certificate, k)[0]
     assert log.count >= 1
     assert log.violations == [], log.violations[:5]
 

@@ -248,6 +248,13 @@ def test_recolor_names_the_least_bad_edge():
         KPartition.from_edge_sets(2.0, [[0]], 1)
 
 
+@pytest.mark.parametrize("m", [1.0, True, "1", -1], ids=repr)
+def test_from_edge_sets_takes_the_edge_count_as_an_exact_int(m):
+    # True once built a one-edge coloring, and 1.0 raised a bare TypeError.
+    with pytest.raises(ValueError, match=f"^edge count must be a nonnegative int, not {m!r}$"):
+        KPartition.from_edge_sets(1, [[0]], m)
+
+
 # build_sequence ---------------------------------------------------------------
 
 def test_sequence_terminates_immediately_when_all_colors_connected():

@@ -5,7 +5,6 @@ import re
 import pytest
 
 from treepack import (
-    ExchangeEvent,
     MultiGraph,
     NoCycleError,
     Partition,
@@ -13,22 +12,21 @@ from treepack import (
     cycle_edges,
     fundamental_cycle,
     greedy_spanning_tree,
-    pack,
     quotient,
     restrict_components,
 )
 from treepack.generate import SplitMix64
 
 from graphs import (
+    FAMILIES,
     _shuffle,
-    complete_graph,
-    hypercube,
+    family_pass,
     path_graph,
     random_multigraph,
     random_partition_labels,
     star_graph,
-    union_of_spanning_trees,
 )
+from references import cycle_edges_by_low_points
 
 
 def test_construction_allows_loops_and_parallels():
@@ -65,6 +63,13 @@ def test_construction_rejects_a_vertex_count_that_is_not_an_int(n):
 def test_construction_rejects_an_endpoint_that_is_not_an_int(edges, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MultiGraph(3, edges)
+
+
+@pytest.mark.parametrize("edges", [(5,), ((0, 1), None), 5], ids=repr)
+def test_construction_rejects_an_edge_that_is_not_a_pair(edges):
+    # (5,) once raised a bare TypeError.
+    with pytest.raises(ValueError, match="^edges must be an iterable of endpoint pairs$"):
+        MultiGraph(2, edges)
 
 
 # quotient ------------------------------------------------------------------
@@ -242,40 +247,6 @@ def test_cycle_edges_against_removal_oracle():
         assert cycle_edges(g, ids) == _cycle_edges_by_removal(g, ids)
 
 
-def _cycle_edges_by_low_points(g: MultiGraph, edge_ids: list[int]) -> frozenset[int]:
-    # The bridge search cycle_edges ran before its union-find: a stack DFS
-    # recording preorder and entering edges, then low points in reverse
-    # preorder; the entering edge of v is a bridge iff low[v] == disc[v].
-    ids = sorted(edge_ids)
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e in ids:
-        u, v = g.edges[e]
-        if u != v:
-            adjacency[u].append((v, e))
-            adjacency[v].append((u, e))
-    disc, entering, order = [-1] * g.n, [-1] * g.n, []
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1)]
-        while stack:
-            v, eid = stack.pop()
-            if disc[v] != -1:
-                continue
-            disc[v], entering[v] = len(order), eid
-            order.append(v)
-            stack.extend(adjacency[v])
-    low = disc[:]
-    for v in reversed(order):
-        skip, lowest = entering[v], low[v]
-        for w, eid in adjacency[v]:
-            if low[w] < lowest and eid != skip:
-                lowest = low[w]
-        low[v] = lowest
-    bridges = {entering[v] for v in order if low[v] == disc[v]}
-    return frozenset(e for e in ids if e not in bridges)
-
-
 def _tree_like(seed: int) -> tuple[MultiGraph, list[int]]:
     """A random spanning tree on up to 150 vertices plus 0-8 extra edges
     (loops, parallels, chords), ids shuffled, with some ids repeated."""
@@ -307,28 +278,15 @@ def test_repeated_id_counts_once():
 def test_cycle_edges_against_low_points_on_tree_like_multigraphs():
     for seed in range(400):
         g, ids = _tree_like(seed)
-        assert cycle_edges(g, ids) == _cycle_edges_by_low_points(g, ids), seed
+        assert cycle_edges(g, ids) == cycle_edges_by_low_points(g, ids), seed
 
 
-@pytest.mark.parametrize(
-    "g, k",
-    [
-        pytest.param(hypercube(6), 3, id="Q6"),
-        pytest.param(hypercube(8), 4, id="Q8"),
-        pytest.param(union_of_spanning_trees(2008, 200, 3), 3, id="union-n200"),
-        pytest.param(complete_graph(16), 8, id="K16"),
-    ],
-)
-def test_cycle_edges_against_low_points_on_every_pack_remainder(g, k):
-    remainders = []
-
-    def record(event: ExchangeEvent) -> None:
-        remainders.append(event.before.edges_of_color(event.colors))
-
-    pack(g, k, on_exchange=record)
-    assert remainders
-    for ids in remainders:
-        assert cycle_edges(g, ids) == _cycle_edges_by_low_points(g, ids)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cycle_edges_against_low_points_on_every_pack_remainder(family):
+    # graphs.WhiteBoxPass compares every cycle_edges call of a stage.
+    found = family_pass(family)
+    assert found.calls["cycle_edges"] == found.exchanges >= 1
+    assert found.failures("low_points") == []
 
 
 # fundamental_cycle -----------------------------------------------------------
@@ -362,6 +320,18 @@ def test_fundamental_cycle_errors():
     for e in (-1, g.m):
         with pytest.raises(ValueError, match="edge id out of range"):
             fundamental_cycle(g, (0, 1), e)
+
+
+def test_fundamental_cycle_rejects_tree_ids_that_hold_a_cycle_or_e():
+    # On the triangle, ids that hold e once gave (0, 2, 1). Edge 3 is (2, 3)
+    # and edge 4 a loop; a repeated id counts once.
+    g = MultiGraph(4, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 3)))
+    for ids, e in (([0, 1, 2], 1), ([0, 1, 2], 3), ([0, 4], 1)):
+        with pytest.raises(ValueError, match="^tree edge ids hold a cycle$"):
+            fundamental_cycle(g, ids, e)
+    with pytest.raises(ValueError, match="^edge already belongs to the tree edge set$"):
+        fundamental_cycle(g, [0, 1], 1)
+    assert fundamental_cycle(g, [0, 1, 0], 2) == (0, 1, 2)
 
 
 def test_fundamental_cycle_is_a_closed_degree_two_walk():

@@ -3,7 +3,6 @@ from __future__ import annotations
 import inspect
 import re
 from dataclasses import replace
-from functools import partial
 
 import pytest
 
@@ -32,6 +31,7 @@ from treepack import (
 )
 
 from graphs import (
+    FAMILIES,
     ExchangeLog,
     bowtie,
     complete_graph,
@@ -39,15 +39,15 @@ from graphs import (
     doubled_triangle,
     early_improvement_graph,
     exchange_violations,
-    hypercube,
+    family_pass,
     is_spanning_tree,
     parallel_pair_instance,
     path_graph,
     planted_coloring,
-    planted_cut,
     random_coloring,
     random_multigraph,
-    random_stage,
+    random_stage_pass,
+    stage_cap,
     star_graph,
     two_step_exchange_instance,
     union_of_spanning_trees,
@@ -329,28 +329,16 @@ def test_exchange_violations_names_each_forged_field():
         assert name in exchange_violations(g, forged, forged_after), name
 
 
-def _assert_random_runs_keep_the_exchange_contract(seeds, ks) -> None:
-    """Every exchange of ``pack(g, k)`` on each random multigraph passes ``exchange_violations``."""
-    for seed in seeds:
+def test_exchange_trace_invariants_on_random_runs():
+    # Every exchange of pack(g, k), k = 1-3, on 120 random multigraphs
+    # passes exchange_violations: strict improvement, agreement through j
+    # and tree preservation among its checks.
+    for seed in range(120):
         g = random_multigraph(seed)
         log = ExchangeLog(g)
-        for k in ks:
+        for k in (1, 2, 3):
             pack(g, k, on_exchange=log)
         assert log.violations == [], (seed, log.violations[:5])
-
-
-def test_exchange_trace_invariants_on_random_runs():
-    _assert_random_runs_keep_the_exchange_contract(range(120), (1, 2, 3))
-
-
-def test_every_exchange_strictly_improves():
-    _assert_random_runs_keep_the_exchange_contract(range(60), (2, 3))
-
-
-def test_sequences_agree_up_to_the_exchanged_out_level():
-    # below level j nothing changes: both colorings separate vertices the
-    # same way, with the same splitters
-    _assert_random_runs_keep_the_exchange_contract(range(60), (2, 3))
 
 
 def test_exchange_can_improve_below_the_selected_level():
@@ -434,9 +422,9 @@ def _stage_coloring(g: MultiGraph, trees, rest) -> KPartition:
     return KPartition.from_edge_sets(len(trees) + 1, [*trees, rest], g.m)
 
 
-def _run_stage(g: MultiGraph, t: KPartition, on_exchange=None) -> StageOutcome:
+def _run_stage(g: MultiGraph, t: KPartition) -> StageOutcome:
     """``run_stage`` with the cap ``_stages`` gives stage ``t.k``."""
-    return run_stage(g, t, cap=max(1, t.k * g.n * g.m), on_exchange=on_exchange)
+    return run_stage(g, t, cap=stage_cap(g, t))
 
 
 def test_run_stage_requires_a_cap_and_takes_no_forests():
@@ -544,90 +532,31 @@ def test_run_stage_rejects_a_short_tree_color_beside_a_connected_remainder():
         _run_stage(g, t)
 
 
-@pytest.fixture
-def stage_log(monkeypatch):
-    """The colorings the packer builds sequences of, in order; a test may
-    append its events to the same list to see where each build falls."""
-    log: list = []
-    build = treepack.packer.build_sequence
-
-    def logged(g, t, **kwargs):
-        log.append(t)
-        return build(g, t, **kwargs)
-
-    monkeypatch.setattr(treepack.packer, "build_sequence", logged)
-    return log
+@pytest.mark.parametrize("k", [2, 3])
+def test_stage_exit_rule_on_random_stages(k):
+    # The exit rule (j == 0 and two classes at index 1) holds exactly when a
+    # fresh sequence of after has no steps, and the stage builds after's
+    # sequence exactly when it does not (graphs.WhiteBoxPass).
+    found = random_stage_pass(k)
+    assert found.exchanges >= 100
+    assert found.failures("exit_rule") == []
 
 
-def _exit_rule_violations(g: MultiGraph, log: list, run) -> tuple[int, list[str]]:
-    """Run ``run(on_exchange=...)`` and check every exchange it makes on ``g``.
-
-    The exit rule (``j == 0`` and two classes at index 1) must hold exactly
-    when a fresh sequence of ``after`` has no steps, and the stage must
-    build ``after``'s sequence exactly when the rule does not hold.
-    """
-    start = len(log)
-    run(on_exchange=log.append)
-    entries, violations, exchanges = log[start:], [], 0
-    for i, event in enumerate(entries):
-        if not isinstance(event, ExchangeEvent):
-            continue
-        exchanges += 1
-        exits = event.j == 0 and event.sequence.partition_at(1).num_classes == 2
-        if exits != (not build_sequence(g, event.after).steps):
-            violations.append(f"exchange {exchanges}: the exit rule says {exits}")
-        rebuilt = i + 1 < len(entries) and entries[i + 1] is event.after
-        if rebuilt == exits:
-            violations.append(f"exchange {exchanges}: rebuilt {rebuilt}, exit rule {exits}")
-    return exchanges, violations
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stage_exit_rule_on_families(family):
+    # A stage that ends connected also builds one sequence per exchange.
+    found = family_pass(family)
+    assert found.exchanges >= 1
+    assert found.failures("exit_rule", "builds") == []
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_stage_exit_rule_on_random_stages(stage_log, k):
-    exchanges, violations = 0, []
-    for seed in range(250):
-        case = random_stage(seed, k)
-        if case is not None:
-            g, trees, rest = case
-            t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
-            made, found = _exit_rule_violations(g, stage_log, partial(_run_stage, g, t))
-            exchanges += made
-            violations += [f"seed {seed}, {v}" for v in found]
-    assert exchanges >= 100
-    assert violations == [], violations[:5]
-
-
-@pytest.mark.parametrize(
-    "g, k",
-    [
-        pytest.param(hypercube(6), 3, id="Q6"),
-        pytest.param(hypercube(8), 4, id="Q8"),
-        pytest.param(complete_graph(16), 8, id="K16"),
-        pytest.param(planted_cut(5, 10, 40, 2, 1), 3, id="planted-cut-n400"),
-    ],
-)
-def test_stage_exit_rule_on_families(stage_log, g, k):
-    exchanges, violations = _exit_rule_violations(g, stage_log, partial(pack, g, k))
-    assert exchanges >= 1
-    assert violations == [], violations[:5]
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_a_stage_ending_connected_builds_one_sequence_per_exchange(stage_log, k):
+def test_a_stage_ending_connected_builds_one_sequence_per_exchange(k):
     # The first build is before the first exchange; the last exchange
     # connects the remainder, and no build follows it.
-    stages = 0
-    for seed in range(250):
-        case = random_stage(seed, k)
-        if case is not None:
-            g, trees, rest = case
-            t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
-            stage_log.clear()
-            outcome = _run_stage(g, t)
-            if outcome.certificate is None and outcome.exchanges >= 1:
-                assert len(stage_log) == outcome.exchanges, seed
-                stages += 1
-    assert stages >= 30, stages
+    found = random_stage_pass(k)
+    assert found.connected >= 30, found.connected
+    assert found.failures("builds") == []
 
 
 def test_a_stage_build_does_not_recheck_its_last_splitter(monkeypatch):
@@ -914,10 +843,6 @@ def test_pack_rejects_unknown_seedtree_order_before_any_stage(monkeypatch):
     assert events == [] and stages == []
 
 
-def test_pack_tree_preservation_during_stages():
-    _assert_random_runs_keep_the_exchange_contract(range(40), (2, 3))
-
-
 # stp_number ----------------------------------------------------------------------
 
 def test_stp_number_of_a_tree_is_one():
@@ -1014,7 +939,7 @@ def _stage_record(monkeypatch, run) -> list[tuple]:
 def test_pack_runs_a_prefix_of_the_stages_of_stp_number(monkeypatch):
     # pack(g, k) runs the first k stages stp_number runs, with the same caps
     # and outcomes, for every k up to one past k_max and for a k beyond them.
-    graphs = [hypercube(6), complete_graph(16), union_of_spanning_trees(2008, 200, 3)]
+    graphs = [FAMILIES[name][0] for name in ("Q6", "K16", "union-n200")]
     graphs += [random_multigraph(seed) for seed in range(50)]
     compared = 0
     for g in graphs:

@@ -42,15 +42,24 @@ def multigraphs(draw, trees: st.SearchStrategy[int] = st.integers(1, 4)) -> Mult
         edges.append((v, v))
     if edges:
         edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    return _relabelled(draw, n, edges)
+
+
+def _relabelled(draw, n: int, edges) -> MultiGraph:
+    """The multigraph of ``edges`` with its vertices relabelled and its ids permuted."""
     label = draw(st.permutations(range(n)))
     return MultiGraph(n, tuple(draw(st.permutations([(label[u], label[v]) for u, v in edges]))))
 
 
 @st.composite
 def instances(draw) -> tuple[MultiGraph, int]:
-    """A multigraph and a ``k`` in ``0..5``, from ``k - 1`` to ``k + 1`` trees
-    on each block, so that many runs need exchanges."""
+    """A multigraph and a ``k`` in ``0..5``: from ``k - 1`` to ``k + 1`` trees
+    on each block, or, for ``k >= 2``, exactly ``k`` trees on one block of
+    8-24 vertices, which packs only through exchanges."""
     k = draw(st.integers(0, 5))
+    if k >= 2 and draw(st.booleans()):
+        n = draw(st.integers(8, 24))
+        return _relabelled(draw, n, union_of_spanning_trees(draw(st.integers(0, 2**32)), n, k).edges), k
     return draw(multigraphs(st.integers(max(1, k - 1), k + 1))), k
 
 

@@ -4,274 +4,103 @@
 each tree color an exchange uses, each rooted by one search at its first
 use in the stage; the exchange (``packer._exchange_from``) patches both
 colors it changes with one ``RootedForest.swap`` each, right after the
-recoloring. The dict goes when the stage returns. Here every forest call
-of a stage is held to the per-call result, every forest to its color after
-each exchange (a tree's to its color rooted afresh), the search, the climb
-and each swap are checked on their own, ``exchange_step`` is held to a
-stage's first event, and a corrupt forest must fail loudly instead of
-looping.
+recoloring. The dict goes when the stage returns. Every forest call of a
+stage is held to the per-call result, every forest to its color after each
+exchange (a tree's to its color rooted afresh) and ``exchange_step`` to a
+stage's first event by ``graphs.WhiteBoxPass``, run once per family and
+once per random-stage ``k``; the tests below read its findings. The search,
+the climb and each swap are also checked on their own, and a corrupt forest
+must fail loudly instead of looping.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-import treepack.multigraph
-import treepack.packer
 from treepack import (
-    ExchangeEvent,
     InternalInvariantError,
-    KPartition,
     MultiGraph,
     NoCycleError,
     components,
-    exchange_step,
-    pack,
-    run_stage,
 )
 from treepack.multigraph import RootedForest, cycle_edges, fundamental_cycle, root_forest
 
 from graphs import (
-    ExchangeLog,
-    complete_graph,
+    FAMILIES,
     deadline,
-    hypercube,
-    random_stage,
-    union_of_spanning_trees,
+    family_pass,
+    random_stage_pass,
+    random_stages,
+    spans,
 )
-
-
-def _assert_rooted(g: MultiGraph, forest: RootedForest, ids) -> None:
-    """``forest`` is a rooted spanning forest of the edge set ``ids``."""
-    ids = set(ids)
-    taken = _forest_edges(forest)
-    assert taken <= ids
-    assert len(taken) == sum(e >= 0 for e in forest.via)
-    for v in range(g.n):
-        up, e = forest.above[v], forest.via[v]
-        if up == v:
-            assert e == -1
-        else:
-            assert sorted(g.edges[e]) == sorted((v, up)), (v, e)
-        forest.climb(v)  # raises if the parent links form a cycle
-    assert sum(forest.above[v] != v for v in range(g.n)) == len(taken)
-    assert len(taken) == g.n - components(g, ids).num_classes
 
 
 def _forest_edges(forest: RootedForest) -> set[int]:
     return set(forest.via) - {-1}
 
 
-@pytest.fixture
-def checked_kernels(monkeypatch):
-    """Rebind the packer's kernels so every stage call is checked; returns the call counts."""
-    calls = {"cycle_edges": 0, "fundamental_cycle": 0}
-
-    def checked_cycle_edges(g, ids, *, forest=None):
-        assert forest is not None, "the stage called cycle_edges without its forest"
-        _assert_rooted(g, forest, ids)
-        got = cycle_edges(g, ids, forest=forest)
-        _assert_rooted(g, forest, ids)
-        assert got == cycle_edges(g, ids)
-        calls["cycle_edges"] += 1
-        return got
-
-    def checked_fundamental_cycle(g, tree_ids, e, *, forest=None):
-        assert forest is not None, "the stage called fundamental_cycle without its forest"
-        _assert_rooted(g, forest, tree_ids)
-        got = fundamental_cycle(g, tree_ids, e, forest=forest)
-        _assert_rooted(g, forest, tree_ids)
-        assert got == fundamental_cycle(g, tree_ids, e)
-        calls["fundamental_cycle"] += 1
-        return got
-
-    monkeypatch.setattr(treepack.packer, "cycle_edges", checked_cycle_edges)
-    monkeypatch.setattr(treepack.packer, "fundamental_cycle", checked_fundamental_cycle)
-    return calls
-
-
-FAMILIES = [
-    pytest.param(hypercube(6), 3, id="Q6"),
-    pytest.param(hypercube(8), 4, id="Q8"),
-    pytest.param(union_of_spanning_trees(2008, 200, 3), 3, id="union-n200"),
-    pytest.param(complete_graph(16), 8, id="K16"),
-]
-
-
-@pytest.mark.parametrize("g, k", FAMILIES)
-def test_stage_forests_agree_with_per_call_kernels_on_families(checked_kernels, g, k):
-    result = pack(g, k)
-    assert result.exchanges >= 1
-    assert checked_kernels == {"cycle_edges": result.exchanges, "fundamental_cycle": result.exchanges}
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stage_forests_agree_with_per_call_kernels_on_families(family):
+    found = family_pass(family)
+    assert found.exchanges >= 1
+    assert found.calls == {"cycle_edges": found.exchanges, "fundamental_cycle": found.exchanges}
+    assert found.failures("kernels") == []
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_stage_forests_agree_with_per_call_kernels_on_random_stages(checked_kernels, k):
-    # Every exchange also passes exchange_violations, as in the families.
-    exchanges, checked, violations = 0, 0, []
-    for seed in range(250):
-        case = random_stage(seed, k)
-        if case is not None:
-            g, trees, rest = case
-            t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
-            log = ExchangeLog(g)
-            exchanges += run_stage(g, t, cap=max(1, k * g.n * g.m), on_exchange=log).exchanges
-            checked += log.count
-            violations += [f"seed {seed}, {violation}" for violation in log.violations]
-    assert checked_kernels == {"cycle_edges": exchanges, "fundamental_cycle": exchanges}
-    assert checked == exchanges >= 100
-    assert violations == [], violations[:5]
-
-
-def _checked_exchanges(monkeypatch, check) -> None:
-    """Rebind ``packer._exchange_from`` so that ``check(g, forests, event)``
-    sees the stage's dict of forests right after each exchange."""
-    exchange = treepack.packer._exchange_from
-
-    def checked_exchange(g, t, seq, forests):
-        event = exchange(g, t, seq, forests)
-        check(g, forests, event)
-        return event
-
-    monkeypatch.setattr(treepack.packer, "_exchange_from", checked_exchange)
-
-
-def _random_stage_exchanges(k: int) -> int:
-    """Run the stage of every random case with ``k`` colors; the exchange count."""
-    exchanges = 0
-    for seed in range(250):
-        case = random_stage(seed, k)
-        if case is not None:
-            g, trees, rest = case
-            t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
-            exchanges += run_stage(g, t, cap=max(1, k * g.n * g.m)).exchanges
-    return exchanges
-
-
-def _assert_forests_match(g: MultiGraph, forests, event: ExchangeEvent) -> None:
-    """Every forest of the stage's dict spans exactly its color after the
-    exchange, and tree ``c_m``'s is, field by field, its color rooted afresh:
-    a spanning tree has one rooting at its least vertex, which ``swap`` never
-    moves, so a forest carried to the next stage would be the one it roots."""
-    assert {event.colors, event.c_m} <= set(forests)
-    for color, forest in forests.items():
-        _assert_rooted(g, forest, event.after.edges_of_color(color))
-    fresh = root_forest(g, event.after.edges_of_color(event.c_m))
-    for field in dataclasses.fields(RootedForest):
-        assert getattr(forests[event.c_m], field.name) == getattr(fresh, field.name), field.name
+def test_stage_forests_agree_with_per_call_kernels_on_random_stages(k):
+    # Every exchange also passes exchange_violations, and cycle_edges the
+    # low-point reference, as in the families.
+    found = random_stage_pass(k)
+    assert found.calls == {"cycle_edges": found.exchanges, "fundamental_cycle": found.exchanges}
+    assert found.reported == found.exchanges >= 100
+    assert found.failures("kernels", "low_points", "contract") == []
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_every_forest_matches_its_color_after_each_exchange_on_random_stages(monkeypatch, k):
+def test_every_forest_matches_its_color_after_each_exchange_on_random_stages(k):
     # Both colors an exchange changes are patched before the callback runs;
     # each stage's dict is its own.
-    dicts: list[dict] = []
-    checked: list[ExchangeEvent] = []
-
-    def check(g, forests, event: ExchangeEvent) -> None:
-        _assert_forests_match(g, forests, event)
-        if not dicts or dicts[-1] is not forests:
-            assert all(d is not forests for d in dicts), "a dict of forests outlived its stage"
-            dicts.append(forests)
-        checked.append(event)
-
-    _checked_exchanges(monkeypatch, check)
-    assert _random_stage_exchanges(k) == len(checked) >= 100
+    found = random_stage_pass(k)
+    assert found.exchanges >= 100
+    assert found.failures("forests") == []
 
 
-@pytest.mark.parametrize("g, k", FAMILIES)
-def test_every_forest_matches_its_color_after_each_exchange_on_families(monkeypatch, g, k):
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_forest_matches_its_color_after_each_exchange_on_families(family):
     # Each stage of pack has its own dict of forests, seen in no other stage.
-    dicts: dict[int, dict] = {}
-    checked: list[ExchangeEvent] = []
-
-    def check(g, forests, event: ExchangeEvent) -> None:
-        _assert_forests_match(g, forests, event)
-        assert dicts.setdefault(event.colors, forests) is forests
-        checked.append(event)
-
-    _checked_exchanges(monkeypatch, check)
-    assert pack(g, k).exchanges == len(checked) >= 1
-    assert len({id(d) for d in dicts.values()}) == len(dicts)
+    found = family_pass(family)
+    assert found.exchanges >= 1
+    assert found.failures("forests") == []
 
 
-def test_each_stage_roots_each_color_it_uses_exactly_once(monkeypatch):
+def test_each_stage_roots_each_color_it_uses_exactly_once():
     # Each stage roots the remainder and every tree color it exchanges with
     # once, at its first use there: never again per exchange, never from an
     # earlier stage's forest, and never by the per-call fallback inside
-    # cycle_edges or fundamental_cycle.
-    g = union_of_spanning_trees(2008, 200, 3)
-    stages: list[dict] = []
-    pending: list[tuple[int, ...]] = []
-    stage, root = treepack.packer.run_stage, root_forest
-
-    def counted_stage(g, coloring, **kwargs):
-        stages.append({"rooted": [], "used": set()})
-        return stage(g, coloring, **kwargs)
-
-    def counted_root(g, ids):
-        pending.append(tuple(ids))
-        return root(g, ids)
-
-    def record(event: ExchangeEvent) -> None:
-        for ids in pending:  # rooted for this exchange: name the color
-            color = event.before.color_of[ids[0]]
-            assert ids == event.before.edges_of_color(color)
-            stages[-1]["rooted"].append(color)
-        pending.clear()
-        stages[-1]["used"].update({event.colors, event.c_m})
-
-    monkeypatch.setattr(treepack.packer, "run_stage", counted_stage)
-    monkeypatch.setattr(treepack.packer, "root_forest", counted_root)
-    monkeypatch.setattr(treepack.multigraph, "root_forest", counted_root)
-    assert pack(g, 3, on_exchange=record).exchanges >= 1
-    assert pending == []
-    for s in stages:
-        assert sorted(s["rooted"]) == sorted(s["used"])
-    assert [len(s["rooted"]) for s in stages] == [0, 2, 3]
-
-
-def _first_stage_event(g: MultiGraph, t: KPartition) -> ExchangeEvent | None:
-    """The first exchange ``run_stage`` reports from ``t``."""
-    events: list[ExchangeEvent] = []
-    run_stage(g, t, cap=max(1, t.k * g.n * g.m), on_exchange=events.append)
-    return events[0] if events else None
-
-
-def _assert_same_event(g: MultiGraph, t: KPartition, where: str) -> bool:
-    """``exchange_step(g, t)`` is, field by field, the stage's first event;
-    False when the stage makes no exchange."""
-    expected = _first_stage_event(g, t)
-    if expected is None:
-        return False
-    event = exchange_step(g, t)
-    assert type(event) is ExchangeEvent, where
-    for field in dataclasses.fields(ExchangeEvent):
-        assert getattr(event, field.name) == getattr(expected, field.name), (where, field.name)
-    return True
+    # cycle_edges or fundamental_cycle (the kernels check flags a call
+    # without a forest).
+    for family in FAMILIES:
+        assert family_pass(family).failures("rootings") == [], family
+    assert family_pass("union-n200").rooted == [0, 2, 3]
+    for k in (2, 3):
+        assert random_stage_pass(k).failures("rootings") == [], k
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_exchange_step_is_the_first_event_of_its_stage_on_random_stages(k):
-    compared = 0
-    for seed in range(250):
-        case = random_stage(seed, k)
-        if case is not None:
-            g, trees, rest = case
-            t = KPartition.from_edge_sets(k, [*trees, set(rest)], g.m)
-            compared += _assert_same_event(g, t, f"seed {seed}")
-    assert compared >= 60, compared
+    found = random_stage_pass(k)
+    assert found.first_events >= 60, found.first_events
+    assert found.failures("first_event") == []
 
 
 def test_exchange_step_is_the_first_event_of_its_stage_on_a_family():
-    # The coloring the last stage of Q6 at k = 3 starts its exchanges from.
-    g = hypercube(6)
-    events: list[ExchangeEvent] = []
-    pack(g, 3, on_exchange=events.append)
-    t = next(event.before for event in events if event.colors == 3)
-    assert _assert_same_event(g, t, "Q6, stage 3")
+    # Every stage of each family that exchanges, the last stage of Q6 at
+    # k = 3 among them.
+    for family in FAMILIES:
+        found = family_pass(family)
+        assert found.first_events >= 1, family
+        assert found.failures("first_event") == []
 
 
 # A path 0-1-2-3 whose closing edge is (0, 3).
@@ -284,17 +113,16 @@ def test_root_forest_spans_every_vertex_from_its_least_vertex():
     g = MultiGraph(7, ((5, 3), (3, 3), (0, 5), (6, 1), (3, 5), (0, 3)))
     ids = [0, 1, 2, 3, 4, 5, 0]
     forest = root_forest(g, ids)
-    _assert_rooted(g, forest, ids)
+    assert spans(g, forest, ids)
     assert [forest.climb(v)[-1] for v in range(g.n)] == [0, 1, 2, 0, 4, 0, 1]
-    for seed in range(60):
-        case = random_stage(seed, 2)
-        if case is not None:
-            g, _, rest = case
-            forest = root_forest(g, rest)
-            _assert_rooted(g, forest, rest)
-            least = components(g, rest).class_of  # labels by first occurrence
-            roots = [forest.climb(v)[-1] for v in range(g.n)]
-            assert roots == [least.index(least[v]) for v in range(g.n)], seed
+    for seed, g, t in random_stages(2):
+        rest = t.edges_of_color(2)
+        ids = [*rest, *rest[: seed % 4]]  # 0-3 ids repeated
+        forest = root_forest(g, ids)
+        assert spans(g, forest, ids), seed
+        least = components(g, rest).class_of  # labels by first occurrence
+        roots = [forest.climb(v)[-1] for v in range(g.n)]
+        assert roots == [least.index(least[v]) for v in range(g.n)], seed
 
 
 def test_climb_stops_at_the_first_vertex_in_stop():
@@ -316,7 +144,7 @@ def _patched_remainder(edges, before, e, e_prime):
     cycle_edges(g, before, forest=forest)
     after = tuple(sorted(set(before) - {e} | {e_prime}))
     forest.swap(g.edges, e, e_prime)
-    _assert_rooted(g, forest, after)
+    assert spans(g, forest, after)
     assert cycle_edges(g, after, forest=forest) == cycle_edges(g, after)
     return forest
 
@@ -376,7 +204,7 @@ def test_tree_patch_on_either_side_of_the_cycle(e, e_prime):
     tree = root_forest(g, range(4))
     tree.swap(g.edges, e_prime, e)
     after = sorted(set(range(4)) - {e_prime} | {e})
-    _assert_rooted(g, tree, after)
+    assert spans(g, tree, after)
     for f in range(g.m):
         if f not in after:
             assert fundamental_cycle(g, after, f, forest=tree) == fundamental_cycle(g, after, f)
