@@ -178,9 +178,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pack = sub.add_parser("pack", help="pack k spanning trees or certify impossibility")
     p_pack.add_argument("file", help="graph file")
-    p_pack.add_argument("k", type=int, help="number of trees to pack")
+    p_pack.add_argument("k", type=_integer, help="number of trees to pack")
     p_pack.add_argument("--trace", action="store_true", help="include exchange trace")
-    p_pack.add_argument("--cap", type=int, default=None, help="override the exchange cap")
+    p_pack.add_argument("--cap", type=_integer, default=None, help="override the exchange cap")
     p_pack.add_argument(
         "--seedtree-order", choices=("asc", "desc"), default="asc",
         help="edge-id order used when extracting each stage's tree",
@@ -202,13 +202,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exhaustive density margin over all partitions")
     p_oracle.add_argument("file", help="graph file")
-    p_oracle.add_argument("k", type=int, help="number of trees")
+    p_oracle.add_argument("k", type=_integer, help="number of trees")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="generate a reproducible random instance")
-    p_gen.add_argument("n", type=int, help="vertex count")
-    p_gen.add_argument("m", type=int, help="edge count")
-    p_gen.add_argument("seed", type=int, help="64-bit seed")
+    p_gen.add_argument("n", type=_integer, help="vertex count")
+    p_gen.add_argument("m", type=_integer, help="edge count")
+    p_gen.add_argument("seed", type=_integer, help="64-bit seed")
     p_gen.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
     p_gen.set_defaults(func=_cmd_gen)
 

@@ -10,6 +10,7 @@ import functools
 import json
 from collections.abc import Callable
 
+from .integers import exact_int
 from .multigraph import MultiGraph
 from .oracle import DensityReport, verify_certificate, verify_packing
 from .packer import ExchangeEvent, PackResult, pack
@@ -110,10 +111,7 @@ def load_document(path: str) -> dict:
 
 
 def _document_k(doc: dict) -> int:
-    k = doc.get("k")
-    if type(k) is not int or k < 0:
-        raise ResultDocumentError("document field 'k' must be a nonnegative integer")
-    return k
+    return exact_int(doc.get("k"), "document field 'k'")
 
 
 def _document_trees(g: MultiGraph, doc: dict) -> list[list[int]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 
+from .integers import exact_int
 from .multigraph import MultiGraph
 
 
@@ -34,16 +35,13 @@ def random_graph(n: int, m: int, seed: int) -> MultiGraph:
     """Random multigraph with loops and parallels allowed, reproducible by seed.
 
     Each endpoint is ``(next SplitMix64 word) % n``, drawn in order (u then
-    v per edge), so the graph is a pure function of (n, m, seed). An ``n``
-    or ``m`` that no index can address, or an ``n``, ``m`` or ``seed`` that
-    is not exactly an ``int`` (a bool is not one), is a ValueError, raised
-    before any edge is drawn.
+    v per edge), so the graph is a pure function of (n, m, seed). ``exact_int``
+    checks them, and an ``n`` or ``m`` that no index can address is a
+    ValueError too, before any edge is drawn.
     """
-    for name, value in (("n", n), ("m", m), ("seed", seed)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, not {value!r}")
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
+    exact_int(n, "n", 1)
+    exact_int(m, "m")
+    exact_int(seed, "seed", None)
     if max(n, m) > sys.maxsize:
         raise ValueError(f"input too large: n and m must be at most {sys.maxsize}")
     rng = SplitMix64(seed)

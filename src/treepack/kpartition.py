@@ -26,6 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Mapping, NamedTuple
 
+from .integers import exact_int
 from .multigraph import EdgeId, MultiGraph, restrict_components
 from .partition import Partition
 
@@ -48,7 +49,7 @@ class KPartition:
     _edges_by_color: tuple[tuple[EdgeId, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_k(self.k)
+        exact_int(self.k, "k", 1)
         color_of = tuple(self.color_of)
         object.__setattr__(self, "color_of", color_of)
         # Set checks in one pass, types first so that an unhashable color is
@@ -67,12 +68,10 @@ class KPartition:
         """Build a coloring from k edge-id sets that partition ``range(m)``.
 
         Each id and its set's color are checked by ``recolor``'s per-entry
-        rule, which names the least bad edge. ``m`` is exactly an ``int``
-        ``>= 0``: a bool or float is not one.
+        rule, which names the least bad edge; ``k`` and ``m`` by ``exact_int``.
         """
-        _check_k(k)
-        if type(m) is not int or m < 0:
-            raise ValueError(f"edge count must be a nonnegative int, not {m!r}")
+        exact_int(k, "k", 1)
+        exact_int(m, "edge count")
         entries = [(e, color) for color, ids in enumerate(edge_sets, start=1) for e in ids]
         if any(_entry_error(e, color, m, k) for e, color in entries):
             raise ValueError(_first_error(entries, m, k))
@@ -91,7 +90,9 @@ class KPartition:
         return len(self.color_of)
 
     def edges_of_color(self, color: int) -> tuple[EdgeId, ...]:
-        """All edge ids of one color, in increasing id order; ``()`` outside ``1..k``."""
+        """The ids of one color, in increasing order; ``()`` for an int outside ``1..k``."""
+        if type(color) is not int:  # the fast path's one test; exact_int raises
+            exact_int(color, "color")
         return self._edges_by_color[color] if 1 <= color <= self.k else ()
 
     def recolor(self, changes: Mapping[EdgeId, int]) -> "KPartition":
@@ -113,13 +114,6 @@ class KPartition:
         after = object.__new__(KPartition)
         vars(after).update(k=k, color_of=tuple(colors), _edges_by_color=tuple(lists))
         return after
-
-
-def _check_k(k: object) -> None:
-    if type(k) is not int:
-        raise ValueError(f"k must be an int, not {k!r}")
-    if k < 1:
-        raise ValueError("need at least one color")
 
 
 def _entry_error(e: object, color: object, m: int, k: int) -> str | None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Sequence
 
+from .integers import exact_int
 from .partition import Partition
 
 VertexId = int
@@ -37,18 +38,20 @@ class MultiGraph:
     edges: tuple[tuple[VertexId, VertexId], ...]
 
     def __post_init__(self) -> None:
-        n = self.n
-        if type(n) is not int:
-            raise ValueError(f"vertex count must be an int, not {n!r}")
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        n = exact_int(self.n, "vertex count")
         try:
             object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         except TypeError:
             raise ValueError("edges must be an iterable of endpoint pairs") from None
-        for eid, (u, v) in enumerate(self.edges):
-            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {eid} endpoint out of range: ({u}, {v})")
+        try:
+            for eid, (u, v) in enumerate(self.edges):  # eid is bound before (u, v)
+                if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                    break
+            else:
+                return
+        except ValueError:  # only unpacking raises: edge eid is not a pair
+            raise ValueError(f"edge {eid} is not an endpoint pair: {self.edges[eid]}") from None
+        raise ValueError(f"edge {eid} endpoint out of range: ({u}, {v})")
 
     @property
     def m(self) -> int:
@@ -67,12 +70,6 @@ def _check_edge_ids(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> list[EdgeId]:
         if not ids or 0 <= ids[0] and ids[-1] < g.m:
             return ids
     raise ValueError("edge id out of range")
-
-
-def _check_tree_count(k: int) -> None:
-    """Reject a ``k`` that is not exactly an ``int`` (a bool or a float) or is negative."""
-    if type(k) is not int or k < 0:
-        raise ValueError("k must be a nonnegative integer")
 
 
 def quotient(g: MultiGraph, p: Partition) -> MultiGraph:
@@ -339,9 +336,7 @@ def fundamental_cycle(
     cycle (a loop included) or hold ``e`` are among them: the rooted
     forest then has fewer edges than there are distinct ids.
     """
-    if type(e) is not int or not 0 <= e < g.m:
-        raise ValueError("edge id out of range")
-    u, v = g.edges[e]
+    u, v = g.edges[exact_int(e, "edge id", 0, g.m - 1)]
     if u == v:
         raise ValueError("a loop has no fundamental cycle through a tree")
     if forest is None:

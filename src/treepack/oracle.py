@@ -12,7 +12,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .multigraph import EdgeId, MultiGraph, _check_tree_count, components, quotient
+from .integers import exact_int
+from .multigraph import EdgeId, MultiGraph, components, quotient
 from .partition import Partition
 
 # Bell(12) = 4,213,597 partitions is the practical enumeration ceiling.
@@ -55,9 +56,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     partition first, singletons last. Nothing is stored, so the Bell-number
     blowup costs time only.
     """
-    if not 1 <= n <= MAX_ENUMERATION_N:
-        raise ValueError(f"n must be in 1..{MAX_ENUMERATION_N}")
-    for labels in _restricted_growth_strings(n):
+    for labels in _restricted_growth_strings(exact_int(n, "n", 1, MAX_ENUMERATION_N)):
         yield Partition.from_class_map(labels)
 
 
@@ -74,10 +73,8 @@ def density_margin(g: MultiGraph, k: int) -> DensityReport:
     vertex's choices are scored in one flat loop, so a partition costs
     O(1), not a scan of every edge.
     """
-    n = g.n
-    if not 1 <= n <= MAX_ENUMERATION_N:
-        raise ValueError(f"vertex count must be in 1..{MAX_ENUMERATION_N}")
-    _check_tree_count(k)
+    n = exact_int(g.n, "vertex count", 1, MAX_ENUMERATION_N)
+    exact_int(k, "k")
     # lower[v]: the endpoints below v of v's edges, one entry per parallel
     # copy; loops never cross, so they are left out.
     lower: list[list[int]] = [[] for _ in range(n)]
@@ -135,7 +132,7 @@ def verify_packing(
     Returns ``(ok, detail)`` where ``detail`` names the first violated
     property: count, disjointness, loops, edge count, or connectivity.
     """
-    _check_tree_count(k)
+    exact_int(k, "k")
     tree_lists = [list(tree) for tree in trees]
     if len(tree_lists) != k:
         return False, f"expected {k} trees, found {len(tree_lists)}"
@@ -163,7 +160,7 @@ def verify_packing(
 
 def verify_certificate(g: MultiGraph, p: Partition, k: int) -> tuple[bool, str]:
     """Check the violation ``|E(G/P)| < k * (|P| - 1)`` for the given partition."""
-    _check_tree_count(k)
+    exact_int(k, "k")
     if p.n != g.n:
         raise ValueError("partition does not match the graph's vertex set")
     crossing = quotient(g, p).m
@@ -180,7 +177,7 @@ def exists_packing_exhaustive(g: MultiGraph, k: int) -> bool:
     not cover every edge) and slots ``1..k`` must all be spanning trees.
     Only meant for tiny inputs; the search space has ``(k+1)**m`` points.
     """
-    _check_tree_count(k)
+    exact_int(k, "k")
     if k == 0:
         return True
     if (k + 1) ** g.m > 4_000_000:

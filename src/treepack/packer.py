@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import compress
 
+from .integers import exact_int
 from .kpartition import (
     INFINITE_LEVEL,
     KPartition,
@@ -31,7 +32,6 @@ from .multigraph import (
     MultiGraph,
     RootedForest,
     _check_edge_ids,
-    _check_tree_count,
     _union_within,
     components,  # unused here, but perfbench's span self-test reads packer.components
     cycle_edges,
@@ -113,28 +113,21 @@ def density_check(
     ``run_stage`` checks its trees once and ends at the exchange that connects
     its remainder, so "already connected" is a missed exit. A remainder edge
     crosses ``P`` exactly when the sequence gave it a finite level: loops and
-    edges inside a class of ``P`` keep none.
+    edges inside a class of ``P`` keep none. ``edge_levels`` checks that
+    ``seq`` and ``t`` fit ``g``.
     """
-    k = t.k
+    k, levels = t.k, edge_levels(g, t, seq)
     splitter = seq.splitter_at(0)
     for color in range(1, k):
         if color == splitter or len(t.edges_of_color(color)) != g.n - 1:
             raise InternalInvariantError(f"color {color} is not a spanning tree")
     if splitter != k:
         raise InternalInvariantError("remainder color is already connected")
-    levels, terminal = seq.levels, seq.terminal
+    terminal = seq.terminal
     crossing = sum(1 for e in t.edges_of_color(k) if levels[e] != INFINITE_LEVEL)
     if crossing < terminal.num_classes - 1:
         return terminal
     return None
-
-
-def _check_cap(cap: object) -> None:
-    """The one rule for an exchange cap: exactly an ``int``, ``>= 0``; else ValueError."""
-    if type(cap) is not int:
-        raise ValueError(f"exchange cap must be an int, not {cap!r}")
-    if cap < 0:
-        raise ValueError("exchange cap must be nonnegative")
 
 
 def _least_by_level(ids: Iterable[EdgeId], levels: LevelMap) -> EdgeId | None:
@@ -159,8 +152,7 @@ def _exchange_from(
     ``e`` out and ``e'`` in, its ``cover`` the one ``cycle_edges`` just
     left, and tree ``c_m``'s the reverse. So each still spans its color.
     """
-    k = t.k
-    levels = edge_levels(g, t, seq)
+    k, levels = t.k, seq.levels  # both callers built seq from g and t
     rest = t.edges_of_color(k)
     if k not in forests:
         forests[k] = root_forest(g, rest)
@@ -245,13 +237,13 @@ def run_stage(
     (``e`` enters ``c_m``, ``e'`` leaves the cycle it closes there), so builds
     take them as forests. The exchange with ``j == 0`` and ``|P_1| == 2`` ends
     the stage: ``e``, on a cycle, splits no remainder component (``P_1``), and
-    ``e'`` joins two iff ``j == 0``. ``cap`` bounds exchanges (``_check_cap``);
+    ``e'`` joins two iff ``j == 0``. ``cap`` bounds exchanges (``exact_int``);
     exceeding it raises InternalInvariantError. The stage owns its forests,
     each rooted at its first use and patched by the exchanges that use it
     (``_exchange_from``). A tree has one rooting, at its least vertex, which
     ``swap`` never moves, so no later stage needs this stage's forests.
     """
-    _check_cap(cap)
+    exact_int(cap, "exchange cap")
     t, colors, forests = coloring, coloring.k, {}
     seq, exchanges, certificate = build_sequence(g, t, forests=range(1, colors)), 0, None
     for c in range(1, colors if seq.steps else 1):
@@ -343,15 +335,15 @@ def pack(
     gets that certificate. ``k = 0`` and single-vertex graphs succeed
     vacuously, for any ``k`` a tuple can hold (a larger one is a
     ValueError). Loops can never enter a tree and simply stay in the
-    remainder. A cap other than None is checked by ``_check_cap``.
+    remainder. ``k`` and a cap other than None are checked by ``exact_int``.
     """
-    _check_tree_count(k)
+    exact_int(k, "k")
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if seedtree_order not in ("asc", "desc"):
         raise ValueError("seedtree_order must be 'asc' or 'desc'")
     if cap is not None:
-        _check_cap(cap)
+        exact_int(cap, "exchange cap")
     if g.n == 1 or k == 0:
         if k > sys.maxsize:
             raise ValueError(f"input too large: k must be at most {sys.maxsize} on one vertex")
@@ -376,7 +368,7 @@ def stp_number(g: MultiGraph, *, cap: int | None = None) -> tuple[int, Partition
     if g.n <= 1:
         raise ValueError("packing number is unbounded for graphs with n <= 1")
     if cap is not None:
-        _check_cap(cap)
+        exact_int(cap, "exchange cap")
     for k_max, last in enumerate(_stages(g, cap, "asc", None)):
         pass  # the stages end at their certificate
     return k_max, last.certificate

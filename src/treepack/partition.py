@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
+from .integers import exact_int
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -68,12 +70,12 @@ class Partition:
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
-        return cls.from_class_map(range(n))
+        return cls.from_class_map(range(exact_int(n, "n")))
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
         """The one-class partition of ``{0, ..., n-1}``."""
-        return cls.from_class_map([0] * n)
+        return cls.from_class_map([0] * exact_int(n, "n"))
 
     @property
     def n(self) -> int:

@@ -398,14 +398,16 @@ class WhiteBoxPass:
     ``run_stage`` rebound and checked, and its findings by check:
 
     - ``kernels``: each ``cycle_edges`` and ``fundamental_cycle`` call gets a
-      forest spanning exactly its ids, before and after, and returns what
+      forest, leaves its ``above`` and ``via`` as they were, and returns what
       the per-call kernel returns;
     - ``low_points``: each ``cycle_edges`` call returns what
       ``references.cycle_edges_by_low_points`` returns;
-    - ``forests``: after each exchange every forest of the stage's dict
-      spans its color and tree ``c_m``'s is its color rooted afresh (a
-      tree has one rooting, at its least vertex, which ``swap`` never
-      moves); each stage starts an empty dict of its own and keeps it;
+    - ``forests``: each forest spans its ids when ``root_forest`` makes it,
+      and after each exchange the two it patched span their colors, every
+      other color is unchanged, and tree ``c_m``'s is its color rooted
+      afresh (a tree has one rooting, at its least vertex, which ``swap``
+      never moves); each stage starts an empty dict of its own and keeps it.
+      So each forest is checked with ``spans`` once per change;
     - ``rootings``: a stage roots each color it exchanges with once, at its
       first use, never from an earlier stage and never outside an exchange;
     - ``exit_rule``: ``j == 0`` and two classes at index 1 hold exactly when
@@ -496,7 +498,9 @@ class WhiteBoxPass:
 
     def root_forest(self, g, ids):
         self.rooted[-1] += 1
-        return root_forest(g, ids)
+        forest = root_forest(g, ids)
+        self.flag("forests", spans(g, forest, ids), "a forest does not span its ids when rooted")
+        return forest
 
     def _exchange_from(self, g, t, seq, forests):
         colors, rooted = set(forests), self.rooted[-1]
@@ -511,33 +515,36 @@ class WhiteBoxPass:
             self._dict = forests
             self._dicts.append(forests)
         self.flag("forests", forests is self._dict, "the stage changed its dict of forests")
-        tree = root_forest(g, event.after.edges_of_color(event.c_m))
+        before, after = event.before.edges_of_color, event.after.edges_of_color
+        tree = root_forest(g, after(event.c_m))
         self.flag(
             "forests",
             used <= set(forests)
-            and all(spans(g, f, event.after.edges_of_color(c)) for c, f in forests.items())
+            and all(spans(g, f, after(c)) if c in used else after(c) == before(c)
+                    for c, f in forests.items())
             and all(getattr(forests[event.c_m], f.name) == getattr(tree, f.name)
                     for f in dataclasses.fields(RootedForest)),
             f"a forest does not span its color after {event.e} for {event.e_prime}",
         )
         return event
 
+    def _kernel(self, kernel, g, ids, *args, forest):
+        """``kernel``'s forest call, flagged unless it got a forest, left its
+        links as they were and agrees with the per-call kernel."""
+        self.calls[kernel.__name__] += 1
+        links = None if forest is None else (list(forest.above), list(forest.via))
+        got = kernel(g, ids, *args, forest=forest)
+        self.flag("kernels", links is not None and links == (forest.above, forest.via)
+                  and got == kernel(g, ids, *args), f"{kernel.__name__}{args}")
+        return got
+
     def cycle_edges(self, g, ids, *, forest=None):
-        self.calls["cycle_edges"] += 1
-        rooted = forest is not None and spans(g, forest, ids)
-        got = cycle_edges(g, ids, forest=forest)
-        self.flag("kernels", rooted and spans(g, forest, ids) and got == cycle_edges(g, ids),
-                  "cycle_edges")
+        got = self._kernel(cycle_edges, g, ids, forest=forest)
         self.flag("low_points", got == cycle_edges_by_low_points(g, ids), "cycle_edges")
         return got
 
     def fundamental_cycle(self, g, tree_ids, e, *, forest=None):
-        self.calls["fundamental_cycle"] += 1
-        rooted = forest is not None and spans(g, forest, tree_ids)
-        got = fundamental_cycle(g, tree_ids, e, forest=forest)
-        self.flag("kernels", rooted and spans(g, forest, tree_ids)
-                  and got == fundamental_cycle(g, tree_ids, e), f"fundamental_cycle of {e}")
-        return got
+        return self._kernel(fundamental_cycle, g, tree_ids, e, forest=forest)
 
 
 @functools.cache

@@ -227,6 +227,42 @@ def test_cmd_pack_input_errors(tmp_path, capsys):
     assert code == EXIT_INPUT_ERROR
 
 
+def _usage_error(capsys, argv: list[str]) -> str:
+    """``"<exit code>: <last stderr line>"`` for arguments that argparse rejects."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return f"{exit_info.value.code}: {captured.err.splitlines()[-1]}"
+
+
+# Each integer argument is read like a graph file's counts: int() took these.
+def test_cmd_pack_takes_integer_arguments_by_the_graph_file_rule(tmp_path, capsys):
+    k4 = _write(tmp_path, "k4.gr", K4_TEXT)
+    for argv, name, token in (([k4, "1_0"], "k", "1_0"), ([k4, "\uff12"], "k", "\uff12"),
+                              ([k4, "2", "--cap", " 5"], "--cap", " 5")):
+        assert _usage_error(capsys, ["pack", *argv]) == (
+            f"2: treepack pack: error: argument {name}: invalid _integer value: {token!r}"
+        )
+
+
+def test_cmd_oracle_takes_k_by_the_graph_file_rule(tmp_path, capsys):
+    k4 = _write(tmp_path, "k4.gr", K4_TEXT)
+    for token in ("+2", "2_0"):
+        assert _usage_error(capsys, ["oracle", k4, token]) == (
+            f"2: treepack oracle: error: argument k: invalid _integer value: {token!r}"
+        )
+
+
+def test_cmd_gen_takes_integer_arguments_by_the_graph_file_rule(capsys):
+    for argv, name, token in ((["\uff13", "1", "\uff17"], "n", "\uff13"),
+                              (["3", "1_0", "7"], "m", "1_0"), (["3", "1", " 7"], "seed", " 7")):
+        assert _usage_error(capsys, ["gen", *argv]) == (
+            f"2: treepack gen: error: argument {name}: invalid _integer value: {token!r}"
+        )
+    assert _run(capsys, ["gen", "3", "1", "-7"])[0] == EXIT_OK  # a negative seed is an int
+
+
 def test_cmd_pack_cap_exceeded_is_internal_error(tmp_path, capsys):
     path = _write(tmp_path, "k4.gr", K4_TEXT)
     code, _, err = _run(capsys, ["pack", path, "2", "--cap", "0"])
@@ -239,7 +275,7 @@ def test_cmd_pack_negative_cap_is_input_error(tmp_path, capsys):
     code, out, err = _run(capsys, ["pack", path, "4", "--cap", "-3"])
     assert code == EXIT_INPUT_ERROR
     assert out == ""
-    assert err == "error: exchange cap must be nonnegative\n"
+    assert err == "error: exchange cap must be >= 0, not -3\n"
 
 
 def test_cmd_pack_out_of_memory_is_input_error(tmp_path, capsys, monkeypatch):

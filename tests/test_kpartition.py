@@ -170,6 +170,13 @@ def test_edges_of_color_and_recolor():
     assert t.edges_of_color(3) == (3,)  # original untouched
 
 
+@pytest.mark.parametrize("color", [True, 1.0], ids=repr)
+def test_edges_of_color_takes_an_exact_int(color):
+    # True once returned color 1's edges, and 1.0 raised a bare TypeError.
+    with pytest.raises(ValueError, match=f"^color must be an int, not {color!r}$"):
+        KPartition(2, (1, 2, 1)).edges_of_color(color)
+
+
 def test_recolor_carries_the_edge_lists_of_a_fresh_coloring():
     # Changes are random and may keep an edge's color; a coloring lists its
     # edges when it is constructed, and recolor carries the lists over.
@@ -251,8 +258,10 @@ def test_recolor_names_the_least_bad_edge():
 @pytest.mark.parametrize("m", [1.0, True, "1", -1], ids=repr)
 def test_from_edge_sets_takes_the_edge_count_as_an_exact_int(m):
     # True once built a one-edge coloring, and 1.0 raised a bare TypeError.
-    with pytest.raises(ValueError, match=f"^edge count must be a nonnegative int, not {m!r}$"):
+    message = "edge count must be >= 0, not -1" if m == -1 else f"edge count must be an int, not {m!r}"
+    with pytest.raises(ValueError) as raised:
         KPartition.from_edge_sets(1, [[0]], m)
+    assert str(raised.value) == message
 
 
 # build_sequence ---------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_construction_rejects_bad_endpoints():
         MultiGraph(2, ((0, 2),))
     with pytest.raises(ValueError):
         MultiGraph(1, ((-1, 0),))
-    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+    with pytest.raises(ValueError, match="^vertex count must be >= 0, not -1$"):
         MultiGraph(-1, ())
 
 
@@ -70,6 +70,15 @@ def test_construction_rejects_an_edge_that_is_not_a_pair(edges):
     # (5,) once raised a bare TypeError.
     with pytest.raises(ValueError, match="^edges must be an iterable of endpoint pairs$"):
         MultiGraph(2, edges)
+
+
+@pytest.mark.parametrize("pair", [(0, 1, 2), (0,)], ids=repr)
+def test_construction_names_an_edge_of_the_wrong_length(pair):
+    # Each once raised "too many" or "not enough values to unpack".
+    for edges, eid in (((pair,), 0), (((0, 1), pair, (1, 2)), 1)):
+        message = f"^edge {eid} is not an endpoint pair: {re.escape(repr(pair))}$"
+        with pytest.raises(ValueError, match=message):
+            MultiGraph(3, edges)
 
 
 # quotient ------------------------------------------------------------------
@@ -143,11 +152,12 @@ def test_edge_ids_must_be_exact_ints(bad):
         lambda: greedy_spanning_tree(g, [bad, 0]),
         lambda: cycle_edges(g, [bad, 0, 2]),
         lambda: fundamental_cycle(g, [bad, 0], 2),
-        lambda: fundamental_cycle(g, [0, 2], bad),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="^edge id out of range$"):
             call()
+    with pytest.raises(ValueError, match=f"^edge id must be an int, not {re.escape(repr(bad))}$"):
+        fundamental_cycle(g, [0, 2], bad)
 
 
 # restrict_components --------------------------------------------------------
@@ -318,7 +328,7 @@ def test_fundamental_cycle_errors():
     with pytest.raises(ValueError):
         fundamental_cycle(g, (0,), 3)  # e is a loop
     for e in (-1, g.m):
-        with pytest.raises(ValueError, match="edge id out of range"):
+        with pytest.raises(ValueError, match=f"^edge id must be in 0..3, not {e}$"):
             fundamental_cycle(g, (0, 1), e)
 
 

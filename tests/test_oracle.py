@@ -60,12 +60,19 @@ def test_enumeration_order_is_rgs_lexicographic():
     ]
 
 
+@pytest.mark.parametrize("n", [True, 2.0], ids=repr)
+def test_enumeration_takes_an_exact_int(n):
+    # True once yielded one partition, and 2.0 raised a bare TypeError.
+    with pytest.raises(ValueError, match=f"^n must be an int, not {n!r}$"):
+        list(enumerate_partitions(n))
+
+
 def test_enumeration_range_errors():
     with pytest.raises(ValueError):
         list(enumerate_partitions(0))
     with pytest.raises(ValueError):
         list(enumerate_partitions(13))
-    with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="^k must be >= 0, not -1$"):
         density_margin(path_graph(3), -1)
     with pytest.raises(ValueError, match="vertex count must be in 1..12"):
         density_margin(MultiGraph(13, ()), 1)
@@ -240,9 +247,11 @@ def test_checkers_take_k_by_packs_rule(k):
         lambda: exists_packing_exhaustive(g, k),
         lambda: pack(g, k),
     ]
+    message = f"k must be >= 0, not {k}" if k == -1 else f"k must be an int, not {k!r}"
     for check in checks:
-        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+        with pytest.raises(ValueError) as raised:
             check()
+        assert str(raised.value) == message
 
 
 def test_exhaustive_search_guards_its_size():
@@ -252,5 +261,5 @@ def test_exhaustive_search_guards_its_size():
 
 def test_exhaustive_search_on_k_zero_and_below():
     assert exists_packing_exhaustive(MultiGraph(3, ()), 0) is True  # vacuous, though disconnected
-    with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="^k must be >= 0, not -1$"):
         exists_packing_exhaustive(path_graph(3), -1)

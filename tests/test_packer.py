@@ -90,6 +90,17 @@ def test_density_check_proceeds_when_threshold_met():
     assert density_check(g, t, build_sequence(g, t)) is None
 
 
+def test_density_check_rejects_a_sequence_of_another_graph():
+    # A 6-cycle's sequence has as many levels as K4 has edges; its six
+    # singletons were once returned as K4's certificate.
+    g = complete_graph(4)
+    star_and_triangle = KPartition.from_edge_sets(2, [[0, 1, 2], [3, 4, 5]], g.m)
+    c6 = cycle_graph(6)
+    seq = build_sequence(c6, KPartition.from_edge_sets(2, [range(5), [5]], c6.m))
+    with pytest.raises(ValueError, match="^coloring or sequence does not match the graph$"):
+        density_check(g, star_and_triangle, seq)
+
+
 def test_density_check_rejects_connected_remainder():
     g, t = parallel_pair_instance()
     connected = t.recolor({1: 2})  # move a path edge over: remainder now spans
@@ -698,7 +709,7 @@ def test_pack_rejects_k_that_is_not_an_int_before_any_stage(monkeypatch):
     # 2.5 once failed inside islice; True packed one tree and reported k=True.
     monkeypatch.setattr(treepack.packer, "run_stage", no_stage)
     for k in (2.5, True, 2.0):
-        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=f"^k must be an int, not {k!r}$"):
             pack(complete_graph(4), k)
 
 
@@ -815,7 +826,7 @@ def test_cap_must_be_an_int_before_any_stage(monkeypatch, cap):
 def test_run_stage_takes_a_negative_cap_as_an_input_error():
     g = complete_graph(4)
     t = _stage_coloring(g, [], range(g.m))
-    with pytest.raises(ValueError, match="^exchange cap must be nonnegative$"):
+    with pytest.raises(ValueError, match="^exchange cap must be >= 0, not -1$"):
         run_stage(g, t, cap=-1)
     # Zero is a cap: K4's first stage is connected and needs no exchange.
     assert run_stage(g, t, cap=0) == StageOutcome(t, None, 0)

@@ -65,6 +65,15 @@ def test_trivial_and_singletons():
     assert Partition.trivial(1) == Partition.singletons(1)
 
 
+@pytest.mark.parametrize("factory", [Partition.singletons, Partition.trivial])
+@pytest.mark.parametrize("n", [True, 2.0], ids=repr)
+def test_trivial_and_singletons_take_an_exact_int(factory, n):
+    # singletons(True) was once the one-vertex partition, and trivial(2.0)
+    # raised a bare TypeError.
+    with pytest.raises(ValueError, match=f"^n must be an int, not {n!r}$"):
+        factory(n)
+
+
 def test_refines_basic_cases():
     singles = Partition.singletons(3)
     trivial = Partition.trivial(3)
