@@ -29,8 +29,6 @@ from .multigraph import (
 from .oracle import (
     DensityReport,
     density_margin,
-    enumerate_partitions,
-    exists_packing_exhaustive,
     verify_certificate,
     verify_packing,
 )
@@ -69,9 +67,7 @@ __all__ = [
     "density_check",
     "density_margin",
     "edge_levels",
-    "enumerate_partitions",
     "exchange_step",
-    "exists_packing_exhaustive",
     "fundamental_cycle",
     "greedy_spanning_tree",
     "pack",

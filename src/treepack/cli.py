@@ -40,7 +40,7 @@ class GraphFileError(ValueError):
     """Malformed graph file; the message names the offending line."""
 
 
-def _integer(token: str) -> int:
+def integer(token: str) -> int:
     """``token`` as an int if it is ASCII ``-?[0-9]+`` (``int`` takes ``1_0``, ``３``)."""
     if not (token.isascii() and token.removeprefix("-").isdigit()):
         raise ValueError(f"not an integer: {token!r}")
@@ -63,7 +63,7 @@ def parse_graph(text: str) -> MultiGraph:
             if len(fields) != 3:
                 raise GraphFileError(f"line {lineno}: edge must be 'e <u> <v>'")
             try:
-                u, v = _integer(fields[1]), _integer(fields[2])
+                u, v = integer(fields[1]), integer(fields[2])
             except ValueError:
                 raise GraphFileError(f"line {lineno}: endpoints must be integers")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -79,7 +79,7 @@ def parse_graph(text: str) -> MultiGraph:
             if len(fields) != 3:
                 raise GraphFileError(f"line {lineno}: header must be 'p <n> <m>'")
             try:
-                n, m = _integer(fields[1]), _integer(fields[2])
+                n, m = integer(fields[1]), integer(fields[2])
             except ValueError:
                 raise GraphFileError(f"line {lineno}: header counts must be integers")
             if n < 1 or m < 0:
@@ -178,9 +178,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pack = sub.add_parser("pack", help="pack k spanning trees or certify impossibility")
     p_pack.add_argument("file", help="graph file")
-    p_pack.add_argument("k", type=_integer, help="number of trees to pack")
+    p_pack.add_argument("k", type=integer, help="number of trees to pack")
     p_pack.add_argument("--trace", action="store_true", help="include exchange trace")
-    p_pack.add_argument("--cap", type=_integer, default=None, help="override the exchange cap")
+    p_pack.add_argument("--cap", type=integer, default=None, help="override the exchange cap")
     p_pack.add_argument(
         "--seedtree-order", choices=("asc", "desc"), default="asc",
         help="edge-id order used when extracting each stage's tree",
@@ -202,13 +202,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exhaustive density margin over all partitions")
     p_oracle.add_argument("file", help="graph file")
-    p_oracle.add_argument("k", type=_integer, help="number of trees")
+    p_oracle.add_argument("k", type=integer, help="number of trees")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="generate a reproducible random instance")
-    p_gen.add_argument("n", type=_integer, help="vertex count")
-    p_gen.add_argument("m", type=_integer, help="edge count")
-    p_gen.add_argument("seed", type=_integer, help="64-bit seed")
+    p_gen.add_argument("n", type=integer, help="vertex count")
+    p_gen.add_argument("m", type=integer, help="edge count")
+    p_gen.add_argument("seed", type=integer, help="64-bit seed")
     p_gen.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
     p_gen.set_defaults(func=_cmd_gen)
 

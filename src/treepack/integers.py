@@ -3,8 +3,9 @@
 
 def exact_int(value: object, name: str, low: int | None = 0, high: int | None = None) -> int:
     """``value`` if it is exactly an ``int`` in ``low..high``, a bound of None
-    open; else ValueError: ``"<name> must be an int, not <value!r>"`` or
-    ``"<name> must be <bounds>, not <value>"``.
+    open; else ValueError: ``"<name> must be an int, not <value!r>"``,
+    ``"<name> must be <bounds>, not <value>"``, or, when ``high < low``,
+    ``"<name> cannot be <value>: no value is valid"``.
 
     A bool or a float equal to an int is not one. Every scalar count, id,
     cap and seed of the package goes through here. Checks over many
@@ -18,6 +19,8 @@ def exact_int(value: object, name: str, low: int | None = 0, high: int | None = 
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, not {value!r}")
     if low is not None and value < low or high is not None and value > high:
+        if low is not None and high is not None and high < low:
+            raise ValueError(f"{name} cannot be {value}: no value is valid")
         bounds = f">= {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name} must be {bounds}, not {value}")
     return value

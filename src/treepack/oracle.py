@@ -1,16 +1,15 @@
-"""Brute-force ground truth: partition enumeration and result validators.
+"""Brute-force ground truth: the density oracle and the result validators.
 
 Everything here is independent of the packer so the two can check each
-other: the packing condition is decided by exhaustive minimization over
-all vertex partitions, and for very small inputs an exhaustive search
-over edge assignments decides existence without using the partition
-condition at all.
+other. ``density_margin`` decides the packing condition by exhaustive
+minimization over all vertex partitions, visited in lexicographic
+restricted-growth-string order; ``verify_packing`` and
+``verify_certificate`` check a result against its definition.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .integers import exact_int
 from .multigraph import EdgeId, MultiGraph, components, quotient
@@ -27,51 +26,20 @@ class DensityReport(NamedTuple):
     witness: Partition
 
 
-def _restricted_growth_strings(n: int) -> Iterator[list[int]]:
-    """All restricted growth strings of length n, lexicographically.
-
-    The yielded list is reused between iterations; copy it to keep it.
-    """
-    labels = [0] * n
-    # bound[i] = 1 + max(labels[:i]); position i may grow up to bound[i].
-    bound = [1] * n
-    while True:
-        yield labels
-        i = n - 1
-        while i >= 1 and labels[i] == bound[i]:
-            i -= 1
-        if i == 0:
-            return
-        labels[i] += 1
-        new_bound = max(bound[i], labels[i] + 1)
-        for j in range(i + 1, n):
-            labels[j] = 0
-            bound[j] = new_bound
-
-
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Every partition of ``{0, ..., n-1}`` exactly once.
-
-    Streams in lexicographic restricted-growth-string order: the one-class
-    partition first, singletons last. Nothing is stored, so the Bell-number
-    blowup costs time only.
-    """
-    for labels in _restricted_growth_strings(exact_int(n, "n", 1, MAX_ENUMERATION_N)):
-        yield Partition.from_class_map(labels)
-
-
 def density_margin(g: MultiGraph, k: int) -> DensityReport:
     """Exact minimum of ``crossing(P) - k * (|P| - 1)`` over all partitions.
 
     A negative margin means the witness certifies that no k packing
-    exists. Ties keep the first partition in enumeration order.
+    exists. Ties keep the first partition in lexicographic order of the
+    restricted growth strings (``Partition.class_of``): the one-class
+    partition first, singletons last.
 
-    The partitions are walked depth first in ``enumerate_partitions``'
-    order, one vertex per level, carrying the prefix's crossing count: a
-    vertex tallies the labels of its lower-numbered neighbours once, and
-    each label choice then adds the edges to the other classes. The last
-    vertex's choices are scored in one flat loop, so a partition costs
-    O(1), not a scan of every edge.
+    The partitions are walked depth first in that order, one vertex per
+    level, carrying the prefix's crossing count: a vertex tallies the
+    labels of its lower-numbered neighbours once, and each label choice
+    then adds the edges to the other classes. The last vertex's choices
+    are scored in one flat loop, so a partition costs O(1), not a scan of
+    every edge.
     """
     n = exact_int(g.n, "vertex count", 1, MAX_ENUMERATION_N)
     exact_int(k, "k")
@@ -169,31 +137,3 @@ def verify_certificate(g: MultiGraph, p: Partition, k: int) -> tuple[bool, str]:
         return True, f"{crossing} crossing edges < bound {bound}"
     return False, f"{crossing} crossing edges, needs fewer than {bound}"
 
-
-def exists_packing_exhaustive(g: MultiGraph, k: int) -> bool:
-    """Decide existence by trying every assignment of edges to k trees.
-
-    Each edge gets a slot in ``0..k`` (0 = unused, since a packing need
-    not cover every edge) and slots ``1..k`` must all be spanning trees.
-    Only meant for tiny inputs; the search space has ``(k+1)**m`` points.
-    """
-    exact_int(k, "k")
-    if k == 0:
-        return True
-    if (k + 1) ** g.m > 4_000_000:
-        raise ValueError("graph too large for exhaustive search")
-    if g.n >= 2 and g.m < k * (g.n - 1):
-        return False
-    for assignment in product(range(k + 1), repeat=g.m):
-        ok = True
-        for color in range(1, k + 1):
-            ids = [e for e in range(g.m) if assignment[e] == color]
-            if len(ids) != g.n - 1 or any(g.is_loop(e) for e in ids):
-                ok = False
-                break
-            if components(g, ids).num_classes > 1:
-                ok = False
-                break
-        if ok:
-            return True
-    return False

@@ -1,22 +1,49 @@
-"""Plain references that tests compare the package's faster code with.
+"""Plain references that tests compare the package's code with.
 
-Each is the straightforward form of a function the package computes
-another way, kept here so a test can compare the two outputs in full.
+Each is the straightforward form of something the package computes
+another way, or decides without it, kept here so a test can compare the
+two outputs in full.
 """
 
 from __future__ import annotations
 
-from treepack import MultiGraph, Partition
+from itertools import product
+from typing import Iterator
+
+from treepack import DensityReport, MultiGraph, Partition, components
 from treepack.cli import GraphFileError
-from treepack.oracle import DensityReport, _restricted_growth_strings
+
+
+def restricted_growth_strings(n: int) -> Iterator[list[int]]:
+    """All restricted growth strings of length n, lexicographically: the
+    class maps of every partition of ``0..n-1``, one-class first and
+    singletons last.
+
+    The yielded list is reused between iterations; copy it to keep it.
+    """
+    labels = [0] * n
+    # bound[i] = 1 + max(labels[:i]); position i may grow up to bound[i].
+    bound = [1] * n
+    while True:
+        yield labels
+        i = n - 1
+        while i >= 1 and labels[i] == bound[i]:
+            i -= 1
+        if i == 0:
+            return
+        labels[i] += 1
+        new_bound = max(bound[i], labels[i] + 1)
+        for j in range(i + 1, n):
+            labels[j] = 0
+            bound[j] = new_bound
 
 
 def edge_scan_density_margin(g: MultiGraph, k: int) -> DensityReport:
     """``density_margin`` by scanning every edge for every partition, in
-    ``enumerate_partitions``' order; ties keep the first partition."""
+    ``restricted_growth_strings``' order; ties keep the first partition."""
     best_margin: int | None = None
     best_labels: list[int] | None = None
-    for labels in _restricted_growth_strings(g.n):
+    for labels in restricted_growth_strings(g.n):
         crossing = 0
         for u, v in g.edges:
             if labels[u] != labels[v]:
@@ -27,6 +54,35 @@ def edge_scan_density_margin(g: MultiGraph, k: int) -> DensityReport:
             best_labels = list(labels)
     assert best_margin is not None and best_labels is not None
     return DensityReport(best_margin, Partition.from_class_map(best_labels))
+
+
+def exists_packing_exhaustive(g: MultiGraph, k: int) -> bool:
+    """Decide existence by trying every assignment of edges to k trees,
+    without the partition condition.
+
+    Each edge gets a slot in ``0..k`` (0 = unused, since a packing need
+    not cover every edge) and slots ``1..k`` must all be spanning trees.
+    Only meant for tiny inputs; the search space has ``(k+1)**m`` points.
+    """
+    if k == 0:
+        return True
+    if (k + 1) ** g.m > 4_000_000:
+        raise ValueError("graph too large for exhaustive search")
+    if g.n >= 2 and g.m < k * (g.n - 1):
+        return False
+    for assignment in product(range(k + 1), repeat=g.m):
+        ok = True
+        for color in range(1, k + 1):
+            ids = [e for e in range(g.m) if assignment[e] == color]
+            if len(ids) != g.n - 1 or any(g.is_loop(e) for e in ids):
+                ok = False
+                break
+            if components(g, ids).num_classes > 1:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
 
 
 def cycle_edges_by_low_points(g: MultiGraph, edge_ids) -> frozenset[int]:

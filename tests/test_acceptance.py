@@ -232,6 +232,13 @@ def test_criterion_5_tree_preservation(summary: _Summary) -> None:
     _report(5, "tree preservation", count == 0, f"{count} violations")
 
 
+def test_every_corpus_exchange_keeps_the_exchange_contract(summary: _Summary) -> None:
+    # All ten checks of exchange_violations; criterion 3 reports its own two.
+    own = {"prefix_agreement_through_m", "strict_refinement_after_m"}
+    assert sum(run.exchanges for run in summary.runs) > 0
+    assert {check: n for check, n in summary.violations.items() if check not in own} == {}
+
+
 def test_criterion_6_termination_within_cap(summary: _Summary) -> None:
     over = [run for run in summary.runs if run.exchanges > run.cap]
     busiest = max(summary.runs, key=lambda run: run.exchanges)

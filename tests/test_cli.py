@@ -242,7 +242,7 @@ def test_cmd_pack_takes_integer_arguments_by_the_graph_file_rule(tmp_path, capsy
     for argv, name, token in (([k4, "1_0"], "k", "1_0"), ([k4, "\uff12"], "k", "\uff12"),
                               ([k4, "2", "--cap", " 5"], "--cap", " 5")):
         assert _usage_error(capsys, ["pack", *argv]) == (
-            f"2: treepack pack: error: argument {name}: invalid _integer value: {token!r}"
+            f"2: treepack pack: error: argument {name}: invalid integer value: {token!r}"
         )
 
 
@@ -250,7 +250,7 @@ def test_cmd_oracle_takes_k_by_the_graph_file_rule(tmp_path, capsys):
     k4 = _write(tmp_path, "k4.gr", K4_TEXT)
     for token in ("+2", "2_0"):
         assert _usage_error(capsys, ["oracle", k4, token]) == (
-            f"2: treepack oracle: error: argument k: invalid _integer value: {token!r}"
+            f"2: treepack oracle: error: argument k: invalid integer value: {token!r}"
         )
 
 
@@ -258,7 +258,7 @@ def test_cmd_gen_takes_integer_arguments_by_the_graph_file_rule(capsys):
     for argv, name, token in ((["\uff13", "1", "\uff17"], "n", "\uff13"),
                               (["3", "1_0", "7"], "m", "1_0"), (["3", "1", " 7"], "seed", " 7")):
         assert _usage_error(capsys, ["gen", *argv]) == (
-            f"2: treepack gen: error: argument {name}: invalid _integer value: {token!r}"
+            f"2: treepack gen: error: argument {name}: invalid integer value: {token!r}"
         )
     assert _run(capsys, ["gen", "3", "1", "-7"])[0] == EXIT_OK  # a negative seed is an int
 

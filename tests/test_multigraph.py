@@ -330,6 +330,8 @@ def test_fundamental_cycle_errors():
     for e in (-1, g.m):
         with pytest.raises(ValueError, match=f"^edge id must be in 0..3, not {e}$"):
             fundamental_cycle(g, (0, 1), e)
+    with pytest.raises(ValueError, match="^edge id cannot be 0: no value is valid$"):
+        fundamental_cycle(MultiGraph(2, ()), [], 0)  # an edgeless graph has no edge id
 
 
 def test_fundamental_cycle_rejects_tree_ids_that_hold_a_cycle_or_e():

@@ -1,10 +1,12 @@
 """Every scalar integer input goes through ``treepack.integers.exact_int``.
 
 Only ``exact_int`` and the element-wise checks its docstring lists may
-compare ``type(...)`` with ``int`` or map ``type`` over values:
-``multigraph._check_edge_ids``, ``MultiGraph.__post_init__`` (endpoints),
-``KPartition.__post_init__`` (colors), ``KPartition.edges_of_color`` (the
-fast path's one test), ``kpartition._entry_error`` and ``_first_error``,
+compare ``type(...)`` with ``int`` or map ``type`` over values, and each
+only on its own operands: ``multigraph._check_edge_ids`` (``ids``),
+``MultiGraph.__post_init__`` (the endpoints ``u`` and ``v``, not ``n``),
+``KPartition.__post_init__`` (``color_of``), ``KPartition.edges_of_color``
+(the fast path's one test, of ``color``), ``kpartition._entry_error``
+(``e`` and ``color``) and ``_first_error`` (``e``),
 ``oracle.verify_packing`` (ids), ``Partition.from_classes``, and the
 result document's ``_document_trees`` and ``_document_classes``. No code
 may take an ``int`` by ``isinstance``, which takes a bool.
@@ -17,18 +19,21 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "treepack"
 
+# (function, operand): the operand is the source text of what is tested.
 ALLOWED = {
-    "integers.exact_int",
-    "multigraph._check_edge_ids",
-    "multigraph.MultiGraph.__post_init__",
-    "kpartition.KPartition.__post_init__",
-    "kpartition.KPartition.edges_of_color",
-    "kpartition._entry_error",
-    "kpartition._first_error.rank",
-    "oracle.verify_packing",
-    "partition.Partition.from_classes",
-    "document._document_trees",
-    "document._document_classes",
+    ("integers.exact_int", "value"),
+    ("multigraph._check_edge_ids", "ids"),
+    ("multigraph.MultiGraph.__post_init__", "u"),
+    ("multigraph.MultiGraph.__post_init__", "v"),
+    ("kpartition.KPartition.__post_init__", "color_of"),
+    ("kpartition.KPartition.edges_of_color", "color"),
+    ("kpartition._entry_error", "e"),
+    ("kpartition._entry_error", "color"),
+    ("kpartition._first_error.rank", "e"),
+    ("oracle.verify_packing", "e"),
+    ("partition.Partition.from_classes", "v"),
+    ("document._document_trees", "e"),
+    ("document._document_classes", "v"),
 }
 
 
@@ -40,31 +45,40 @@ def _is_type_call(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and _is_name(node.func, "type")
 
 
-def _tests_int(node: ast.AST) -> bool:
-    """``type(x) <op> int``, ``map(type, ...)`` or ``isinstance(x, int)``."""
+def _int_operand(node: ast.AST) -> str | None:
+    """The source of ``x`` in ``type(x) <op> int`` or ``map(type, x)``;
+    ``isinstance(x, int)`` for an ``isinstance`` test, which no entry allows."""
     if isinstance(node, ast.Compare):
         sides = [node.left, *node.comparators]
-        return any(map(_is_type_call, sides)) and any(_is_name(side, "int") for side in sides)
+        if any(_is_name(side, "int") for side in sides):
+            for side in sides:
+                if _is_type_call(side) and side.args:
+                    return ast.unparse(side.args[0])
     if isinstance(node, ast.Call) and node.args:
-        if _is_name(node.func, "map"):
-            return _is_name(node.args[0], "type")
+        if _is_name(node.func, "map") and len(node.args) == 2 and _is_name(node.args[0], "type"):
+            return ast.unparse(node.args[1])
         if _is_name(node.func, "isinstance") and len(node.args) == 2:
-            return any(_is_name(n, "int") for n in ast.walk(node.args[1]))
-    return False
+            if any(_is_name(n, "int") for n in ast.walk(node.args[1])):
+                return ast.unparse(node)
+    return None
 
 
-def _sites(tree: ast.AST, prefix: str) -> set[str]:
-    """The qualified names of the functions (or the module) holding an int test."""
+def _sites(tree: ast.AST, prefix: str) -> set[tuple[str, str]]:
+    """``(function, operand)`` for each int test, the function's qualified
+    name being the module's for module-level code."""
     found = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found |= _sites(node, f"{prefix}.{node.name}")
-        elif any(_tests_int(inner) for inner in ast.walk(node)):
-            found.add(prefix)
+        else:
+            for inner in ast.walk(node):
+                operand = _int_operand(inner)
+                if operand is not None:
+                    found.add((prefix, operand))
     return found
 
 
-def integer_tests() -> set[str]:
+def integer_tests() -> set[tuple[str, str]]:
     found = set()
     for path in sorted(SOURCE.glob("*.py")):
         found |= _sites(ast.parse(path.read_text(), str(path)), path.stem)
@@ -73,5 +87,6 @@ def integer_tests() -> set[str]:
 
 def test_only_the_rule_and_the_element_wise_checks_test_for_an_int():
     found = integer_tests()
-    assert "integers.exact_int" in found  # the search sees the rule itself
+    assert ("integers.exact_int", "value") in found  # the search sees the rule itself
     assert sorted(found - ALLOWED) == []
+    assert sorted(ALLOWED - found) == []  # no entry outlives its check

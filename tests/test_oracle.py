@@ -9,8 +9,6 @@ from treepack import (
     Partition,
     components,
     density_margin,
-    enumerate_partitions,
-    exists_packing_exhaustive,
     pack,
     stp_number,
     verify_certificate,
@@ -26,32 +24,39 @@ from graphs import (
     random_multigraph,
     union_of_spanning_trees,
 )
-from references import edge_scan_density_margin
+from references import (
+    edge_scan_density_margin,
+    exists_packing_exhaustive,
+    restricted_growth_strings,
+)
 
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
 
-# enumerate_partitions -----------------------------------------------------------
+# restricted_growth_strings ---------------------------------------------------------
+
+def _class_maps(n: int) -> list[tuple[int, ...]]:
+    return [tuple(labels) for labels in restricted_growth_strings(n)]
+
 
 def test_counts_for_tiny_n():
-    assert len(list(enumerate_partitions(1))) == 1
-    assert len(list(enumerate_partitions(2))) == 2
-    three = list(enumerate_partitions(3))
+    assert len(_class_maps(1)) == 1
+    assert len(_class_maps(2)) == 2
+    three = _class_maps(3)
     assert len(three) == 5
-    assert three[0] == Partition.trivial(3)
-    assert three[-1] == Partition.singletons(3)
+    assert three[0] == Partition.trivial(3).class_of
+    assert three[-1] == Partition.singletons(3).class_of
 
 
 def test_enumeration_is_duplicate_free_and_complete():
     for n in range(1, 9):
-        seen = set(enumerate_partitions(n))
+        seen = {Partition.from_class_map(labels) for labels in restricted_growth_strings(n)}
         assert len(seen) == BELL[n]
 
 
 def test_enumeration_order_is_rgs_lexicographic():
-    got = [p.class_of for p in enumerate_partitions(3)]
-    assert got == [
+    assert _class_maps(3) == [
         (0, 0, 0),
         (0, 0, 1),
         (0, 1, 0),
@@ -60,25 +65,14 @@ def test_enumeration_order_is_rgs_lexicographic():
     ]
 
 
-@pytest.mark.parametrize("n", [True, 2.0], ids=repr)
-def test_enumeration_takes_an_exact_int(n):
-    # True once yielded one partition, and 2.0 raised a bare TypeError.
-    with pytest.raises(ValueError, match=f"^n must be an int, not {n!r}$"):
-        list(enumerate_partitions(n))
-
-
-def test_enumeration_range_errors():
-    with pytest.raises(ValueError):
-        list(enumerate_partitions(0))
-    with pytest.raises(ValueError):
-        list(enumerate_partitions(13))
-    with pytest.raises(ValueError, match="^k must be >= 0, not -1$"):
-        density_margin(path_graph(3), -1)
-    with pytest.raises(ValueError, match="vertex count must be in 1..12"):
-        density_margin(MultiGraph(13, ()), 1)
-
-
 # density_margin -----------------------------------------------------------------
+
+def test_margin_vertex_count_range():
+    # k's range is checked with the other checkers' k below.
+    for n in (0, 13):
+        with pytest.raises(ValueError, match=f"^vertex count must be in 1..12, not {n}$"):
+            density_margin(MultiGraph(n, ()), 1)
+
 
 def test_margin_single_vertex():
     assert density_margin(MultiGraph(1, ()), 5).margin == 0
@@ -205,8 +199,8 @@ def test_verify_certificate_tree_singletons():
 
 def test_verify_certificate_rejects_all_partitions_on_k4():
     g = complete_graph(4)
-    for p in enumerate_partitions(4):
-        assert verify_certificate(g, p, 2)[0] is False
+    for labels in restricted_growth_strings(4):
+        assert verify_certificate(g, Partition.from_class_map(labels), 2)[0] is False
 
 
 def test_verify_certificate_trivial_partition_never_works():
@@ -236,15 +230,13 @@ def test_exhaustive_search_agrees_with_density_condition():
 
 @pytest.mark.parametrize("k", [True, False, 1.0, 1.5, -1, "1"], ids=repr)
 def test_checkers_take_k_by_packs_rule(k):
-    # On the triangle, True and 1.0 once verified one tree, 1.5 asked for
-    # fewer than 3.0 crossing edges and scaled the margin, and the
-    # exhaustive search raised a bare TypeError on 1.0.
+    # On the triangle, True and 1.0 once verified one tree, and 1.5 asked
+    # for fewer than 3.0 crossing edges and scaled the margin.
     g = cycle_graph(3)
     checks = [
         lambda: verify_packing(g, [[0, 1]], k),
         lambda: verify_certificate(g, Partition.singletons(3), k),
         lambda: density_margin(g, k),
-        lambda: exists_packing_exhaustive(g, k),
         lambda: pack(g, k),
     ]
     message = f"k must be >= 0, not {k}" if k == -1 else f"k must be an int, not {k!r}"
@@ -261,5 +253,3 @@ def test_exhaustive_search_guards_its_size():
 
 def test_exhaustive_search_on_k_zero_and_below():
     assert exists_packing_exhaustive(MultiGraph(3, ()), 0) is True  # vacuous, though disconnected
-    with pytest.raises(ValueError, match="^k must be >= 0, not -1$"):
-        exists_packing_exhaustive(path_graph(3), -1)

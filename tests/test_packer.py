@@ -187,15 +187,14 @@ def test_density_check_rejects_tree_color_that_is_not_a_tree(edges, colors):
 # exchange_step -----------------------------------------------------------------
 
 def test_package_root_exports_one_exchange_type():
-    # ExchangeTrace folded into ExchangeEvent; every other name stays.
+    # ExchangeTrace folded into ExchangeEvent.
     assert sorted(treepack.__all__) == sorted([
         "DensityReport", "ExchangeEvent", "INFINITE_LEVEL", "InternalInvariantError",
         "KPartition", "MultiGraph", "NoCycleError", "PackResult", "Partition",
         "PartitionSequence", "SequenceStep", "StageOutcome", "build_sequence",
         "components", "cycle_edges", "density_check", "density_margin", "edge_levels",
-        "enumerate_partitions", "exchange_step", "exists_packing_exhaustive",
-        "fundamental_cycle", "greedy_spanning_tree", "pack", "precedes", "quotient",
-        "restrict_components", "run_stage", "stp_number", "verify_certificate",
+        "exchange_step", "fundamental_cycle", "greedy_spanning_tree", "pack", "precedes",
+        "quotient", "restrict_components", "run_stage", "stp_number", "verify_certificate",
         "verify_packing",
     ])
     assert not hasattr(treepack, "ExchangeTrace")
