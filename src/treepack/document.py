@@ -21,10 +21,11 @@ class ResultDocumentError(ValueError):
     """Malformed result document."""
 
 
-def _classes_1based(p: Partition) -> list[list[int]]:
-    """The classes of ``p`` with 1-based vertices, from one pass over its labels."""
-    members: list[list[int]] = [[] for _ in range(p.num_classes)]
-    for v, index in enumerate(p.class_of, start=1):
+def _classes_1based(class_of: tuple[int, ...], count: int) -> list[list[int]]:
+    """The ``count`` classes of canonical labels ``class_of`` with 1-based
+    vertices, from one pass over the labels."""
+    members: list[list[int]] = [[] for _ in range(count)]
+    for v, index in enumerate(class_of, start=1):
         members[index].append(v)
     return members
 
@@ -39,7 +40,7 @@ def _certificate_counts(g: MultiGraph, p: Partition, k: int) -> dict:
 
 
 def _certificate_body(g: MultiGraph, p: Partition, k: int) -> dict:
-    return {"classes": _classes_1based(p), **_certificate_counts(g, p, k)}
+    return {"classes": _classes_1based(p.class_of, p.num_classes), **_certificate_counts(g, p, k)}
 
 
 def _trace_record(event: ExchangeEvent, classes_1based: Callable) -> dict:
@@ -55,10 +56,12 @@ def _trace_record(event: ExchangeEvent, classes_1based: Callable) -> dict:
         "class_q": [v + 1 for v in event.class_q],
         "sequence": {
             "steps": [
-                {"classes": classes_1based(step.partition), "splitter": step.splitter}
-                for step in sequence.steps
+                {"classes": classes_1based(labels, count), "splitter": splitter}
+                for labels, count, splitter in zip(
+                    sequence.labels, sequence.counts, sequence.splitters
+                )
             ],
-            "terminal": classes_1based(sequence.terminal),
+            "terminal": classes_1based(sequence.labels[-1], sequence.counts[-1]),
         },
     }
 
@@ -67,7 +70,8 @@ def result_document(
     g: MultiGraph, result: PackResult, events: list[ExchangeEvent] | None = None
 ) -> dict:
     """``pack``'s document; trace records share the class lists of equal
-    partitions, each serialized once, so dump the document, do not edit it."""
+    partitions, each serialized once, so dump the document, do not edit it.
+    The records read the sequences' label tuples and build no ``Partition``."""
     doc: dict = {"verdict": result.verdict, "k": result.k}
     if result.trees is not None:
         doc["trees"] = [sorted(tree) for tree in result.trees]
@@ -93,7 +97,8 @@ def stp_document(g: MultiGraph, stp: tuple[int, Partition] | None) -> dict:
 
 def oracle_document(k: int, report: DensityReport) -> dict:
     """``oracle``'s document for ``density_margin(g, k)``'s report."""
-    return {"k": k, "margin": report.margin, "witness": _classes_1based(report.witness)}
+    witness = _classes_1based(report.witness.class_of, report.witness.num_classes)
+    return {"k": k, "margin": report.margin, "witness": witness}
 
 
 def load_document(path: str) -> dict:

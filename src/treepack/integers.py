@@ -13,8 +13,8 @@ def exact_int(value: object, name: str, low: int | None = 0, high: int | None = 
     element: ``multigraph._check_edge_ids`` and ``MultiGraph``'s endpoints,
     ``KPartition``'s colors, ``kpartition._entry_error`` and
     ``_first_error``, ``KPartition.edges_of_color``'s fast path,
-    ``oracle.verify_packing``'s ids, ``Partition.from_classes``, and the
-    result document's trees and classes.
+    ``oracle.verify_packing``'s ids, ``Partition``'s labels and
+    ``Partition.from_classes``, and the result document's trees and classes.
     """
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, not {value!r}")

@@ -10,13 +10,14 @@ the last index at which its endpoints still share a class; the sequence
 builder records it in the round whose split separates them. The sequence,
 compared lexicographically by (partition, splitter), induces the strict
 improvement order used to prove that edge exchanges terminate.
-The builder keeps each color's edges still inside a class, loops included
-(a loop joins and splits nothing), and splits only through
-``restrict_components``, which returns the partition itself when nothing
-splits; a caller that knows which colors are forests (the packer's tree
-colors) can say so. A coloring builds its per-color edge lists when it is
-constructed, and a recoloring carries them over and checks only the colors
-it changes.
+The builder works on label tuples: it keeps each color's edges still inside
+a class, loops included (a loop joins and splits nothing), and splits only
+through ``restrict_components``' kernel, which returns the labels themselves
+when nothing splits; a caller that knows which colors are forests (the
+packer's tree colors) can say so. A sequence builds ``Partition`` objects
+only when its steps or terminal are read. A coloring builds its per-color
+edge lists when it is constructed, and a recoloring carries them over and
+checks only the colors it changes.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Container, Iterable, Mapping, NamedTuple
 
 from .integers import exact_int
-from .multigraph import EdgeId, MultiGraph, restrict_components
+from .multigraph import EdgeId, MultiGraph, _split
 from .partition import Partition
 
 # Level of an edge whose endpoints are never separated (loops included).
@@ -152,29 +154,42 @@ class SequenceStep(NamedTuple):
 class PartitionSequence:
     """The refinement sequence associated with a coloring.
 
-    ``steps[i]`` pairs the i-th partition with its splitter, the least
-    color disconnected inside some class of that partition; ``steps[0]``
-    always holds the one-class partition. ``terminal`` is the first
-    partition on which every color is connected within every class. Past
-    the recorded steps the sequence is constant by convention: partitions
-    equal ``terminal`` and splitters the ``k + 1`` sentinel, as
-    ``partition_at`` and ``splitter_at`` say. ``levels[e]`` is the level of
-    edge ``e``, recorded while the sequence was built (see ``edge_levels``).
+    ``labels[i]`` is the canonical label tuple (``Partition.class_of``) of
+    the i-th partition and ``counts[i]`` its class count, for each step and
+    last for the terminal partition, the first on which every color is
+    connected within every class. ``splitters[i]`` is the least color
+    disconnected inside some class of step ``i``; step 0 always holds the
+    one-class partition. ``steps`` (partition and splitter pairs) and
+    ``terminal`` build and validate their ``Partition`` objects on first
+    read, over the same label tuples. Past the recorded steps the sequence
+    is constant by convention: partitions equal ``terminal`` and splitters
+    the ``k + 1`` sentinel, as ``partition_at`` and ``splitter_at`` say.
+    ``levels[e]`` is the level of edge ``e``, recorded while the sequence
+    was built (see ``edge_levels``).
     """
 
     k: int
-    steps: tuple[SequenceStep, ...]
-    terminal: Partition
+    labels: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
+    splitters: tuple[int, ...]
     levels: LevelMap
 
+    @cached_property
+    def steps(self) -> tuple[SequenceStep, ...]:
+        return tuple(map(SequenceStep, map(Partition, self.labels[:-1]), self.splitters))
+
+    @cached_property
+    def terminal(self) -> Partition:
+        return Partition(self.labels[-1])
+
     def partition_at(self, i: int) -> Partition:
-        if i < len(self.steps):
+        if i < len(self.splitters):
             return self.steps[i].partition
         return self.terminal
 
     def splitter_at(self, i: int) -> int:
-        if i < len(self.steps):
-            return self.steps[i].splitter
+        if i < len(self.splitters):
+            return self.splitters[i]
         return self.k + 1
 
 
@@ -185,19 +200,21 @@ def build_sequence(
 
     Each round takes the least color disconnected inside some class as the
     splitter and replaces every class by its components within it, so there are
-    at most ``n - 1`` steps. Every color keeps the list of its edges still
-    inside a class of ``P``, from its edge tuple on, and each round's
+    at most ``n - 1`` steps. The partitions are kept as canonical label tuples
+    and no ``Partition`` is built. Every color keeps the list of its edges
+    still inside a class of ``P``, from its edge tuple on, and each round's
     union-finds read only those lists; a loop joins nothing and no split drops
     it, and only forests, which hold none, skip by list length. Every color
-    goes through ``restrict_components``, which returns ``P`` itself when it
-    splits no class, but a forest whose list has ``n - |P|`` edges splits none
-    and is skipped, and so is the last round's splitter: the classes that round
-    made are the components of its inside edges, so it cannot split them. After
-    the split at index ``i``, one pass over each other color's list gives level
-    ``i`` to the edges the split separates and drops them (the splitter's edges
-    all stay inside its components). ``forests`` names colors the caller knows
-    to be forests, trusted as such; the flag only skips work, so any set of
-    true forests, the default none included, gives the same sequence.
+    goes through ``multigraph._split``, which returns the labels themselves
+    when it splits no class and checks no id (the lists hold ``t``'s checked
+    ids), but a forest whose list has ``n - |P|`` edges splits none and is
+    skipped, and so is the last round's splitter: the classes that round made
+    are the components of its inside edges, so it cannot split them. After the
+    split at index ``i``, one pass over each other color's list gives level
+    ``i`` to the edges the split separates and drops them (the splitter's
+    edges all stay inside its components). ``forests`` names colors the caller
+    knows to be forests, trusted as such; the flag only skips work, so any set
+    of true forests, the default none included, gives the same sequence.
     """
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
@@ -205,21 +222,26 @@ def build_sequence(
     forest = [c in forests for c in range(k + 1)]
     inside = [t.edges_of_color(c) for c in range(k + 1)]
     levels: list[Level] = [INFINITE_LEVEL] * g.m
-    current, size, last = Partition.trivial(n), 1, 0
-    steps: list[SequenceStep] = []
+    current, size, last = (0,) * n, 1, 0
+    labels: list[tuple[int, ...]] = []
+    counts: list[int] = []
+    splitters: list[int] = []
     while True:
+        labels.append(current)
+        counts.append(size)
         for c in range(1, k + 1):
             if c == last or forest[c] and len(inside[c]) >= n - size:
                 continue  # splits no class
-            refined = restrict_components(g, inside[c], current)
-            if refined is not current:
+            class_of, count = _split(g, inside[c], current, size)
+            if class_of is not current:
                 break
         else:
-            return PartitionSequence(k, tuple(steps), current, tuple(levels))
-        level = len(steps)
-        steps.append(SequenceStep(current, c))
-        current, size, last = refined, refined.num_classes, c
-        class_of = current.class_of
+            return PartitionSequence(
+                k, tuple(labels), tuple(counts), tuple(splitters), tuple(levels)
+            )
+        level = len(splitters)
+        splitters.append(c)
+        current, size, last = class_of, count, c
         for d, ids in enumerate(inside):
             if d == c:
                 continue
@@ -239,7 +261,7 @@ def edge_levels(g: MultiGraph, t: KPartition, seq: PartitionSequence) -> LevelMa
     Returns the levels ``build_sequence`` recorded in ``seq``. Loops and
     edges inside a terminal class have ``INFINITE_LEVEL``.
     """
-    if t.m != g.m or len(seq.levels) != g.m or seq.terminal.n != g.n:
+    if t.m != g.m or len(seq.levels) != g.m or len(seq.labels[-1]) != g.n:
         raise ValueError("coloring or sequence does not match the graph")
     return seq.levels
 
@@ -259,7 +281,7 @@ def precedes(a: KPartition, b: KPartition, g: MultiGraph) -> bool:
 
 def _sequence_precedes(seq_a: PartitionSequence, seq_b: PartitionSequence) -> bool:
     """``precedes`` on the two colorings' built sequences."""
-    last = max(len(seq_a.steps), len(seq_b.steps))
+    last = max(len(seq_a.splitters), len(seq_b.splitters))
     for i in range(last + 1):
         pa, pb = seq_a.partition_at(i), seq_b.partition_at(i)
         if pa != pb:

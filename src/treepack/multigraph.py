@@ -92,8 +92,7 @@ def quotient(g: MultiGraph, p: Partition) -> MultiGraph:
 
 def components(g: MultiGraph, edge_ids: Iterable[EdgeId]) -> Partition:
     """Connected components of the spanning subgraph ``(V, edge_ids)``."""
-    parent, _ = _union_within(g, _check_edge_ids(g, edge_ids), [0] * g.n)
-    return Partition(tuple(_canonical_labels(parent)))
+    return restrict_components(g, edge_ids, Partition.trivial(g.n))
 
 
 def restrict_components(
@@ -103,14 +102,25 @@ def restrict_components(
 
     Only edges with both endpoints inside a single class of ``p`` count;
     the result always refines ``p``, and is ``p`` itself when no class
-    splits (the union-find made ``n - |P|`` joins).
+    splits.
     """
     if p.n != g.n:
         raise ValueError("partition does not match the graph's vertex set")
-    parent, joined = _union_within(g, _check_edge_ids(g, edge_ids), p.class_of)
-    if len(joined) == g.n - p.num_classes:
-        return p
-    return Partition(tuple(_canonical_labels(parent)))
+    labels, _ = _split(g, _check_edge_ids(g, edge_ids), p.class_of, p.num_classes)
+    return p if labels is p.class_of else Partition(labels)
+
+
+def _split(
+    g: MultiGraph, ids: Iterable[EdgeId], labels: tuple[int, ...], count: int
+) -> tuple[tuple[int, ...], int]:
+    """``restrict_components`` on the label tuple of a partition of ``count``
+    classes, with unchecked ids: the refined labels and their count, or
+    ``labels`` and ``count`` themselves when no class splits (the union-find
+    made ``n - count`` joins)."""
+    parent, joined = _union_within(g, ids, labels)
+    if len(joined) == g.n - count:
+        return labels, count
+    return tuple(_canonical_labels(parent)), g.n - len(joined)
 
 
 def _union_within(

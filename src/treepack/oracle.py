@@ -105,20 +105,23 @@ def verify_packing(
     if len(tree_lists) != k:
         return False, f"expected {k} trees, found {len(tree_lists)}"
     used: dict[EdgeId, int] = {}
-    m = g.m
+    m, edges = g.m, g.edges
     for index, ids in enumerate(tree_lists):
         for e in ids:
             if type(e) is not int or not 0 <= e < m:
                 return False, f"tree {index} uses unknown edge id {e}"
         if len(set(ids)) != len(ids):
             return False, f"tree {index} repeats an edge id"
+        loops = []  # reported only once every id has passed the share check
         for e in ids:
             if e in used:
                 return False, f"trees {used[e]} and {index} share edge {e}"
             used[e] = index
-        for e in ids:
-            if g.is_loop(e):
-                return False, f"tree {index} contains loop edge {e}"
+            u, v = edges[e]
+            if u == v:
+                loops.append(e)
+        if loops:
+            return False, f"tree {index} contains loop edge {loops[0]}"
         if len(ids) != g.n - 1:
             return False, f"tree {index} has {len(ids)} edges, expected {g.n - 1}"
         if components(g, ids).num_classes > 1:

@@ -114,7 +114,8 @@ def density_check(
     its remainder, so "already connected" is a missed exit. A remainder edge
     crosses ``P`` exactly when the sequence gave it a finite level: loops and
     edges inside a class of ``P`` keep none. ``edge_levels`` checks that
-    ``seq`` and ``t`` fit ``g``.
+    ``seq`` and ``t`` fit ``g``. The terminal ``Partition`` is built only
+    when it certifies.
     """
     k, levels = t.k, edge_levels(g, t, seq)
     splitter = seq.splitter_at(0)
@@ -123,10 +124,9 @@ def density_check(
             raise InternalInvariantError(f"color {color} is not a spanning tree")
     if splitter != k:
         raise InternalInvariantError("remainder color is already connected")
-    terminal = seq.terminal
     crossing = sum(1 for e in t.edges_of_color(k) if levels[e] != INFINITE_LEVEL)
-    if crossing < terminal.num_classes - 1:
-        return terminal
+    if crossing < seq.counts[-1] - 1:
+        return seq.terminal
     return None
 
 
@@ -144,8 +144,9 @@ def _exchange_from(
 ) -> ExchangeEvent:
     """The exchange ``exchange_step`` describes, from ``t``'s sequence ``seq``.
 
-    Step ``m`` is read once, after the guard ``m < len(seq.steps)``, for
-    ``class_p`` and ``c_m``, and step ``j < m`` once for ``class_q``.
+    Step ``m``'s labels and splitter are read once, after the guard
+    ``m < len(seq.splitters)``, for ``class_p`` and ``c_m``, and step
+    ``j < m``'s labels once for ``class_q``; no ``Partition`` is built.
     ``forests`` is the stage's own dict of forests by color, each spanning
     exactly its color, a color rooted at its first use. Both forests the
     exchange uses take it (``RootedForest.swap``): the remainder's swaps
@@ -160,12 +161,12 @@ def _exchange_from(
     if e is None or levels[e] == INFINITE_LEVEL:
         raise InternalInvariantError("no finite-level cycle edge in the remainder")
     m = int(levels[e])
-    if m >= len(seq.steps):
+    if m >= len(seq.splitters):
         raise InternalInvariantError("finite level beyond the last refinement step")
 
-    part_m, c_m = seq.steps[m]
+    labels_m, c_m = seq.labels[m], seq.splitters[m]
     u, v = g.edges[e]
-    if part_m.class_of[u] != part_m.class_of[v]:
+    if labels_m[u] != labels_m[v]:
         raise InternalInvariantError("selected edge spans two classes at its level")
     if not 1 <= c_m <= k - 1:
         raise InternalInvariantError(f"splitter at the selected level is {c_m}, not a tree color")
@@ -179,16 +180,16 @@ def _exchange_from(
         raise InternalInvariantError("fundamental cycle has no edge below the selected level")
     j = int(levels[e_prime])
 
-    part_j = seq.steps[j].partition
+    labels_j = seq.labels[j]
     x, y = g.edges[e_prime]
-    if part_j.class_of[x] != part_j.class_of[y]:
+    if labels_j[x] != labels_j[y]:
         raise InternalInvariantError("exchanged-out edge spans two classes at its level")
-    label_p, label_q = part_m.class_of[u], part_j.class_of[x]
-    class_p = tuple(compress(range(g.n), map(label_p.__eq__, part_m.class_of)))
-    class_q = tuple(compress(range(g.n), map(label_q.__eq__, part_j.class_of)))
+    label_p, label_q = labels_m[u], labels_j[x]
+    class_p = tuple(compress(range(g.n), map(label_p.__eq__, labels_m)))
+    class_q = tuple(compress(range(g.n), map(label_q.__eq__, labels_j)))
     for eid in cycle:
         a, b = g.edges[eid]
-        if part_j.class_of[a] != label_q or part_j.class_of[b] != label_q:
+        if labels_j[a] != label_q or labels_j[b] != label_q:
             raise InternalInvariantError("fundamental cycle leaves its low-level class")
 
     after = t.recolor({e: c_m, e_prime: k})
@@ -246,11 +247,11 @@ def run_stage(
     exact_int(cap, "exchange cap")
     t, colors, forests = coloring, coloring.k, {}
     seq, exchanges, certificate = build_sequence(g, t, forests=range(1, colors)), 0, None
-    for c in range(1, colors if seq.steps else 1):
+    for c in range(1, colors if seq.splitters else 1):
         ids = t.edges_of_color(c)
         if len(ids) != g.n - 1 or len(_union_within(g, ids, [0] * g.n)[1]) != g.n - 1:
             raise InternalInvariantError(f"color {c} is not a spanning tree")
-    while seq.steps:
+    while seq.splitters:
         certificate = density_check(g, t, seq)
         if certificate is not None:
             break
@@ -261,7 +262,7 @@ def run_stage(
         if on_exchange is not None:
             on_exchange(event)
         t = event.after
-        if event.j == 0 and seq.partition_at(1).num_classes == 2:
+        if event.j == 0 and seq.counts[1] == 2:
             break  # e' joined the remainder's only two components
         seq = build_sequence(g, t, forests=range(1, colors))
     return StageOutcome(t, certificate, exchanges)

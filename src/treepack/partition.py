@@ -24,7 +24,7 @@ class Partition:
 
     Instances are immutable and freely shareable. Use the factory
     classmethods; the constructor rejects a label array that is not in
-    canonical form.
+    canonical form or holds a label that is not exactly an ``int``.
     """
 
     class_of: tuple[int, ...]
@@ -32,6 +32,9 @@ class Partition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "class_of", tuple(self.class_of))
+        for label in self.class_of:
+            if type(label) is not int:
+                raise ValueError(f"label must be an int, not {label!r}")
         first_seen = list(dict.fromkeys(self.class_of))
         if first_seen != list(range(len(first_seen))):
             raise ValueError("labels must be numbered 0, 1, ... by first occurrence")

@@ -299,6 +299,17 @@ def test_two_step_sequence_shape():
     assert partitions[-1] == seq.terminal
 
 
+def test_a_read_step_shares_the_stored_label_tuple():
+    # Steps and terminal are built on first read, as validated partitions
+    # over the very label tuples the builder stored.
+    g, t = two_step_sequence_instance()
+    seq = build_sequence(g, t)
+    assert seq.splitters == (2, 1) and seq.counts == (1, 2, 5)
+    parts = [step.partition for step in seq.steps] + [seq.terminal]
+    assert all(p.class_of is labels for p, labels in zip(parts, seq.labels, strict=True))
+    assert [p.num_classes for p in parts] == list(seq.counts)
+
+
 def test_sequence_matches_naive_evaluator_on_random_colorings():
     kinds = {"random": 0, "planted": 0, "broken tree": 0}
     for kind, g, t in differential_cases(range(500), 500):

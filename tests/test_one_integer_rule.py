@@ -7,7 +7,8 @@ only on its own operands: ``multigraph._check_edge_ids`` (``ids``),
 ``KPartition.__post_init__`` (``color_of``), ``KPartition.edges_of_color``
 (the fast path's one test, of ``color``), ``kpartition._entry_error``
 (``e`` and ``color``) and ``_first_error`` (``e``),
-``oracle.verify_packing`` (ids), ``Partition.from_classes``, and the
+``oracle.verify_packing`` (ids), ``Partition.__post_init__`` (each
+``label``), ``Partition.from_classes``, and the
 result document's ``_document_trees`` and ``_document_classes``. No code
 may take an ``int`` by ``isinstance``, which takes a bool.
 """
@@ -31,6 +32,7 @@ ALLOWED = {
     ("kpartition._entry_error", "color"),
     ("kpartition._first_error.rank", "e"),
     ("oracle.verify_packing", "e"),
+    ("partition.Partition.__post_init__", "label"),
     ("partition.Partition.from_classes", "v"),
     ("document._document_trees", "e"),
     ("document._document_classes", "v"),

@@ -180,6 +180,13 @@ def test_verify_packing_rejections():
         assert verify_packing(g, [[0, 1, e]], 1) == (False, f"tree 0 uses unknown edge id {e}")
 
 
+def test_verify_packing_names_a_shared_edge_before_a_loop():
+    # Edges 1 and 3 are loops; the share check comes first, then the first loop.
+    g = MultiGraph(3, ((0, 1), (1, 1), (1, 2), (2, 2)))
+    assert verify_packing(g, [[0, 2], [3, 1, 0]], 2) == (False, "trees 0 and 1 share edge 0")
+    assert verify_packing(g, [[3, 1]], 1) == (False, "tree 0 contains loop edge 3")
+
+
 @pytest.mark.parametrize("e", [True, 1.0, False, 0.0, [0], {}], ids=repr)
 def test_verify_packing_rejects_an_edge_id_that_is_not_an_int(e):
     # On the triangle a bool id once passed as edge 1, and a float one raised

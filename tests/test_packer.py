@@ -256,11 +256,15 @@ def test_exchange_from_finds_no_cycle_in_a_forest_remainder():
         exchange_step(g, t)
 
 
-def _with_step(seq, i, **changes):
-    """``seq`` with fields of step ``i`` replaced."""
-    steps = list(seq.steps)
-    steps[i] = steps[i]._replace(**changes)
-    return replace(seq, steps=tuple(steps))
+def _with_step(seq, i, *, partition=None, splitter=None):
+    """``seq`` with the partition or splitter of step ``i`` replaced; step
+    ``len(seq.splitters)`` is the terminal, which has no splitter."""
+    labels, counts, splitters = list(seq.labels), list(seq.counts), list(seq.splitters)
+    if partition is not None:
+        labels[i], counts[i] = partition.class_of, partition.num_classes
+    if splitter is not None:
+        splitters[i] = splitter
+    return replace(seq, labels=tuple(labels), counts=tuple(counts), splitters=tuple(splitters))
 
 
 # Forgeries of the real sequence of K4 with tree 0-1, 0-2, 0-3 (edges 0-2)
@@ -333,7 +337,10 @@ def test_exchange_violations_names_each_forged_field():
         "moves_two_edges": (replace(event, after=event.before), after),
         "precedes": (event, event.sequence),
         "tree_preservation": (replace(event, after=cycle_in_tree), after),
-        "prefix_through_j": (event, replace(after, terminal=Partition.singletons(4))),
+        "prefix_through_j": (
+            event,
+            _with_step(after, len(after.splitters), partition=Partition.singletons(4)),
+        ),
     }
     for name, (forged, forged_after) in forgeries.items():
         assert name in exchange_violations(g, forged, forged_after), name
@@ -575,11 +582,11 @@ def test_a_stage_build_does_not_recheck_its_last_splitter(monkeypatch):
     # round that splits runs one union-find, and the last round runs the
     # remainder's unless the remainder made the last split.
     restricted, builds = [], []
-    restrict, build = treepack.kpartition.restrict_components, treepack.packer.build_sequence
+    split, build = treepack.kpartition._split, treepack.packer.build_sequence
 
-    def counted_restrict(*args):
+    def counted_split(*args):
         restricted.append(args)
-        return restrict(*args)
+        return split(*args)
 
     def counted_build(g, t, **kwargs):
         before = len(restricted)
@@ -587,7 +594,7 @@ def test_a_stage_build_does_not_recheck_its_last_splitter(monkeypatch):
         builds.append((seq, t.k, len(restricted) - before))
         return seq
 
-    monkeypatch.setattr(treepack.kpartition, "restrict_components", counted_restrict)
+    monkeypatch.setattr(treepack.kpartition, "_split", counted_split)
     monkeypatch.setattr(treepack.packer, "build_sequence", counted_build)
     for seed in range(4):
         g = union_of_spanning_trees(seed, 40, 3)
@@ -595,10 +602,29 @@ def test_a_stage_build_does_not_recheck_its_last_splitter(monkeypatch):
         pack(g, 4)
     by_remainder = 0
     for seq, k, calls in builds:
-        last_by_remainder = bool(seq.steps) and seq.steps[-1].splitter == k
+        last_by_remainder = bool(seq.splitters) and seq.splitters[-1] == k
         by_remainder += last_by_remainder
-        assert calls == len(seq.steps) + (not last_by_remainder), (seq, k, calls)
+        assert calls == len(seq.splitters) + (not last_by_remainder), (seq, k, calls)
     assert by_remainder >= 50, by_remainder
+
+
+def test_only_a_certificate_is_built_as_a_partition(monkeypatch):
+    # The stages read the sequences' label tuples, so untraced stp_number
+    # constructs one Partition, its certificate, and pack constructs none.
+    built = []
+    validate = Partition.__post_init__
+
+    def counted_validate(self):
+        built.append(self)
+        validate(self)
+
+    g = union_of_spanning_trees(0, 40, 3)
+    monkeypatch.setattr(Partition, "__post_init__", counted_validate)
+    k_max, certificate = stp_number(g)
+    assert k_max == 3 and len(built) == 1 and built[0] is certificate
+    built.clear()
+    result = pack(g, 3)
+    assert result.trees is not None and result.exchanges > 0 and built == []
 
 
 def test_stage_sequences_equal_the_tested_sequences():

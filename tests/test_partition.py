@@ -59,6 +59,14 @@ def test_a_label_list_is_stored_as_a_tuple():
     assert p == Partition((0, 1, 0)) and hash(p) == hash(Partition((0, 1, 0)))
 
 
+@pytest.mark.parametrize("labels", [(0, True), (0, 1.0)], ids=repr)
+def test_every_label_is_exactly_an_int(labels):
+    # Both were accepted: (0, True) with 2 classes, and (0, 1.0) until str()
+    # raised TypeError.
+    with pytest.raises(ValueError, match=f"^label must be an int, not {labels[1]!r}$"):
+        Partition(labels)
+
+
 def test_trivial_and_singletons():
     assert Partition.trivial(4).classes == ((0, 1, 2, 3),)
     assert Partition.singletons(3).classes == ((0,), (1,), (2,))
