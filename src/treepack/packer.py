@@ -110,12 +110,13 @@ def density_check(
 
     The guards read the first splitter, the least color disconnected on the
     whole graph, and the edge lists: connected with ``n - 1`` edges is a tree.
-    ``run_stage`` checks its trees once and ends at the exchange that connects
-    its remainder, so "already connected" is a missed exit. A remainder edge
-    crosses ``P`` exactly when the sequence gave it a finite level: loops and
-    edges inside a class of ``P`` keep none. ``edge_levels`` checks that
-    ``seq`` and ``t`` fit ``g``. The terminal ``Partition`` is built only
-    when it certifies.
+    On a stage's first sequence, built without the forest promise, they are
+    ``run_stage``'s one proof of its trees. The stage ends at the exchange
+    that connects its remainder, so "already connected" is a missed exit. A
+    remainder edge crosses ``P`` exactly when the sequence gave it a finite
+    level: loops and edges inside a class of ``P`` keep none. ``edge_levels``
+    checks that ``seq`` and ``t`` fit ``g``. The terminal ``Partition`` is
+    built only when it certifies.
     """
     k, levels = t.k, edge_levels(g, t, seq)
     splitter = seq.splitter_at(0)
@@ -233,10 +234,11 @@ def run_stage(
     """Exchange until the remainder color is connected or a certificate appears.
 
     Colors ``1..k-1`` of ``coloring`` are the spanning trees fixed so far and
-    color ``k`` the remainder. A first sequence with no steps means all are
-    connected; else each tree is checked once, and exchanges keep them trees
-    (``e`` enters ``c_m``, ``e'`` leaves the cycle it closes there), so builds
-    take them as forests. The exchange with ``j == 0`` and ``|P_1| == 2`` ends
+    color ``k`` the remainder. The first sequence is built without the forest
+    promise: with no steps, all colors are connected; else ``density_check``
+    on it proves the trees. Exchanges keep them trees (``e`` enters ``c_m``,
+    ``e'`` leaves the cycle it closes there), so rebuilds take them as
+    forests. The exchange with ``j == 0`` and ``|P_1| == 2`` ends
     the stage: ``e``, on a cycle, splits no remainder component (``P_1``), and
     ``e'`` joins two iff ``j == 0``. ``cap`` bounds exchanges (``exact_int``);
     exceeding it raises InternalInvariantError. The stage owns its forests,
@@ -246,11 +248,7 @@ def run_stage(
     """
     exact_int(cap, "exchange cap")
     t, colors, forests = coloring, coloring.k, {}
-    seq, exchanges, certificate = build_sequence(g, t, forests=range(1, colors)), 0, None
-    for c in range(1, colors if seq.splitters else 1):
-        ids = t.edges_of_color(c)
-        if len(ids) != g.n - 1 or len(_union_within(g, ids, [0] * g.n)[1]) != g.n - 1:
-            raise InternalInvariantError(f"color {c} is not a spanning tree")
+    seq, exchanges, certificate = build_sequence(g, t), 0, None
     while seq.splitters:
         certificate = density_check(g, t, seq)
         if certificate is not None:

@@ -1,5 +1,6 @@
 """Instance builders, the family corpus, the random-stage source, the exchange
-checker, the white-box pass and a deadline, shared across the test suite.
+checker, the black-box and white-box runs and a deadline, shared across the
+test suite.
 
 Random instances are drawn from the package's own SplitMix64 generator so
 every test run sees exactly the same corpus.
@@ -20,6 +21,7 @@ from treepack import (
     ExchangeEvent,
     KPartition,
     MultiGraph,
+    PackResult,
     PartitionSequence,
     build_sequence,
     components,
@@ -374,6 +376,28 @@ class ExchangeLog:
         self.violations += [
             f"exchange {self.count}: {name}" for name in exchange_violations(self.g, event, after)
         ]
+
+
+@dataclasses.dataclass(frozen=True)
+class FamilyRun:
+    """A black-box ``pack`` of one family: only ``on_exchange`` watched it,
+    storing every event; ``log`` is ``ExchangeLog`` applied to them after."""
+
+    result: PackResult
+    events: tuple[ExchangeEvent, ...]
+    log: ExchangeLog
+
+
+@functools.cache
+def family_run(family: str) -> FamilyRun:
+    """The black-box run of ``pack`` on one of ``FAMILIES``, run once."""
+    g, k = FAMILIES[family]
+    events: list[ExchangeEvent] = []
+    result = pack(g, k, on_exchange=events.append)
+    log = ExchangeLog(g)
+    for event in events:
+        log(event)
+    return FamilyRun(result, tuple(events), log)
 
 
 def spans(g: MultiGraph, forest: RootedForest, ids) -> bool:

@@ -28,6 +28,7 @@ from graphs import (
     FAMILIES,
     complete_graph,
     deadline,
+    family_run,
     path_graph,
     random_multigraph,
 )
@@ -362,13 +363,15 @@ def _reference_record(event: ExchangeEvent) -> dict:
 def test_result_document_matches_records_serialized_one_by_one():
     # Equal partitions share one serialization per document; the bytes do not change.
     union = FAMILIES["union-n200"][0]
-    cases = [FAMILIES["Q6"], (complete_graph(12), 6), (complete_graph(12), 7)]
-    cases += [(union, 3), (union, 4)]
+    runs = [(FAMILIES[name][0], family_run(name)) for name in ("Q6", "union-n200")]
+    packed = [(g, run.result, run.events) for g, run in runs]
+    cases = [(complete_graph(12), 6), (complete_graph(12), 7), (union, 4)]
     cases += [(random_multigraph(seed), 1 + seed % 3) for seed in range(300)]
-    exchanges = 0
     for g, k in cases:
         events: list[ExchangeEvent] = []
-        result = pack(g, k, on_exchange=events.append)
+        packed.append((g, pack(g, k, on_exchange=events.append), events))
+    exchanges = 0
+    for g, result, events in packed:
         expected = {**result_document(g, result), "trace": [_reference_record(e) for e in events]}
         assert json.dumps(result_document(g, result, events)) == json.dumps(expected)
         exchanges += len(events)
@@ -384,6 +387,23 @@ def test_cmd_verify_accepts_pack_output(tmp_path, capsys):
     result = _write(tmp_path, "result.json", out)
     code, _, err = _run(capsys, ["verify", graph, result])
     assert code == EXIT_OK, err
+
+
+def test_cmd_verify_replays_the_seedtree_order_it_is_given(tmp_path, capsys):
+    # On K5 the two orders extract different trees, so only the order pack
+    # used replays the document.
+    graph = _write(tmp_path, "k5.gr", serialize_graph(complete_graph(5)))
+    code, out, _ = _run(capsys, ["pack", graph, "2", "--trace", "--seedtree-order", "desc"])
+    assert code == EXIT_OK
+    result = _write(tmp_path, "result.json", out)
+    code, _, err = _run(capsys, ["verify", graph, result, "--seedtree-order", "desc"])
+    assert code == EXIT_OK, err
+    code, _, err = _run(capsys, ["verify", graph, result])
+    assert code == EXIT_VERIFY_FAILED
+    assert err == (
+        "trace verification failed: field 'trees' is [[0, 6, 8, 9], [2, 3, 5, 7]], "
+        "expected [[1, 2, 3, 4], [0, 5, 6, 7]]\n"
+    )
 
 
 def test_cmd_verify_rejects_repeated_edge_id(tmp_path, capsys):

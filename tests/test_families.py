@@ -18,6 +18,7 @@ from graphs import (
     FAMILIES,
     ExchangeLog,
     complete_graph,
+    family_run,
     hypercube,
     planted_cut,
 )
@@ -26,8 +27,9 @@ from graphs import (
 def test_hypercube_packs_half_its_degree(d):
     # Q_d is d-edge-connected, so it packs d // 2 trees (Nash-Williams);
     # m = d * 2^(d-1) < (d // 2 + 1)(n - 1), so the singletons certify one more.
-    g = hypercube(d)
-    result = pack(g, d // 2)
+    g, k = FAMILIES[f"Q{d}"]
+    assert k == d // 2 and g == hypercube(d)
+    result = family_run(f"Q{d}").result
     assert result.verdict == "packing"
     assert verify_packing(g, result.trees, d // 2) == (True, "ok")
     assert result.exchanges >= 1
@@ -40,7 +42,7 @@ def test_hypercube_packs_half_its_degree(d):
 def test_union_of_three_trees_packs_three():
     g = FAMILIES["union-n200"][0]
     assert g.m == 3 * (g.n - 1)
-    result = pack(g, 3)
+    result = family_run("union-n200").result
     assert result.verdict == "packing"
     assert verify_packing(g, result.trees, 3) == (True, "ok")
     assert result.exchanges >= 1
@@ -79,14 +81,13 @@ def test_every_exchange_improves_keeps_trees_and_agrees_through_j(family):
     # it fails on 1 of Q6's 35 exchanges, 1 of Q8's 226, none of the
     # union's 41 and 13 of K16's 42.
     g, k = FAMILIES[family]
-    log = ExchangeLog(g)
-    result = pack(g, k, on_exchange=log)
-    if result.trees is not None:
-        assert verify_packing(g, result.trees, k) == (True, "ok")
+    run = family_run(family)
+    if run.result.trees is not None:
+        assert verify_packing(g, run.result.trees, k) == (True, "ok")
     else:
-        assert verify_certificate(g, result.certificate, k)[0]
-    assert log.count >= 1
-    assert log.violations == [], log.violations[:5]
+        assert verify_certificate(g, run.result.certificate, k)[0]
+    assert run.log.count >= 1
+    assert run.log.violations == [], run.log.violations[:5]
 
 
 # (seed, r, b, k, x): r blobs of b vertices, stp = k; n = r * b.

@@ -532,12 +532,13 @@ def test_run_stage_tree_check_matches_density_check_on_random_colorings():
     assert raised >= 100, raised
 
 
-def test_run_stage_returns_a_connected_remainder_unchecked():
+def test_run_stage_rejects_a_broken_tree_beside_a_connected_remainder():
+    # The first build takes no color as a forest, so the triangle splits.
     g = complete_graph(4)  # edges 0, 1, 3 close the triangle 0-1-2
     t = _stage_coloring(g, [[0, 1, 3]], [2, 4, 5])
-    outcome = _run_stage(g, t)
-    assert outcome == StageOutcome(t, None, 0)
-    assert [outcome.coloring.edges_of_color(c) for c in (1, 2)] == [(0, 1, 3), (2, 4, 5)]
+    assert components(g, t.edges_of_color(2)).num_classes == 1
+    with pytest.raises(InternalInvariantError, match="^color 1 is not a spanning tree$"):
+        _run_stage(g, t)
 
 
 def test_run_stage_rejects_a_short_tree_color_beside_a_connected_remainder():
@@ -576,11 +577,20 @@ def test_a_stage_ending_connected_builds_one_sequence_per_exchange(k):
     assert found.failures("builds") == []
 
 
+def _unpromised_calls(seq, k: int) -> int:
+    """Union-finds of a build that takes no color as a forest: each round
+    tries the colors up to its splitter, the last round every color, each
+    but the previous round's splitter."""
+    rounds = [range(1, c + 1) for c in seq.splitters] + [range(1, k + 1)]
+    return sum(len(r) - (last in r) for r, last in zip(rounds, (0, *seq.splitters)))
+
+
 def test_a_stage_build_does_not_recheck_its_last_splitter(monkeypatch):
     # A round's classes are the components of its splitter's inside edges,
     # so the next round skips that color as it skips a connected tree: each
-    # round that splits runs one union-find, and the last round runs the
-    # remainder's unless the remainder made the last split.
+    # round of a rebuild that splits runs one union-find, and the last round
+    # runs the remainder's unless the remainder made the last split. A
+    # stage's first build gets no forest promise and tries every color.
     restricted, builds = [], []
     split, build = treepack.kpartition._split, treepack.packer.build_sequence
 
@@ -591,7 +601,7 @@ def test_a_stage_build_does_not_recheck_its_last_splitter(monkeypatch):
     def counted_build(g, t, **kwargs):
         before = len(restricted)
         seq = build(g, t, **kwargs)
-        builds.append((seq, t.k, len(restricted) - before))
+        builds.append((seq, t.k, "forests" in kwargs, len(restricted) - before))
         return seq
 
     monkeypatch.setattr(treepack.kpartition, "_split", counted_split)
@@ -600,12 +610,16 @@ def test_a_stage_build_does_not_recheck_its_last_splitter(monkeypatch):
         g = union_of_spanning_trees(seed, 40, 3)
         pack(g, 3)
         pack(g, 4)
-    by_remainder = 0
-    for seq, k, calls in builds:
+    by_remainder = first = 0
+    for seq, k, promised, calls in builds:
         last_by_remainder = bool(seq.splitters) and seq.splitters[-1] == k
         by_remainder += last_by_remainder
-        assert calls == len(seq.splitters) + (not last_by_remainder), (seq, k, calls)
-    assert by_remainder >= 50, by_remainder
+        if promised:
+            assert calls == len(seq.splitters) + (not last_by_remainder), (seq, k, calls)
+        else:
+            first += 1
+            assert calls == _unpromised_calls(seq, k), (seq, k, calls)
+    assert first == 4 * (3 + 4) and by_remainder >= 50, (first, by_remainder)
 
 
 def test_only_a_certificate_is_built_as_a_partition(monkeypatch):
@@ -628,7 +642,7 @@ def test_only_a_certificate_is_built_as_a_partition(monkeypatch):
 
 
 def test_stage_sequences_equal_the_tested_sequences():
-    # run_stage builds every sequence with colors 1..k-1 taken as forests.
+    # run_stage takes colors 1..k-1 as forests in every rebuild.
     cases = [(random_multigraph(seed, max_m=20), k) for seed in range(60) for k in (2, 3)]
     cases += [(complete_graph(12), 6), (_doubled(_grid(3, 3)), 3)]
     cases += [(union_of_spanning_trees(seed, 60, 3), 3) for seed in range(8)]
