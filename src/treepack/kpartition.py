@@ -14,10 +14,11 @@ The builder works on label tuples: it keeps each color's edges still inside
 a class, loops included (a loop joins and splits nothing), and splits only
 through ``restrict_components``' kernel, which returns the labels themselves
 when nothing splits; a caller that knows which colors are forests (the
-packer's tree colors) can say so. A sequence builds ``Partition`` objects
-only when its steps or terminal are read. A coloring builds its per-color
-edge lists when it is constructed, and a recoloring carries them over and
-checks only the colors it changes.
+packer's tree colors) can say so, and one that knows the components of color
+k (the packer, from the exchange it just made) hands them to round 0. A
+sequence builds ``Partition`` objects only when its steps or terminal are
+read. A coloring builds its per-color edge lists when it is constructed, and
+a recoloring carries them over and checks only the colors it changes.
 """
 
 from __future__ import annotations
@@ -194,7 +195,11 @@ class PartitionSequence:
 
 
 def build_sequence(
-    g: MultiGraph, t: KPartition, *, forests: Container[int] = ()
+    g: MultiGraph,
+    t: KPartition,
+    *,
+    forests: Container[int] = (),
+    remainder: tuple[tuple[int, ...], int] | None = None,
 ) -> PartitionSequence:
     """Compute the partition sequence of ``t`` and the level of every edge.
 
@@ -215,6 +220,9 @@ def build_sequence(
     edges all stay inside its components). ``forests`` names colors the caller
     knows to be forests, trusted as such; the flag only skips work, so any set
     of true forests, the default none included, gives the same sequence.
+    ``remainder``, trusted in the same way, is the canonical labels and count
+    of color ``k``'s components on the whole graph: round 0 takes them for
+    color ``k`` instead of a union-find, and every later round is unchanged.
     """
     if t.m != g.m:
         raise ValueError("coloring does not match the graph's edge count")
@@ -232,8 +240,11 @@ def build_sequence(
         for c in range(1, k + 1):
             if c == last or forest[c] and len(inside[c]) >= n - size:
                 continue  # splits no class
-            class_of, count = _split(g, inside[c], current, size)
-            if class_of is not current:
+            if c == k and remainder:
+                class_of, count = remainder
+            else:
+                class_of, count = _split(g, inside[c], current, size)
+            if count != size:
                 break
         else:
             return PartitionSequence(
@@ -241,7 +252,7 @@ def build_sequence(
             )
         level = len(splitters)
         splitters.append(c)
-        current, size, last = class_of, count, c
+        current, size, last, remainder = class_of, count, c, None
         for d, ids in enumerate(inside):
             if d == c:
                 continue

@@ -108,27 +108,37 @@ def density_check(
     returned as a certificate; otherwise None is returned and a finite-level
     remainder edge on a cycle is guaranteed to exist.
 
-    The guards read the first splitter, the least color disconnected on the
-    whole graph, and the edge lists: connected with ``n - 1`` edges is a tree.
-    On a stage's first sequence, built without the forest promise, they are
-    ``run_stage``'s one proof of its trees. The stage ends at the exchange
-    that connects its remainder, so "already connected" is a missed exit. A
+    The guards (``_check_trees``) read the first splitter, the least color
+    disconnected on the whole graph, and the edge lists: connected with
+    ``n - 1`` edges is a tree. On a stage's first sequence, built without the
+    forest promise, they are ``run_stage``'s one proof of its trees. The
+    stage ends at the exchange that connects its remainder, so "already
+    connected" is a missed exit. A
     remainder edge crosses ``P`` exactly when the sequence gave it a finite
     level: loops and edges inside a class of ``P`` keep none. ``edge_levels``
     checks that ``seq`` and ``t`` fit ``g``. The terminal ``Partition`` is
     built only when it certifies.
     """
     k, levels = t.k, edge_levels(g, t, seq)
-    splitter = seq.splitter_at(0)
-    for color in range(1, k):
-        if color == splitter or len(t.edges_of_color(color)) != g.n - 1:
-            raise InternalInvariantError(f"color {color} is not a spanning tree")
-    if splitter != k:
+    _check_trees(g, t, seq)
+    if seq.splitter_at(0) != k:
         raise InternalInvariantError("remainder color is already connected")
     crossing = sum(1 for e in t.edges_of_color(k) if levels[e] != INFINITE_LEVEL)
     if crossing < seq.counts[-1] - 1:
         return seq.terminal
     return None
+
+
+def _check_trees(g: MultiGraph, t: KPartition, seq: PartitionSequence) -> None:
+    """Raise unless colors ``1..k-1`` are spanning trees, given ``t``'s sequence.
+
+    Each needs ``n - 1`` edges and must not be the first splitter, the least
+    color disconnected on the whole graph (``k + 1`` when there is none).
+    """
+    splitter = seq.splitter_at(0)
+    for color in range(1, t.k):
+        if color == splitter or len(t.edges_of_color(color)) != g.n - 1:
+            raise InternalInvariantError(f"color {color} is not a spanning tree")
 
 
 def _least_by_level(ids: Iterable[EdgeId], levels: LevelMap) -> EdgeId | None:
@@ -235,12 +245,15 @@ def run_stage(
 
     Colors ``1..k-1`` of ``coloring`` are the spanning trees fixed so far and
     color ``k`` the remainder. The first sequence is built without the forest
-    promise: with no steps, all colors are connected; else ``density_check``
-    on it proves the trees. Exchanges keep them trees (``e`` enters ``c_m``,
-    ``e'`` leaves the cycle it closes there), so rebuilds take them as
-    forests. The exchange with ``j == 0`` and ``|P_1| == 2`` ends
-    the stage: ``e``, on a cycle, splits no remainder component (``P_1``), and
-    ``e'`` joins two iff ``j == 0``. ``cap`` bounds exchanges (``exact_int``);
+    promise, and the tree guards of ``density_check`` run on it, stepless or
+    not: they prove the trees. Exchanges keep them trees (``e`` enters
+    ``c_m``, ``e'`` leaves the cycle it closes there), so rebuilds take them
+    as forests, and ``P_1`` is the remainder's components. ``e``, on a cycle,
+    splits no remainder component, and ``e'`` joins the two holding its ends
+    iff ``j == 0``. So the exchange with ``j == 0`` and ``|P_1| == 2`` ends
+    the stage, and every rebuild is handed its ``P_1``: the old one when
+    ``j >= 1``, else the old one with those two classes merged and the
+    labels kept canonical. ``cap`` bounds exchanges (``exact_int``);
     exceeding it raises InternalInvariantError. The stage owns its forests,
     each rooted at its first use and patched by the exchanges that use it
     (``_exchange_from``). A tree has one rooting, at its least vertex, which
@@ -249,6 +262,8 @@ def run_stage(
     exact_int(cap, "exchange cap")
     t, colors, forests = coloring, coloring.k, {}
     seq, exchanges, certificate = build_sequence(g, t), 0, None
+    if not seq.splitters:
+        _check_trees(g, t, seq)
     while seq.splitters:
         certificate = density_check(g, t, seq)
         if certificate is not None:
@@ -260,9 +275,19 @@ def run_stage(
         if on_exchange is not None:
             on_exchange(event)
         t = event.after
-        if event.j == 0 and seq.counts[1] == 2:
-            break  # e' joined the remainder's only two components
-        seq = build_sequence(g, t, forests=range(1, colors))
+        labels, count = seq.labels[1], seq.counts[1]
+        x, y = g.edges[event.e_prime]
+        a, b = sorted((labels[x], labels[y]))
+        if (a == b) != (event.j > 0):
+            raise InternalInvariantError(
+                "exchanged-out edge's classes at index 1 disagree with its level"
+            )
+        if event.j == 0:
+            if count == 2:
+                break  # e' joined the remainder's only two components
+            remap = [*range(b), a, *range(b, count - 1)]  # class b into a, later ones down
+            labels, count = tuple(map(remap.__getitem__, labels)), count - 1
+        seq = build_sequence(g, t, forests=range(1, colors), remainder=(labels, count))
     return StageOutcome(t, certificate, exchanges)
 
 

@@ -438,6 +438,9 @@ class WhiteBoxPass:
       a fresh sequence of ``after`` has no steps, and the stage builds
       ``after``'s sequence exactly when they do not;
     - ``builds``: a stage that ends connected builds one sequence per exchange;
+    - ``rebuilds``: each sequence a stage builds after an exchange, which
+      starts from the ``P_1`` the stage derives, equals a fresh sequence of
+      ``after``; this covers a stage's last rebuild, which only certifies;
     - ``first_event``: after the run, ``exchange_step`` from each stage's
       first coloring is, field by field, the stage's first event;
     - ``contract``: with ``contract``, every exchange passes
@@ -451,14 +454,15 @@ class WhiteBoxPass:
         self.contract, self.label, self._where = contract, "", ""
         self.violations: dict[str, list[str]] = {
             name: [] for name in ("kernels", "low_points", "forests", "rootings",
-                                  "exit_rule", "builds", "first_event", "contract")
+                                  "exit_rule", "builds", "rebuilds", "first_event",
+                                  "contract")
         }
         self.calls = {"cycle_edges": 0, "fundamental_cycle": 0}
         self.exchanges = self.reported = self.first_events = self.connected = 0
         self.rooted: list[int] = []  # root_forest calls of each stage
         self._firsts: list[tuple[str, MultiGraph, ExchangeEvent]] = []
         self._dicts: list[dict] = []  # each stage's dict of forests
-        self._log: list = []  # the stage's builds and exchanges, in order
+        self._log: list = []  # the stage's builds, as (coloring, sequence), and exchanges
         self._dict: dict | None = None
 
     def failures(self, *checks: str) -> list[str]:
@@ -508,17 +512,22 @@ class WhiteBoxPass:
             event = self._log[i]
             after = build_sequence(g, event.after)
             exits = event.j == 0 and event.sequence.partition_at(1).num_classes == 2
-            rebuilt = i + 1 < len(self._log) and self._log[i + 1] is event.after
+            built = self._log[i + 1] if i + 1 < len(self._log) else None
+            rebuilt = isinstance(built, tuple) and built[0] is event.after
             self.flag("exit_rule", exits == (not after.steps) and rebuilt != exits,
                       f"exchange {count}: exit rule {exits}, rebuilt {rebuilt}")
+            if rebuilt:
+                self.flag("rebuilds", built[1] == after,
+                          f"exchange {count}: the rebuilt sequence differs from a fresh one")
             if self.contract:
                 for name in exchange_violations(g, event, after):
                     self.flag("contract", False, f"exchange {count}: {name}")
         return outcome
 
     def build_sequence(self, g, t, **kwargs):
-        self._log.append(t)
-        return build_sequence(g, t, **kwargs)
+        seq = build_sequence(g, t, **kwargs)
+        self._log.append((t, seq))
+        return seq
 
     def root_forest(self, g, ids):
         self.rooted[-1] += 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -541,6 +542,31 @@ def test_run_stage_rejects_a_broken_tree_beside_a_connected_remainder():
         _run_stage(g, t)
 
 
+def test_run_stage_rejects_a_connected_tree_color_with_n_edges():
+    # Every color is connected, so the first sequence has no steps and no
+    # density check runs; the edge count alone shows that color 1 is no tree.
+    g = MultiGraph(4, complete_graph(4).edges * 2)
+    t = _stage_coloring(g, [range(4)], range(4, g.m))  # a star at 0 plus edge 1-2
+    assert build_sequence(g, t).splitters == ()
+    with pytest.raises(InternalInvariantError, match="^color 1 is not a spanning tree$"):
+        _run_stage(g, t)
+
+
+def test_run_stage_rejects_an_exchange_whose_level_contradicts_p1(monkeypatch):
+    # The stage derives the next P_1 from j, so it checks e_prime's classes
+    # at index 1 against it: two when j == 0, one otherwise.
+    exchange_from = treepack.packer._exchange_from
+    g = union_of_spanning_trees(0, 40, 3)
+    for flipped in (0, 1):  # j == 0 reported as 1, then j >= 1 as 0
+        def misleveled(*args):
+            event = exchange_from(*args)
+            return replace(event, j=1 - flipped) if min(event.j, 1) == flipped else event
+
+        monkeypatch.setattr(treepack.packer, "_exchange_from", misleveled)
+        with pytest.raises(InternalInvariantError, match="^exchanged-out edge's classes"):
+            pack(g, 3)
+
+
 def test_run_stage_rejects_a_short_tree_color_beside_a_connected_remainder():
     # Color 1 has n - 2 edges, so the stage's first sequence has steps.
     g = complete_graph(4)
@@ -557,7 +583,7 @@ def test_stage_exit_rule_on_random_stages(k):
     # sequence exactly when it does not (graphs.WhiteBoxPass).
     found = random_stage_pass(k)
     assert found.exchanges >= 100
-    assert found.failures("exit_rule") == []
+    assert found.failures("exit_rule", "rebuilds") == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -565,7 +591,7 @@ def test_stage_exit_rule_on_families(family):
     # A stage that ends connected also builds one sequence per exchange.
     found = family_pass(family)
     assert found.exchanges >= 1
-    assert found.failures("exit_rule", "builds") == []
+    assert found.failures("exit_rule", "builds", "rebuilds") == []
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -588,7 +614,8 @@ def _unpromised_calls(seq, k: int) -> int:
 def test_a_stage_build_does_not_recheck_its_last_splitter(monkeypatch):
     # A round's classes are the components of its splitter's inside edges,
     # so the next round skips that color as it skips a connected tree: each
-    # round of a rebuild that splits runs one union-find, and the last round
+    # round of a rebuild that splits runs one union-find but round 0, which
+    # takes the remainder's components from the stage, and the last round
     # runs the remainder's unless the remainder made the last split. A
     # stage's first build gets no forest promise and tries every color.
     restricted, builds = [], []
@@ -615,7 +642,7 @@ def test_a_stage_build_does_not_recheck_its_last_splitter(monkeypatch):
         last_by_remainder = bool(seq.splitters) and seq.splitters[-1] == k
         by_remainder += last_by_remainder
         if promised:
-            assert calls == len(seq.splitters) + (not last_by_remainder), (seq, k, calls)
+            assert calls == len(seq.splitters) - 1 + (not last_by_remainder), (seq, k, calls)
         else:
             first += 1
             assert calls == _unpromised_calls(seq, k), (seq, k, calls)
@@ -642,11 +669,13 @@ def test_only_a_certificate_is_built_as_a_partition(monkeypatch):
 
 
 def test_stage_sequences_equal_the_tested_sequences():
-    # run_stage takes colors 1..k-1 as forests in every rebuild.
+    # run_stage takes colors 1..k-1 as forests in every rebuild, and hands it
+    # P_1: the old one after j >= 1, else with the classes of e_prime's ends
+    # merged, which need not be adjacent in canonical order.
     cases = [(random_multigraph(seed, max_m=20), k) for seed in range(60) for k in (2, 3)]
     cases += [(complete_graph(12), 6), (_doubled(_grid(3, 3)), 3)]
     cases += [(union_of_spanning_trees(seed, 60, 3), 3) for seed in range(8)]
-    exchanges = 0
+    exchanges, rebuilds = 0, Counter()
     for g, k in cases:
         events: list[ExchangeEvent] = []
         pack(g, k, on_exchange=events.append)
@@ -654,8 +683,17 @@ def test_stage_sequences_equal_the_tested_sequences():
             tested = build_sequence(g, event.before)
             assert event.sequence == tested
             assert build_sequence(g, event.before, forests=range(1, event.colors)) == tested
+        for event, following in zip(events, events[1:]):
+            if following.before is event.after:  # rebuilt within the stage
+                x, y = g.edges[event.e_prime]
+                labels = event.sequence.labels[1]
+                gap = abs(labels[x] - labels[y])
+                kind = "j >= 1" if event.j else "j = 0, adjacent" if gap == 1 else "j = 0, apart"
+                rebuilds[kind] += 1
         exchanges += len(events)
     assert exchanges >= 100, exchanges
+    kinds = ("j >= 1", "j = 0, adjacent", "j = 0, apart")
+    assert min(rebuilds[kind] for kind in kinds) >= 10, rebuilds
 
 
 def test_run_stage_k4_second_stage():
