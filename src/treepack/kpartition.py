@@ -18,7 +18,7 @@ packer's tree colors) can say so, and one that knows the components of color
 k (the packer, from the exchange it just made) hands them to round 0. A
 sequence builds ``Partition`` objects only when its steps or terminal are
 read. A coloring builds its per-color edge lists when it is constructed, and
-a recoloring carries them over and checks only the colors it changes.
+a recoloring or a split carries them over, checking only what it changes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Container, Iterable, Mapping, NamedTuple
+from itertools import filterfalse
+from typing import AbstractSet, Container, Iterable, Mapping, NamedTuple
 
 from .integers import exact_int
 from .multigraph import EdgeId, MultiGraph, _split
@@ -44,7 +45,7 @@ LevelMap = tuple[Level, ...]
 class KPartition:
     """A total assignment of edge ids to colors ``1..k``.
 
-    Each color's ids, increasing, are listed once the constructor's checks pass.
+    Each color's ids, increasing, are listed when checked or carried over.
     """
 
     k: int
@@ -72,6 +73,7 @@ class KPartition:
 
         Each id and its set's color are checked by ``recolor``'s per-entry
         rule, which names the least bad edge; ``k`` and ``m`` by ``exact_int``.
+        A repeat within one set is named apart from an id in two sets.
         """
         exact_int(k, "k", 1)
         exact_int(m, "edge count")
@@ -80,12 +82,13 @@ class KPartition:
             raise ValueError(_first_error(entries, m, k))
         color_of = [0] * m
         for e, color in entries:
+            if color_of[e] == color:
+                raise ValueError(f"edge {e} repeated in color {color}")
             if color_of[e]:
-                raise ValueError(f"edge {e} assigned to two colors")
+                raise ValueError(f"edge {e} assigned to two colors, {color_of[e]} and {color}")
             color_of[e] = color
-        if any(c == 0 for c in color_of):
-            missing = color_of.index(0)
-            raise ValueError(f"edge {missing} has no color")
+        if 0 in color_of:
+            raise ValueError(f"edge {color_of.index(0)} has no color")
         return cls(k, tuple(color_of))
 
     @property
@@ -102,7 +105,7 @@ class KPartition:
         """A copy with some edges recolored, carrying over the edge lists.
 
         Only the changes are checked, by the rule the constructor applies to
-        every edge: the parent's colors were checked when it was built.
+        every edge: the parent holds only checked or carried-over colors.
         """
         m, k = self.m, self.k
         if any(_entry_error(e, color, m, k) for e, color in changes.items()):
@@ -114,9 +117,29 @@ class KPartition:
                 i, j = bisect_left(lists[old], e), bisect_left(lists[color], e)
                 lists[old] = lists[old][:i] + lists[old][i + 1 :]
                 lists[color] = lists[color][:j] + (e,) + lists[color][j:]
-        after = object.__new__(KPartition)
-        vars(after).update(k=k, color_of=tuple(colors), _edges_by_color=tuple(lists))
-        return after
+        return self._carried(k, tuple(colors), tuple(lists))
+
+    def split_off(self, color: int, keep: AbstractSet[EdgeId]) -> "KPartition":
+        """A copy with ``color``'s ids outside ``keep`` moved, in order, to new color ``k + 1``.
+
+        The other lists are carried over. Only ``color`` (by ``exact_int``)
+        and ``keep ⊆ color`` are checked, before anything is built.
+        """
+        k, lists = self.k + 1, self._edges_by_color
+        kept = tuple(filter(keep.__contains__, lists[exact_int(color, "color", 1, self.k)]))
+        if len(kept) != len(keep):
+            raise ValueError(f"kept ids are not all edges of color {color}")
+        moved, colors = tuple(filterfalse(keep.__contains__, lists[color])), list(self.color_of)
+        for e in moved:
+            colors[e] = k
+        return self._carried(k, tuple(colors), (*lists[:color], kept, *lists[color + 1 :], moved))
+
+    @classmethod
+    def _carried(cls, k: int, color_of: tuple[int, ...], ids: tuple) -> "KPartition":
+        """A coloring from checked colors and each color's ids, increasing, checking nothing."""
+        t = object.__new__(cls)
+        vars(t).update(k=k, color_of=color_of, _edges_by_color=ids)
+        return t
 
 
 def _entry_error(e: object, color: object, m: int, k: int) -> str | None:
@@ -184,14 +207,10 @@ class PartitionSequence:
         return Partition(self.labels[-1])
 
     def partition_at(self, i: int) -> Partition:
-        if i < len(self.splitters):
-            return self.steps[i].partition
-        return self.terminal
+        return self.steps[i].partition if i < len(self.splitters) else self.terminal
 
     def splitter_at(self, i: int) -> int:
-        if i < len(self.splitters):
-            return self.splitters[i]
-        return self.k + 1
+        return self.splitters[i] if i < len(self.splitters) else self.k + 1
 
 
 def build_sequence(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 from .integers import exact_int
@@ -315,29 +315,25 @@ def _stages(
 ) -> Iterator[StageOutcome]:
     """Outcomes of stages 1, 2, ..., each stage run once; ends at a certificate.
 
-    Only the coloring runs through the stages, which each root their own
-    forests. A connected stage ``s`` is yielded with the next stage's
-    coloring: the tree taken greedily from color ``s`` keeps it, and the
-    rest moves to color ``s + 1``. Stage ``s`` gets the exchange cap ``cap``, or
-    ``max(1, s * n * m)`` when ``cap`` is None. A certificate comes by
-    stage ``m // (n - 1) + 1``, where ``s * (n - 1) > m`` and the one-vertex
-    classes alone violate the count; asking for a stage past it raises
-    InternalInvariantError. Needs ``n >= 2``.
+    One coloring runs through the stages, which each root their own forests.
+    The first, all in color 1, gets its two lists directly; a connected stage
+    ``s`` is yielded with the next, carried by ``KPartition.split_off``: color
+    ``s`` keeps the tree taken greedily from it, the rest moves to ``s + 1``.
+    Stage ``s`` gets the exchange cap ``cap``, or ``max(1, s * n * m)`` when
+    ``cap`` is None. A certificate comes by stage ``m // (n - 1) + 1``, where
+    ``s * (n - 1) > m`` and the one-vertex classes alone violate the count;
+    asking for a stage past it raises InternalInvariantError. Needs ``n >= 2``.
     """
-    t = KPartition(1, (1,) * g.m)
+    t = KPartition._carried(1, (1,) * g.m, ((), tuple(range(g.m))))
     for stage in range(1, g.m // (g.n - 1) + 2):
         limit = cap if cap is not None else max(1, stage * g.n * g.m)
         outcome = run_stage(g, t, cap=limit, on_exchange=on_exchange)
         if outcome.certificate is not None:
             yield outcome
             return
-        rest = outcome.coloring.edges_of_color(stage)
-        tree = greedy_spanning_tree(g, rest, seedtree_order)
-        color_of = list(outcome.coloring.color_of)
-        for e in set(rest) - tree:
-            color_of[e] = stage + 1
-        t = KPartition(stage + 1, tuple(color_of))
-        yield replace(outcome, coloring=t)
+        tree = greedy_spanning_tree(g, outcome.coloring.edges_of_color(stage), seedtree_order)
+        t = outcome.coloring.split_off(stage, tree)
+        yield StageOutcome(t, None, outcome.exchanges)
     raise InternalInvariantError("no certificate at the arithmetic ceiling")
 
 

@@ -255,6 +255,68 @@ def test_recolor_names_the_least_bad_edge():
         KPartition.from_edge_sets(2.0, [[0]], 1)
 
 
+def test_from_edge_sets_names_a_repeat_apart_from_an_edge_in_two_colors():
+    # A repeat within one set names its one color; an id in two sets names both.
+    for k, sets, m, message in [
+        (1, [[0, 0]], 1, "edge 0 repeated in color 1"),
+        (3, [[1], [0], [2, 2]], 3, "edge 2 repeated in color 3"),
+        (2, [[0], [0]], 1, "edge 0 assigned to two colors, 1 and 2"),
+        (3, [[1, 0], [2], [1]], 3, "edge 1 assigned to two colors, 1 and 3"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            KPartition.from_edge_sets(k, sets, m)
+        assert str(raised.value) == message, sets
+
+
+# split_off ---------------------------------------------------------------------
+
+
+def test_split_off_carries_the_edge_lists_of_a_fresh_coloring():
+    # A random color keeps a random subset of its ids; the rest go, in id
+    # order, to the new color k + 1, and every other list is carried over.
+    for seed in range(300):
+        rng = SplitMix64(seed)
+        m, k = 1 + rng.below(20), 1 + rng.below(4)
+        t = KPartition(k, tuple(1 + rng.below(k) for _ in range(m)))
+        color = 1 + rng.below(k)
+        keep = frozenset(e for e in t.edges_of_color(color) if rng.below(2))
+        after = t.split_off(color, keep)
+        fresh = KPartition(k + 1, tuple(k + 1 if c == color and e not in keep else c
+                                        for e, c in enumerate(t.color_of)))
+        assert type(after.color_of) is tuple and after.k == k + 1
+        assert after == fresh and hash(after) == hash(fresh) and repr(after) == repr(fresh)
+        assert [after.edges_of_color(c) for c in range(k + 3)] == [
+            fresh.edges_of_color(c) for c in range(k + 3)
+        ]
+        assert after.edges_of_color(color) == tuple(sorted(keep))
+
+
+def test_split_off_lists_the_colorings_own_ids():
+    # True and 2.0 equal kept ids 1 and 2; the lists hold the int ids.
+    after = KPartition(2, (2, 1, 1, 1)).split_off(1, frozenset({True, 2.0}))
+    assert after == KPartition(3, (2, 1, 1, 3))
+    assert [type(e) for e in after.edges_of_color(1)] == [int, int]
+
+
+def test_split_off_rejects_a_kept_id_outside_its_color_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(KPartition, "_carried", classmethod(lambda cls, *args: built.append(args)))
+    t = KPartition(2, (1, 2, 1, 2))
+    for keep in ({1}, {0, 1}, {0, 4}, {-1}, {0, 2, 3}):
+        with pytest.raises(ValueError, match="^kept ids are not all edges of color 1$"):
+            t.split_off(1, frozenset(keep))
+    for color, message in [
+        (True, "color must be an int, not True"),
+        (1.0, "color must be an int, not 1.0"),
+        (0, "color must be in 1..2, not 0"),
+        (3, "color must be in 1..2, not 3"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            t.split_off(color, frozenset())
+        assert str(raised.value) == message
+    assert built == []
+
+
 @pytest.mark.parametrize("m", [1.0, True, "1", -1], ids=repr)
 def test_from_edge_sets_takes_the_edge_count_as_an_exact_int(m):
     # True once built a one-edge coloring, and 1.0 raised a bare TypeError.

@@ -48,6 +48,7 @@ from graphs import (
     random_coloring,
     random_multigraph,
     random_stage_pass,
+    random_stages,
     stage_cap,
     star_graph,
     two_step_exchange_instance,
@@ -666,6 +667,80 @@ def test_only_a_certificate_is_built_as_a_partition(monkeypatch):
     built.clear()
     result = pack(g, 3)
     assert result.trees is not None and result.exchanges > 0 and built == []
+
+
+def test_the_stages_run_no_validating_coloring_constructor(monkeypatch):
+    # The first coloring gets its two lists directly, each hand-off carries
+    # them (KPartition.split_off) and each exchange recolors, so pack and
+    # stp_number construct no coloring through the checks.
+    built = []
+    validate = KPartition.__post_init__
+
+    def counted_validate(self):
+        built.append(self)
+        validate(self)
+
+    k6, union = complete_graph(6), union_of_spanning_trees(0, 40, 3)
+    monkeypatch.setattr(KPartition, "__post_init__", counted_validate)
+    result = pack(k6, 3)
+    assert result.trees is not None and result.exchanges > 0 and built == []
+    k_max, _ = stp_number(union)
+    assert k_max == 3 and built == []
+
+
+def _is_fresh(t: KPartition) -> bool:
+    """Whether ``t`` and its lists of colors ``0..k+1`` equal a checked construction's."""
+    fresh = KPartition(t.k, t.color_of)
+    return t == fresh and all(
+        t.edges_of_color(c) == fresh.edges_of_color(c) for c in range(t.k + 2)
+    )
+
+
+def _hands_off(g: MultiGraph, before: KPartition, order: str, after: KPartition) -> bool:
+    """Whether ``after`` is ``before`` with color k's edges outside its greedy
+    tree moved to color k + 1, with the lists a checked construction makes."""
+    k = before.k
+    tree = greedy_spanning_tree(g, before.edges_of_color(k), order)
+    moved = tuple(k + 1 if c == k and e not in tree else c for e, c in enumerate(before.color_of))
+    return after.k == k + 1 and after.color_of == moved and _is_fresh(after)
+
+
+@pytest.mark.parametrize("order", ["asc", "desc"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_stage_coloring_equals_a_fresh_one_on_families(monkeypatch, family, order):
+    # The first coloring and each one handed to the next stage, the one
+    # pack reads its trees from included.
+    g, k = FAMILIES[family]
+    handed, finished = [], []
+
+    def recorded_run_stage(g, coloring, **kwargs):
+        handed.append(coloring)
+        outcome = run_stage(g, coloring, **kwargs)
+        finished.append(outcome.coloring)
+        return outcome
+
+    monkeypatch.setattr(treepack.packer, "run_stage", recorded_run_stage)
+    for _, last in zip(range(k), treepack.packer._stages(g, None, order, None)):
+        pass
+    if last.certificate is None:
+        handed.append(last.coloring)
+    assert handed[0] == KPartition(1, (1,) * g.m) and _is_fresh(handed[0])
+    assert len(handed) == len(finished) + (last.certificate is None) >= 3
+    for before, after in zip(finished, handed[1:]):
+        assert _hands_off(g, before, order, after), before.k
+
+
+@pytest.mark.parametrize("order", ["asc", "desc"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_every_stage_hand_off_equals_a_fresh_coloring_on_random_stages(k, order):
+    handed = 0
+    for seed, g, t in random_stages(k):
+        outcome = run_stage(g, t, cap=stage_cap(g, t))
+        if outcome.certificate is None:
+            tree = greedy_spanning_tree(g, outcome.coloring.edges_of_color(k), order)
+            assert _hands_off(g, outcome.coloring, order, outcome.coloring.split_off(k, tree)), seed
+            handed += 1
+    assert handed >= 100, handed
 
 
 def test_stage_sequences_equal_the_tested_sequences():
